@@ -43,6 +43,17 @@ def _load(path: str) -> Algebra:
     return parse_algebra(text)
 
 
+def _load_capped(path: str) -> Algebra:
+    """Load a file for a verb whose cost grows steeply with its size: the
+    validators are O(n^3)-O(n^4) and |Con| can reach 2^(n-1)."""
+    alg = _load(path)
+    cap = search_mod.size_cap()
+    if alg.n > cap:
+        raise StructureError(f"{path}: size {alg.n} exceeds the cap of {cap} "
+                             f"(override with {search_mod.ENV_MAX_SIZE})")
+    return alg
+
+
 def _report_exit(rep: Report, what: str) -> int:
     if rep.ok:
         print(f"PASS {what}")
@@ -84,7 +95,7 @@ def _validator_chain(alg: Algebra, tag: ClassTag, props: bool, subvariety: bool)
 
 
 def cmd_check(args) -> int:
-    alg = _load(args.file)
+    alg = _load_capped(args.file)
     tag = ClassTag(args.klass) if args.klass else alg.class_tag
     rc = 0
     for rep, what in _validator_chain(alg, tag, args.props, args.subvariety):
@@ -167,7 +178,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_con(args) -> int:
-    alg = _load(args.file)
+    alg = _load_capped(args.file)
     try:
         lat = congruence_lattice(alg)
     except ValueError as exc:

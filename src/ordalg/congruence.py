@@ -8,6 +8,7 @@ compatible-partition notion for them is a different theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .core import Algebra, Report, StructureError
@@ -170,7 +171,13 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
 
 @dataclass(frozen=True)
 class ConLattice:
-    """All congruences, ordered by refinement."""
+    """All congruences, ordered by refinement.
+
+    The tables below index congruences by their position in ``congruences``
+    and are built on first use.  They rely on ``congruences`` being the whole
+    congruence lattice of an algebra, which is closed under intersection and
+    under the join of partitions, as ``congruence_lattice`` returns it.
+    """
 
     congruences: tuple[Partition, ...]
 
@@ -178,9 +185,45 @@ class ConLattice:
     def size(self) -> int:
         return len(self.congruences)
 
+    @cached_property
+    def class_masks(self) -> tuple[tuple[int, ...], ...]:
+        """``class_masks[a][i]`` has bit j set iff congruence a relates i and j."""
+        out = []
+        for p in self.congruences:
+            by_class: dict[int, int] = {}
+            for i, c in enumerate(p.class_of):
+                by_class[c] = by_class.get(c, 0) | (1 << i)
+            out.append(tuple(by_class[c] for c in p.class_of))
+        return tuple(out)
+
+    @cached_property
+    def _relation_masks(self) -> tuple[int, ...]:
+        """Each congruence as one n*n-bit mask of the pairs it relates."""
+        n = self.congruences[0].n
+        return tuple(sum(m << (i * n) for i, m in enumerate(masks))
+                     for masks in self.class_masks)
+
+    @cached_property
     def refinement_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        cs = self.congruences
-        return tuple(tuple(a.refines(b) for b in cs) for a in cs)
+        """``refinement_matrix[a][b]`` is true iff congruence a refines b."""
+        rels = self._relation_masks
+        return tuple(tuple(not ra & ~rb for rb in rels) for ra in rels)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """Index of the meet of congruences a and b: their intersection."""
+        rels = self._relation_masks
+        by_rel = {r: i for i, r in enumerate(rels)}
+        return tuple(tuple(by_rel[ra & rb] for rb in rels) for ra in rels)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        """Index of the join of congruences a and b: in a finite lattice the
+        congruences above both are exactly those above their join."""
+        ups = [sum(1 << b for b, above in enumerate(row) if above)
+               for row in self.refinement_matrix]
+        by_up = {u: i for i, u in enumerate(ups)}
+        return tuple(tuple(by_up[ua & ub] for ub in ups) for ua in ups)
 
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
@@ -202,22 +245,6 @@ def congruence_lattice(alg: Algebra) -> ConLattice:
     return ConLattice(tuple(sorted(found)))
 
 
-def _pairs(p: Partition, n: int) -> frozenset[tuple[int, int]]:
-    return frozenset((i, j) for i in range(n) for j in range(n) if p.relates(i, j))
-
-
-def _compose(left: frozenset[tuple[int, int]],
-             right: frozenset[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
-    by_first: dict[int, set[int]] = {}
-    for k, j in right:
-        by_first.setdefault(k, set()).add(j)
-    out = set()
-    for i, k in left:
-        for j in by_first.get(k, ()):
-            out.add((i, j))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class MaltsevReport:
     three_permutable: bool
@@ -230,55 +257,88 @@ class MaltsevReport:
         return self.three_permutable and self.con_distributive and self.weakly_regular
 
 
+def _image(mask: int, classes: tuple[int, ...]) -> int:
+    """Union of the classes of the elements in ``mask``."""
+    out = 0
+    while mask:
+        out |= classes[(mask & -mask).bit_length() - 1]
+        mask &= ~out  # out is a union of whole classes
+    return out
+
+
+def _first_non_3_permuting(lat: ConLattice) -> tuple[int, int] | None:
+    """First pair (p, q), in index order, with p o q o p != q o p o q.
+
+    Comparable pairs are skipped, since both sides are then the larger
+    congruence, and only q > p is tried, since the law is symmetric in p
+    and q: the first failing pair in the full order has q > p.
+    """
+    cls = lat.class_masks
+    below = lat.refinement_matrix
+    for p, cp in enumerate(cls):
+        for q in range(p + 1, len(cls)):
+            if below[p][q] or below[q][p]:
+                continue
+            cq = cls[q]
+            for i in range(len(cp)):
+                if _image(_image(cp[i], cq), cp) != _image(_image(cq[i], cp), cq):
+                    return p, q
+    return None
+
+
+def _first_non_distributive(lat: ConLattice) -> tuple[int, int, int] | None:
+    """First triple (a, b, c), in index order, with
+    a ^ (b v c) != (a ^ b) v (a ^ c)."""
+    join, meet = lat.join_table, lat.meet_table
+    for a, meet_a in enumerate(meet):
+        for b, join_b in enumerate(join):
+            join_ab = join[meet_a[b]]
+            lhs = [meet_a[j] for j in join_b]
+            rhs = [join_ab[k] for k in meet_a]
+            if lhs != rhs:
+                c = next(c for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                return a, b, c
+    return None
+
+
 def maltsev_report(alg: Algebra, lattice: ConLattice | None = None) -> MaltsevReport:
     """3-permutability, distributivity of the congruence lattice, and weak
-    regularity (the class of the top element determines the congruence)."""
+    regularity (the class of the top element determines the congruence).
+
+    Each verdict is read off the integer tables of the lattice: relational
+    products of class bitmasks for 3-permutability (O(|Con|^2) pairs), the
+    join and meet tables for distributivity (O(|Con|^3) triples), and the
+    class of the top for weak regularity (O(|Con|)).  The witness names the
+    first failure in index order.
+    """
     lat = lattice if lattice is not None else congruence_lattice(alg)
-    n = alg.n
     cs = lat.congruences
-
-    three_perm = True
     witness = ""
-    rels = [_pairs(p, n) for p in cs]
-    for p, rp in zip(cs, rels):
-        for q, rq in zip(cs, rels):
-            left = _compose(_compose(rp, rq, n), rp, n)
-            right = _compose(_compose(rq, rp, n), rq, n)
-            if left != right:
-                three_perm = False
-                witness = f"3-permutability fails for {p.class_of} and {q.class_of}"
-                break
-        if not three_perm:
-            break
 
-    distributive = True
-    for a in cs:
-        for b in cs:
-            for c in cs:
-                if a.meet(b.join_with(c)) != a.meet(b).join_with(a.meet(c)):
-                    distributive = False
-                    if not witness:
-                        witness = (f"distributivity fails for {a.class_of}, "
-                                   f"{b.class_of}, {c.class_of}")
-                    break
-            if not distributive:
-                break
-        if not distributive:
-            break
+    pair = _first_non_3_permuting(lat)
+    if pair is not None:
+        p, q = pair
+        witness = f"3-permutability fails for {cs[p].class_of} and {cs[q].class_of}"
+
+    triple = _first_non_distributive(lat)
+    if triple is not None and not witness:
+        a, b, c = triple
+        witness = (f"distributivity fails for {cs[a].class_of}, "
+                   f"{cs[b].class_of}, {cs[c].class_of}")
 
     weakly_regular = True
-    seen: dict[frozenset[int], Partition] = {}
-    for p in cs:
-        blk = p.block_of(alg.top)
+    seen: dict[int, int] = {}
+    for a, masks in enumerate(lat.class_masks):
+        blk = masks[alg.top]
         if blk in seen:
             weakly_regular = False
             if not witness:
-                witness = (f"congruences {seen[blk].class_of} and {p.class_of} "
+                witness = (f"congruences {cs[seen[blk]].class_of} and {cs[a].class_of} "
                            "share the class of the top element")
             break
-        seen[blk] = p
+        seen[blk] = a
 
-    return MaltsevReport(three_perm, distributive, weakly_regular, witness)
+    return MaltsevReport(pair is None, triple is None, weakly_regular, witness)
 
 
 def term_witness_check(alg: Algebra) -> Report:

@@ -362,15 +362,27 @@ def rrs_from_srs(srs: SrsAlgebra) -> Algebra:
 
 
 def validate_srs(srs: SrsAlgebra) -> Report:
-    """Sectional laws: each section a commutative monoid with unit top,
-    compatibility (i), monotonicity (ii), sectional adjointness (iii), and
-    the arrow absorption (iv)."""
+    """Sectional laws: the stored product (when ``alg`` carries one) is
+    defined only on pairs that share a section (domain), each section a
+    commutative monoid with unit top, compatibility (i), monotonicity (ii),
+    sectional adjointness (iii), and the arrow absorption (iv)."""
     alg = srs.alg
     _require(alg, "imp")
     n, top = alg.n, alg.top
     lab = alg.label
     jv = alg.join.values
     iv = alg.imp.values
+
+    # The section tables keep the product only inside sections, so a value
+    # stored for a pair with no common lower bound is checked here or never.
+    if alg.prod is not None:
+        for x in range(n):
+            for y in range(n):
+                v = alg.prod.values[x][y]
+                if v is not None and not common_lower_bounds(alg, x, y):
+                    return Report.failing("domain", (lab(x), lab(y)), lab(v), "-",
+                                          note="product defined on a pair that "
+                                               "lies in no common section")
 
     for b in range(n):
         sec = section(alg, b)

@@ -252,8 +252,19 @@ def _gate(alg: Algebra, report) -> Algebra:
     return alg
 
 
-@lru_cache(maxsize=None)
+# Classes whose models depend on the free_imp choice.
+_FREE_IMP_CLASSES = frozenset({ClassTag.NCIS, ClassTag.IALG})
+
+
 def _models(tag: ClassTag, n: int, free_imp: bool = False) -> tuple[Algebra, ...]:
+    """Every model of the class at size n, built once per process: the cache
+    key is always the full (tag, n, free_imp) triple, with free_imp cleared
+    for the classes it does not affect."""
+    return _build_models(tag, n, free_imp and tag in _FREE_IMP_CLASSES)
+
+
+@lru_cache(maxsize=None)
+def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
     if tag == ClassTag.JSL:
         seen: dict[tuple, Algebra] = {}
         for downs in _natural_jsl_downmasks(n):

@@ -209,3 +209,66 @@ def oracle_principal(alg, a, b):
         if p.relates(a, b):
             best = p if best is None else best.meet(p)
     return best
+
+
+def _pairs(p, n):
+    return frozenset((i, j) for i in range(n) for j in range(n) if p.relates(i, j))
+
+
+def _compose(left, right):
+    by_first = {}
+    for k, j in right:
+        by_first.setdefault(k, set()).add(j)
+    return frozenset((i, j) for i, k in left for j in by_first.get(k, ()))
+
+
+def oracle_distributivity_failure(congruences):
+    """First triple (a, b, c) of partitions, in the given order, with
+    a ^ (b v c) != (a ^ b) v (a ^ c), or None."""
+    for a in congruences:
+        for b in congruences:
+            for c in congruences:
+                if a.meet(b.join_with(c)) != a.meet(b).join_with(a.meet(c)):
+                    return a, b, c
+    return None
+
+
+def oracle_maltsev(alg, congruences):
+    """(three_permutable, con_distributive, weakly_regular, witness) by
+    relation composition over every ordered pair and partition meets and
+    joins over every triple of ``congruences``, in the given order; the
+    witness names the first failure found."""
+    n = alg.n
+    cs = list(congruences)
+    witness = ""
+
+    three_perm = True
+    rels = [_pairs(p, n) for p in cs]
+    for p, rp in zip(cs, rels):
+        for q, rq in zip(cs, rels):
+            if _compose(_compose(rp, rq), rp) != _compose(_compose(rq, rp), rq):
+                three_perm = False
+                witness = f"3-permutability fails for {p.class_of} and {q.class_of}"
+                break
+        if not three_perm:
+            break
+
+    triple = oracle_distributivity_failure(cs)
+    distributive = triple is None
+    if triple is not None and not witness:
+        a, b, c = triple
+        witness = f"distributivity fails for {a.class_of}, {b.class_of}, {c.class_of}"
+
+    weakly_regular = True
+    seen = {}
+    for p in cs:
+        blk = p.block_of(alg.top)
+        if blk in seen:
+            weakly_regular = False
+            if not witness:
+                witness = (f"congruences {seen[blk].class_of} and {p.class_of} "
+                           "share the class of the top element")
+            break
+        seen[blk] = p
+
+    return three_perm, distributive, weakly_regular, witness

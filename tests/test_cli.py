@@ -27,6 +27,33 @@ def fig1_rrs_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def chain7_ialg_file(tmp_path):
+    """The I-algebra of the seven-element chain, derived through the CLI."""
+    labels = "abcdef1"
+    order = "".join(f"  {x} < {y}\n" for x, y in zip(labels, labels[1:]))
+    chain = tmp_path / "chain7.alg"
+    chain.write_text(f"algebra\nelements: {' '.join(labels)}\norder:\n{order}end\n",
+                     encoding="utf-8")
+    ncis, ialg = tmp_path / "chain7.ncis.alg", tmp_path / "chain7.ialg.alg"
+    assert main(["derive", str(chain), "--map", "I", "--out", str(ncis)]) == 0
+    assert main(["derive", str(ncis), "--map", "A", "--out", str(ialg)]) == 0
+    return str(ialg)
+
+
+@pytest.fixture
+def srs_unbounded_prod_file(tmp_path):
+    """srs_3_1 (two atoms under the top) with a product stored for the pair
+    (a, b), which lies in no common section."""
+    src = ("algebra\nname: srs_3_1\nelements: a b 1\n"
+           "op join:\n  a 1 1\n  1 b 1\n  1 1 1\n"
+           "op imp:\n  1 b 1\n  a 1 1\n  a b 1\n"
+           "op prod partial:\n  a 1 a\n  - b b\n  a b 1\nend\n")
+    p = tmp_path / "srs_3_1.alg"
+    p.write_text(src, encoding="utf-8")
+    return str(p)
+
+
 def test_check_pass(fig1_ncis_file, capsys):
     assert main(["check", fig1_ncis_file, "--class", "ncis"]) == 0
     out = capsys.readouterr().out
@@ -266,3 +293,24 @@ def test_search_env_cap_warning(monkeypatch, capsys):
 def test_search_cap_exceeded_without_override(capsys):
     assert main(["search", "--class", "jsl", "--size", "9", "--count"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_check_and_con_honour_size_cap(chain7_ialg_file, monkeypatch, capsys):
+    assert main(["check", chain7_ialg_file, "--class", "ialg"]) == 0
+    assert main(["con", chain7_ialg_file]) == 0
+    assert "congruences: 7" in capsys.readouterr().out
+    monkeypatch.setenv("ORDALG_MAX_SIZE", "3")
+    for argv in (["check", chain7_ialg_file, "--class", "ialg"],
+                 ["con", chain7_ialg_file, "--report", "full"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size 7 exceeds the cap of 3 (override with ORDALG_MAX_SIZE)" \
+            in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check", "--class", "srs"], ["derive", "--map", "R"],
+                                  ["roundtrip", "--pair", "srs-rrs"]])
+def test_srs_product_outside_sections_fails(srs_unbounded_prod_file, argv, capsys):
+    assert main([argv[0], srs_unbounded_prod_file, *argv[1:]]) == 1
+    assert capsys.readouterr().out == "FAIL axiom=domain witness=(a,b) lhs=1 rhs=-\n"

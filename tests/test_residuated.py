@@ -155,6 +155,15 @@ def test_validate_srs_adjointness_failure(fig2_rrs):
     assert rep.axiom == "(iii)"
 
 
+def test_validate_srs_product_outside_sections(fig1_rrs):
+    b, c = idx(fig1_rrs, "b", "c")  # b and c have no common lower bound
+    pv = [list(row) for row in fig1_rrs.prod.values]
+    pv[b][c] = fig1_rrs.top
+    bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
+    rep = validate_srs(srs_from_rrs(bad))
+    assert rep.fail_line() == "FAIL axiom=domain witness=(b,c) lhs=1 rhs=-"
+
+
 def test_bridge_to_rrs(fig2):
     out = ncis_rrs_bridge(fig2, "to_rrs")
     assert out.class_tag == ClassTag.RRS

@@ -12,7 +12,7 @@ from ordalg import (ClassTag, SearchSpec, canonical_form, canonical_key,
                     section_shape_report, validate_ialgebra, validate_ncis,
                     validate_ralgebra, validate_rrs, validate_sectioned,
                     validate_srs, validate_join_semilattice, srs_from_rrs)
-from ordalg.search import _models
+from ordalg import search
 
 
 def spec(tag, size, **kw):
@@ -175,3 +175,23 @@ def test_srs_models_mirror_rrs():
     for a, b in zip(rrs, srs):
         assert a.prod.values == b.prod.values
         assert b.class_tag == ClassTag.SRS
+
+
+def test_each_class_built_once_per_size(monkeypatch):
+    """Counting jsl and then every other class canonicalises the labelled
+    semilattices once: each (class, size, free_imp) is built once."""
+    search._build_models.cache_clear()
+    keyed = []
+    real_key = search.canonical_key
+    monkeypatch.setattr(search, "canonical_key",
+                        lambda alg: keyed.append(alg) or real_key(alg))
+    count_models(spec("jsl", 5))
+    labelled = len(keyed)
+    assert labelled > 0
+    for tag in ("sectioned", "ncis", "rrs", "srs", "ialg", "ralg"):
+        count_models(spec(tag, 5))
+    for tag in ("jsl", "ncis", "ialg"):
+        count_models(spec(tag, 5, free_imp=True))
+    assert len(keyed) == labelled
+    # seven classes, plus ncis and ialg with free_imp
+    assert search._build_models.cache_info().misses == 9
