@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -119,7 +120,7 @@ _MAPS = {
 
 
 def cmd_derive(args) -> int:
-    alg = _load(args.file)
+    alg = _load_capped(args.file)
     source_name, source_check, mapper, target_check = _MAPS[args.map]
     rep = source_check(alg)
     if not rep.ok:
@@ -158,7 +159,7 @@ _PAIRS = {
 
 def cmd_roundtrip(args) -> int:
     source_tag, source_check, forward, backward = _PAIRS[args.pair]
-    alg = project_to_class(_load(args.file), source_tag)
+    alg = project_to_class(_load_capped(args.file), source_tag)
     rep = source_check(alg)
     if not rep.ok:
         print(rep.fail_line())
@@ -280,7 +281,11 @@ def cmd_tables(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` runs in-process
+    many times over in library sessions and tests, and parsing holds no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="ordalg",
         description="Finite join-semilattice workbench: validation, "

@@ -212,6 +212,19 @@ class Algebra:
         n = self.n
         return tuple(frozenset(j for j in range(n) if self.leq[i][j]) for i in range(n))
 
+    @cached_property
+    def glb(self) -> BinTable:
+        """Partial meet of the order: the greatest lower bound exactly on
+        bounded pairs, built once by `glb_table`."""
+        return glb_table(self.leq, self.labels)
+
+    @cached_property
+    def join_order(self) -> tuple[tuple[bool, ...], ...]:
+        """``join_order[x][y]`` is x <= y read off the join table, as `leq`
+        reads it; the raw constructor may pass a join table that disagrees
+        with the ``leq`` field."""
+        return order_from_join(self.join.values)
+
     def tables(self) -> tuple[tuple[str, BinTable | TernTable], ...]:
         """Present operation tables in canonical slot order."""
         out = [("join", self.join)]
@@ -353,14 +366,7 @@ def partial_meet(alg: Algebra, x: int, y: int) -> int | None:
     """Greatest common lower bound, or UNDEF when the pair is unbounded."""
     if alg.meet is not None:
         return alg.meet[x][y]
-    clb = alg.downsets[x] & alg.downsets[y]
-    if not clb:
-        return None
-    greatest = [u for u in clb if all(alg.leq[v][u] for v in clb)]
-    if not greatest:
-        raise StructureError(
-            f"meet not unique for ({alg.label(x)},{alg.label(y)})")
-    return greatest[0]
+    return alg.glb[x][y]
 
 
 def section(alg: Algebra, x: int) -> tuple[int, ...]:
@@ -468,7 +474,7 @@ def build_algebra(labels: Sequence[str], *,
     meet_t = None
     if meet_values is not None:
         meet_t = BinTable.from_rows(meet_values, total=False)
-        true_meet = glb_table(lq, labels)
+        true_meet = alg.glb
         for i in range(n):
             for j in range(n):
                 got, want = meet_t.values[i][j], true_meet.values[i][j]
@@ -509,7 +515,7 @@ def ensure_meet(alg: Algebra) -> Algebra:
     """Return an equal algebra that carries the derived partial meet table."""
     if alg.meet is not None:
         return alg
-    return dataclasses.replace(alg, meet=glb_table(alg.leq, alg.labels))
+    return dataclasses.replace(alg, meet=alg.glb)
 
 
 def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   ensure_meet, glb_table, leq)
+from .core import Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet
+from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 from .sectioned import pseudocomplement_in_section
 
 NcisAlgebra = Algebra  # alias: an Algebra with total imp, partial meet, tag "ncis"
@@ -62,58 +62,7 @@ def validate_ncis(alg: Algebra) -> Report:
     """
     if alg.imp is None:
         raise StructureError("class ncis requires an imp table")
-    n = alg.n
-    lab = alg.label
-    jv = alg.join.values
-    iv = alg.imp.values
-    true_meet = glb_table(alg.leq, alg.labels).values
-
-    if alg.meet is not None:
-        for x in range(n):
-            for y in range(n):
-                got, want = alg.meet.values[x][y], true_meet[x][y]
-                if got != want:
-                    return Report.failing(
-                        "domain", (lab(x), lab(y)),
-                        "-" if got is None else lab(got),
-                        "-" if want is None else lab(want),
-                        note="meet table must equal the greatest lower bound "
-                             "exactly on bounded pairs")
-
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, y, iv[x][y]):
-                return Report.failing("(1)", (lab(x), lab(y)), lab(y), lab(iv[x][y]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            u = jv[x][y]
-            w = iv[x][y]
-            m = true_meet[u][w]
-            if m is None:
-                return Report.failing("(2)", (lab(x), lab(y)), "-", lab(y),
-                                      note="meet undefined where the axiom needs it")
-            if m != y:
-                return Report.failing("(2)", (lab(x), lab(y)), lab(m), lab(y))
-    for x in range(n):
-        for y in range(n):
-            if iv[jv[x][y]][y] != iv[x][y]:
-                return Report.failing("(3)", (lab(x), lab(y)),
-                                      lab(iv[jv[x][y]][y]), lab(iv[x][y]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                u = jv[x][z]
-                v = jv[y][z]
-                m = true_meet[u][v]
-                if m is None:
-                    return Report.failing("(4)", (lab(x), lab(y), lab(z)), "-", lab(y),
-                                          note="meet undefined where the axiom needs it")
-                if not leq(alg, y, iv[u][m]):
-                    return Report.failing("(4)", (lab(x), lab(y), lab(z)),
-                                          lab(y), lab(iv[u][m]),
-                                          note="expected lhs <= rhs")
-    return Report.passing("arrow axioms (1)-(4) hold")
+    return evaluate(alg, NCIS_AXIOMS, "arrow axioms (1)-(4) hold", gv=alg.glb.values)
 
 
 def check_ncis_properties(alg: Algebra) -> Report:
@@ -127,36 +76,4 @@ def check_ncis_properties(alg: Algebra) -> Report:
     """
     if alg.imp is None:
         raise StructureError("class ncis requires an imp table")
-    n, top = alg.n, alg.top
-    lab = alg.label
-    iv = alg.imp.values
-    for x in range(n):
-        for y in range(n):
-            if (iv[x][y] == top) != leq(alg, x, y):
-                return Report.failing("(5)", (lab(x), lab(y)),
-                                      lab(iv[x][y]),
-                                      "true" if leq(alg, x, y) else "false")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, y):
-                continue
-            for z in range(n):
-                if not leq(alg, iv[y][z], iv[x][z]):
-                    return Report.failing("(6)", (lab(x), lab(y), lab(z)),
-                                          lab(iv[y][z]), lab(iv[x][z]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, iv[iv[x][y]][y]):
-                return Report.failing("(7)", (lab(x), lab(y)),
-                                      lab(x), lab(iv[iv[x][y]][y]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            lhs = iv[iv[iv[x][y]][y]][y]
-            if lhs != iv[x][y]:
-                return Report.failing("(8)", (lab(x), lab(y)), lab(lhs), lab(iv[x][y]))
-    for x in range(n):
-        if iv[top][x] != x:
-            return Report.failing("(9)", (lab(x),), lab(iv[top][x]), lab(x))
-    return Report.passing("arrow properties (5)-(9) hold")
+    return evaluate(alg, NCIS_PROPERTIES, "arrow properties (5)-(9) hold")

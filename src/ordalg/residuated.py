@@ -14,7 +14,10 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   common_lower_bounds, ensure_meet, glb_table, leq, section)
+                   common_lower_bounds, ensure_meet, leq, section)
+from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
+                   PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
+                   evaluate)
 
 RrsAlgebra = Algebra  # alias: Algebra with total imp and partial prod, tag "rrs"
 
@@ -52,119 +55,19 @@ def _check_adjointness(alg: Algebra) -> Report:
     The two failure directions are reported separately: (15a) when the
     product side holds but the arrow side does not, (15b) for the converse.
     """
-    n = alg.n
-    lab = alg.label
-    jv = alg.join.values
-    pv = alg.prod.values
-    iv = alg.imp.values
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                p = pv[jv[x][z]][jv[y][z]]
-                left = p is not None and leq(alg, p, z)
-                right = leq(alg, jv[x][z], iv[y][z])
-                if left and not right:
-                    return Report.failing("(15a)", (lab(x), lab(y), lab(z)),
-                                          "true", "false",
-                                          note="product below z but join not below arrow")
-                if right and not left:
-                    return Report.failing("(15b)", (lab(x), lab(y), lab(z)),
-                                          "false", "true",
-                                          note="join below arrow but product not below z")
-    return Report.passing()
+    return evaluate(alg, ADJOINTNESS)
 
 
 def _check_rrs_base(alg: Algebra) -> Report:
     """Domain law, the lower/upper bound laws, and laws (11)-(14), (16)."""
-    n, top = alg.n, alg.top
-    lab = alg.label
-    jv = alg.join.values
-    pv = alg.prod.values
-    iv = alg.imp.values
-
-    for x in range(n):
-        for y in range(n):
-            clb = common_lower_bounds(alg, x, y)
-            defined = pv[x][y] is not None
-            if defined != bool(clb):
-                return Report.failing("domain", (lab(x), lab(y)),
-                                      lab(pv[x][y]) if defined else "-",
-                                      "defined" if clb else "-",
-                                      note="product defined exactly on bounded pairs")
-    for x in range(n):
-        for y in range(n):
-            p = pv[x][y]
-            if p is None:
-                continue
-            for z in common_lower_bounds(alg, x, y):
-                if not leq(alg, z, p):
-                    return Report.failing("preamble", (lab(x), lab(y)),
-                                          lab(z), lab(p),
-                                          note="common lower bound not below product")
-    # x.y <= x and x.y <= y is forced by (11),(12),(14); checking it up
-    # front gives the sharpest witness for corrupted tables.
-    for x in range(n):
-        for y in range(n):
-            p = pv[x][y]
-            if p is None:
-                continue
-            if not leq(alg, p, x):
-                return Report.failing("(14)/(11)", (lab(x), lab(y)), lab(p), lab(x),
-                                      note="product not below left argument")
-            if not leq(alg, p, y):
-                return Report.failing("(14)/(11)", (lab(x), lab(y)), lab(p), lab(y),
-                                      note="product not below right argument")
-    for x in range(n):
-        if pv[x][top] != x or pv[top][x] != x:
-            bad = pv[x][top] if pv[x][top] != x else pv[top][x]
-            return Report.failing("(11)", (lab(x),),
-                                  "-" if bad is None else lab(bad), lab(x))
-    for x in range(n):
-        for y in range(n):
-            if pv[x][y] is not None and pv[x][y] != pv[y][x]:
-                return Report.failing("(12)", (lab(x), lab(y)),
-                                      lab(pv[x][y]), lab(pv[y][x]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not (alg.downsets[x] & alg.downsets[y] & alg.downsets[z]):
-                    continue
-                l = pv[pv[x][y]][z]
-                rr = pv[x][pv[y][z]]
-                if l != rr:
-                    return Report.failing("(13)", (lab(x), lab(y), lab(z)),
-                                          "-" if l is None else lab(l),
-                                          "-" if rr is None else lab(rr))
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, y):
-                continue
-            for z in range(n):
-                if pv[x][z] is None:
-                    continue
-                if pv[y][z] is None or not leq(alg, pv[x][z], pv[y][z]):
-                    return Report.failing("(14)", (lab(x), lab(y), lab(z)),
-                                          lab(pv[x][z]),
-                                          "-" if pv[y][z] is None else lab(pv[y][z]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if iv[jv[x][y]][y] != iv[x][y]:
-                return Report.failing("(16)", (lab(x), lab(y)),
-                                      lab(iv[jv[x][y]][y]), lab(iv[x][y]))
-    return Report.passing()
+    return evaluate(alg, RRS_BASE, dn=alg.downsets)
 
 
 def validate_rrs(alg: Algebra) -> Report:
     """Full relatively-residuated check: preamble laws, (11)-(16)."""
     _require(alg, "imp", "prod")
-    rep = _check_rrs_base(alg)
-    if not rep.ok:
-        return rep
-    rep = _check_adjointness(alg)
-    if not rep.ok:
-        return rep
-    return Report.passing("relative residuation laws hold")
+    return evaluate(alg, RRS_BASE + ADJOINTNESS, "relative residuation laws hold",
+                    dn=alg.downsets)
 
 
 def validate_rrs_identities(alg: Algebra) -> Report:
@@ -183,40 +86,7 @@ def validate_rrs_identities(alg: Algebra) -> Report:
     base = _check_rrs_base(alg)
     if not base.ok:
         return base
-
-    n = alg.n
-    lab = alg.label
-    jv = alg.join.values
-    pv = alg.prod.values
-    iv = alg.imp.values
-
-    def identities() -> Report:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    u = jv[x][z]
-                    p = pv[u][jv[y][z]]
-                    t = jv[p][z]
-                    if not leq(alg, u, iv[y][t]):
-                        return Report.failing("(17)", (lab(x), lab(y), lab(z)),
-                                              lab(u), lab(iv[y][t]),
-                                              note="expected lhs <= rhs")
-        for x in range(n):
-            for y in range(n):
-                if not leq(alg, x, iv[y][x]):
-                    return Report.failing("(18)", (lab(x), lab(y)),
-                                          lab(x), lab(iv[y][x]),
-                                          note="expected lhs <= rhs")
-        for x in range(n):
-            for y in range(n):
-                p = pv[jv[x][y]][iv[x][y]]
-                if p is None or not leq(alg, p, y):
-                    return Report.failing("(19)", (lab(x), lab(y)),
-                                          "-" if p is None else lab(p), lab(y),
-                                          note="expected lhs <= rhs")
-        return Report.passing("residuation identities (17)-(19) hold")
-
-    ident = identities()
+    ident = evaluate(alg, RRS_IDENTITIES, "residuation identities (17)-(19) hold")
     adj = _check_adjointness(alg)
     if ident.ok != adj.ok:
         raise StructureError(
@@ -228,16 +98,7 @@ def validate_rrs_identities(alg: Algebra) -> Report:
 def check_divisible(alg: Algebra) -> Report:
     """(x v y) . (x -> y) = y for all pairs."""
     _require(alg, "imp", "prod")
-    n = alg.n
-    lab = alg.label
-    jv, pv, iv = alg.join.values, alg.prod.values, alg.imp.values
-    for x in range(n):
-        for y in range(n):
-            p = pv[jv[x][y]][iv[x][y]]
-            if p != y:
-                return Report.failing("divisible", (lab(x), lab(y)),
-                                      "-" if p is None else lab(p), lab(y))
-    return Report.passing("divisibility holds")
+    return evaluate(alg, DIVISIBLE, "divisibility holds")
 
 
 def check_rrs_properties(alg: Algebra) -> Report:
@@ -247,67 +108,8 @@ def check_rrs_properties(alg: Algebra) -> Report:
     defined; the pair need not be bounded.
     """
     _require(alg, "imp", "prod")
-    n, top = alg.n, alg.top
-    lab = alg.label
-    jv, pv, iv = alg.join.values, alg.prod.values, alg.imp.values
-
-    for x in range(n):
-        for y in range(n):
-            if (iv[x][y] == top) != leq(alg, x, y):
-                return Report.failing("(i)", (lab(x), lab(y)), lab(iv[x][y]),
-                                      "true" if leq(alg, x, y) else "false")
-    for x in range(n):
-        for y in range(n):
-            p = pv[x][y]
-            if p is not None and not leq(alg, p, x):
-                return Report.failing("(ii)", (lab(x), lab(y)), lab(p), lab(x),
-                                      note="expected lhs <= rhs")
-    meets = glb_table(alg.leq, alg.labels).values
-    for x in range(n):
-        for y in range(n):
-            p, m = pv[x][y], meets[x][y]
-            if m is not None and (p is None or not leq(alg, p, m)):
-                return Report.failing("(iii)", (lab(x), lab(y)),
-                                      "-" if p is None else lab(p), lab(m),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, iv[y][x]):
-                return Report.failing("(iv)", (lab(x), lab(y)), lab(x), lab(iv[y][x]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            w = iv[x][y]
-            outer = pv[jv[x][y]][w]
-            if outer is None or not leq(alg, outer, y):
-                return Report.failing("(v)", (lab(x), lab(y)),
-                                      "-" if outer is None else lab(outer), lab(y),
-                                      note="expected lhs <= rhs")
-            inner = pv[x][w]
-            if inner is not None and not leq(alg, inner, outer):
-                return Report.failing("(v)", (lab(x), lab(y)), lab(inner), lab(outer),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, iv[iv[x][y]][y]):
-                return Report.failing("(vi)", (lab(x), lab(y)),
-                                      lab(x), lab(iv[iv[x][y]][y]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, y):
-                continue
-            for z in range(n):
-                if not leq(alg, iv[y][z], iv[x][z]):
-                    return Report.failing("(vii)", (lab(x), lab(y), lab(z)),
-                                          lab(iv[y][z]), lab(iv[x][z]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            lhs = iv[iv[iv[x][y]][y]][y]
-            if lhs != iv[x][y]:
-                return Report.failing("(viii)", (lab(x), lab(y)), lab(lhs), lab(iv[x][y]))
-    return Report.passing("properties (i)-(viii) hold")
+    return evaluate(alg, RRS_PROPERTIES, "properties (i)-(viii) hold",
+                    gv=alg.glb.values)
 
 
 # ---------------------------------------------------------------------------
@@ -368,137 +170,29 @@ def validate_srs(srs: SrsAlgebra) -> Report:
     sectional adjointness (iii), and the arrow absorption (iv)."""
     alg = srs.alg
     _require(alg, "imp")
-    n, top = alg.n, alg.top
-    lab = alg.label
-    jv = alg.join.values
-    iv = alg.imp.values
-
-    # The section tables keep the product only inside sections, so a value
-    # stored for a pair with no common lower bound is checked here or never.
-    if alg.prod is not None:
-        for x in range(n):
-            for y in range(n):
-                v = alg.prod.values[x][y]
-                if v is not None and not common_lower_bounds(alg, x, y):
-                    return Report.failing("domain", (lab(x), lab(y)), lab(v), "-",
-                                          note="product defined on a pair that "
-                                               "lies in no common section")
-
-    for b in range(n):
-        sec = section(alg, b)
-        sec_set = set(sec)
-        t = srs.section_prod[b].values
-        for x in range(n):
-            for y in range(n):
-                defined = t[x][y] is not None
-                if defined != (x in sec_set and y in sec_set):
-                    return Report.failing("monoid-domain", (lab(b), lab(x), lab(y)),
-                                          "defined" if defined else "-",
-                                          "section" if x in sec_set and y in sec_set
-                                          else "outside")
-        for x in sec:
-            for y in sec:
-                if t[x][y] not in sec_set:
-                    return Report.failing("monoid-closure", (lab(b), lab(x), lab(y)),
-                                          lab(t[x][y]), lab(b))
-                if t[x][y] != t[y][x]:
-                    return Report.failing("monoid-commutative", (lab(b), lab(x), lab(y)),
-                                          lab(t[x][y]), lab(t[y][x]))
-        for x in sec:
-            if t[x][top] != x:
-                return Report.failing("monoid-unit", (lab(b), lab(x)),
-                                      lab(t[x][top]), lab(x))
-        for x in sec:
-            for y in sec:
-                for z in sec:
-                    if t[t[x][y]][z] != t[x][t[y][z]]:
-                        return Report.failing("monoid-associative",
-                                              (lab(b), lab(x), lab(y), lab(z)),
-                                              lab(t[t[x][y]][z]), lab(t[x][t[y][z]]))
-
-    for z in range(n):
-        for u in section(alg, z):
-            tu = srs.section_prod[u].values
-            tz = srs.section_prod[z].values
-            for x in section(alg, u):
-                for y in section(alg, u):
-                    if tz[x][y] != tu[x][y]:
-                        return Report.failing("(i)", (lab(z), lab(u), lab(x), lab(y)),
-                                              lab(tz[x][y]), lab(tu[x][y]),
-                                              note="compatibility across sections")
-
-    for u in range(n):
-        t = srs.section_prod[u].values
-        sec = section(alg, u)
-        for x in sec:
-            for y in sec:
-                if not leq(alg, x, y):
-                    continue
-                for z in sec:
-                    if not leq(alg, t[x][z], t[y][z]):
-                        return Report.failing("(ii)", (lab(u), lab(x), lab(y), lab(z)),
-                                              lab(t[x][z]), lab(t[y][z]),
-                                              note="expected lhs <= rhs")
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = srs.section_prod[z].values
-                p = t[jv[x][z]][jv[y][z]]
-                left = p is not None and leq(alg, p, z)
-                right = leq(alg, jv[x][z], iv[y][z])
-                if left != right:
-                    return Report.failing("(iii)", (lab(x), lab(y), lab(z)),
-                                          "true" if left else "false",
-                                          "true" if right else "false",
-                                          note="sectional adjointness")
-
-    for x in range(n):
-        for y in range(n):
-            if iv[jv[x][y]][y] != iv[x][y]:
-                return Report.failing("(iv)", (lab(x), lab(y)),
-                                      lab(iv[jv[x][y]][y]), lab(iv[x][y]))
-    return Report.passing("sectional residuation laws hold")
+    return evaluate(alg, SRS_LAWS, "sectional residuation laws hold",
+                    dn=alg.downsets, secs=tuple(section(alg, b) for b in range(alg.n)),
+                    sp=tuple(t.values for t in srs.section_prod))
 
 
 # ---------------------------------------------------------------------------
 # bridge between implication semilattices and divisible residuation
 
 def _check_prod_idempotent(alg: Algebra) -> Report:
-    for x in range(alg.n):
-        p = alg.prod.values[x][x]
-        if p != x:
-            return Report.failing("(i)", (alg.label(x),),
-                                  "-" if p is None else alg.label(p), alg.label(x))
-    return Report.passing()
+    return evaluate(alg, PROD_IDEMPOTENT)
 
 
 def _check_prod_arrow_bound(alg: Algebra) -> Report:
     """Condition (ii): y <= (x v z) -> ((x v z) . (y v z))."""
-    n = alg.n
-    lab = alg.label
-    jv, pv, iv = alg.join.values, alg.prod.values, alg.imp.values
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                u = jv[x][z]
-                p = pv[u][jv[y][z]]
-                if p is None or not leq(alg, y, iv[u][p]):
-                    return Report.failing("(ii)", (lab(x), lab(y), lab(z)),
-                                          lab(y),
-                                          "-" if p is None else lab(iv[u][p]),
-                                          note="expected lhs <= rhs")
-    return Report.passing()
+    return evaluate(alg, PROD_ARROW_BOUND)
 
 
 def has_meets_on_bounded_pairs(alg: Algebra) -> bool:
     """Variant condition (i'): every bounded pair has a greatest lower bound."""
-    n = alg.n
-    for x in range(n):
-        for y in range(n):
-            clb = common_lower_bounds(alg, x, y)
-            if clb and not any(all(alg.leq[v][u] for v in clb) for u in clb):
-                return False
+    try:
+        alg.glb
+    except StructureError:
+        return False
     return True
 
 
@@ -530,17 +224,9 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
                     _check_prod_arrow_bound(alg)):
             if not rep.ok:
                 raise BridgeError(rep)
-        true_meet = glb_table(alg.leq, alg.labels).values
-        for x in range(alg.n):
-            for y in range(alg.n):
-                if alg.prod.values[x][y] != true_meet[x][y]:
-                    got = alg.prod.values[x][y]
-                    want = true_meet[x][y]
-                    raise BridgeError(Report.failing(
-                        "prod-meet", (alg.label(x), alg.label(y)),
-                        "-" if got is None else alg.label(got),
-                        "-" if want is None else alg.label(want),
-                        note="product must coincide with the greatest lower bound"))
+        rep = evaluate(alg, PROD_MEET, gv=alg.glb.values)
+        if not rep.ok:
+            raise BridgeError(rep)
         return dataclasses.replace(alg, meet=alg.prod, prod=None,
                                    class_tag=ClassTag.NCIS)
 

@@ -24,11 +24,10 @@ from typing import Callable, Iterator
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, StructureError, build_algebra,
-                   default_labels, ensure_meet, glb_table, leq, relabel, section)
+                   default_labels, ensure_meet, leq, relabel, section)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
-from .residuated import (check_divisible, check_rrs_properties,
-                         derive_residual_imp, srs_from_rrs, validate_rrs,
-                         validate_srs)
+from .residuated import (check_divisible, check_rrs_properties, srs_from_rrs,
+                         validate_rrs, validate_srs)
 from .sectioned import section_shape_report, validate_sectioned
 from .varieties import (ialgebra_from_ncis, ralgebra_from_rrs,
                         validate_ialgebra, validate_ralgebra)
@@ -295,15 +294,11 @@ def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
                 out.append(_gate_ncis(derive_implication(alg)))
 
     elif tag == ClassTag.RRS:
-        out = []
-        for alg in _models(ClassTag.JSL, n):
-            prod = glb_table(alg.leq, alg.labels)
-            candidate = dataclasses.replace(alg, prod=prod, class_tag=ClassTag.RRS)
-            imp = derive_residual_imp(candidate)
-            if imp is None:
-                continue
-            candidate = dataclasses.replace(candidate, imp=imp)
-            out.append(_gate(candidate, validate_rrs(candidate)))
+        # the divisible rrs models are the ncis models with the meet as product
+        out = [_gate(m, validate_rrs(m))
+               for m in (dataclasses.replace(a, prod=a.meet, meet=None,
+                                             class_tag=ClassTag.RRS)
+                         for a in _models(ClassTag.NCIS, n))]
 
     elif tag == ClassTag.SRS:
         out = []

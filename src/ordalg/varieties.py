@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   TernTable, common_lower_bounds, ensure_meet, leq,
+                   TernTable, common_lower_bounds, ensure_meet,
                    validate_join_semilattice)
+from .laws import IALG_IDENTITIES, RALG_IDENTITIES, RALG_SUBVARIETY, evaluate
 
 IAlgebra = Algebra  # alias: total imp and total r, tag "ialg"
 RAlgebra = Algebra  # alias: total imp and total q, tag "ralg"
@@ -83,76 +84,7 @@ def validate_ialgebra(alg: Algebra) -> Report:
     base = validate_join_semilattice(alg)
     if not base.ok:
         return base
-    n = alg.n
-    lab = alg.label
-    jv, iv, rv = alg.join.values, alg.imp.values, alg.r.values
-
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, y, iv[x][y]):
-                return Report.failing("(1')", (lab(x), lab(y)), lab(y), lab(iv[x][y]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            v = rv[x][iv[x][y]][y]
-            if v != y:
-                return Report.failing("(2')", (lab(x), lab(y)), lab(v), lab(y))
-    for x in range(n):
-        for y in range(n):
-            if iv[jv[x][y]][y] != iv[x][y]:
-                return Report.failing("(3')", (lab(x), lab(y)),
-                                      lab(iv[jv[x][y]][y]), lab(iv[x][y]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq(alg, y, iv[jv[x][z]][rv[x][y][z]]):
-                    return Report.failing("(4')", (lab(x), lab(y), lab(z)),
-                                          lab(y), lab(iv[jv[x][z]][rv[x][y][z]]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq(alg, rv[x][y][z], jv[x][z]):
-                    return Report.failing("(5')", (lab(x), lab(y), lab(z)),
-                                          lab(rv[x][y][z]), lab(jv[x][z]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq(alg, rv[x][y][z], jv[y][z]):
-                    return Report.failing("(6')", (lab(x), lab(y), lab(z)),
-                                          lab(rv[x][y][z]), lab(jv[y][z]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if rv[x][jv[x][y]][z] != jv[x][z]:
-                    return Report.failing("(7')", (lab(x), lab(y), lab(z)),
-                                          lab(rv[x][jv[x][y]][z]), lab(jv[x][z]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if rv[x][y][z] != rv[jv[x][z]][jv[y][z]][z]:
-                    return Report.failing("(8')", (lab(x), lab(y), lab(z)),
-                                          lab(rv[x][y][z]),
-                                          lab(rv[jv[x][z]][jv[y][z]][z]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq(alg, z, rv[x][y][z]):
-                    return Report.failing("(9')", (lab(x), lab(y), lab(z)),
-                                          lab(z), lab(rv[x][y][z]),
-                                          note="expected lhs <= rhs")
-    for u in range(n):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    l = rv[u][rv[x][y][z]][z]
-                    rr = rv[rv[u][x][z]][rv[u][y][z]][z]
-                    if l != rr:
-                        return Report.failing("(10')", (lab(u), lab(x), lab(y), lab(z)),
-                                              lab(l), lab(rr))
-    return Report.passing("ternary-meet identities (1')-(10') hold")
+    return evaluate(alg, IALG_IDENTITIES, "ternary-meet identities (1')-(10') hold")
 
 
 def ralgebra_from_rrs(alg: Algebra) -> Algebra:
@@ -225,88 +157,5 @@ def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:
     base = validate_join_semilattice(alg)
     if not base.ok:
         return base
-    n, top = alg.n, alg.top
-    lab = alg.label
-    jv, iv, qv = alg.join.values, alg.imp.values, alg.q.values
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not leq(alg, z, qv[x][y][z]):
-                    return Report.failing("(20)", (lab(x), lab(y), lab(z)),
-                                          lab(z), lab(qv[x][y][z]),
-                                          note="expected lhs <= rhs")
-    for z in range(n):
-        for u in range(n):
-            zu = jv[z][u]
-            for x in range(n):
-                for y in range(n):
-                    a, b = jv[zu][x], jv[zu][y]
-                    if qv[a][b][z] != qv[a][b][zu]:
-                        return Report.failing("(21)", (lab(z), lab(u), lab(x), lab(y)),
-                                              lab(qv[a][b][z]), lab(qv[a][b][zu]))
-    for x in range(n):
-        if qv[x][top][x] != x or qv[top][x][x] != x:
-            bad = qv[x][top][x] if qv[x][top][x] != x else qv[top][x][x]
-            return Report.failing("(22)", (lab(x),), lab(bad), lab(x))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if qv[x][y][z] != qv[y][x][z]:
-                    return Report.failing("(23)", (lab(x), lab(y), lab(z)),
-                                          lab(qv[x][y][z]), lab(qv[y][x][z]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for u in range(n):
-                    l = qv[qv[x][y][u]][z][u]
-                    rr = qv[x][qv[y][z][u]][u]
-                    if l != rr:
-                        return Report.failing("(24)", (lab(x), lab(y), lab(z), lab(u)),
-                                              lab(l), lab(rr))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for u in range(n):
-                    if not leq(alg, qv[x][z][u], qv[jv[x][y]][z][u]):
-                        return Report.failing("(25)", (lab(x), lab(y), lab(z), lab(u)),
-                                              lab(qv[x][z][u]), lab(qv[jv[x][y]][z][u]),
-                                              note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = jv[qv[x][y][z]][z]
-                if not leq(alg, jv[x][z], iv[y][t]):
-                    return Report.failing("(26)", (lab(x), lab(y), lab(z)),
-                                          lab(jv[x][z]), lab(iv[y][t]),
-                                          note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, x, iv[y][x]):
-                return Report.failing("(27)", (lab(x), lab(y)), lab(x), lab(iv[y][x]),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            if not leq(alg, qv[x][iv[x][y]][y], y):
-                return Report.failing("(28)", (lab(x), lab(y)),
-                                      lab(qv[x][iv[x][y]][y]), lab(y),
-                                      note="expected lhs <= rhs")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if qv[x][y][z] != qv[jv[x][z]][jv[y][z]][z]:
-                    return Report.failing("(29)", (lab(x), lab(y), lab(z)),
-                                          lab(qv[x][y][z]),
-                                          lab(qv[jv[x][z]][jv[y][z]][z]))
-    for x in range(n):
-        for y in range(n):
-            if iv[jv[x][y]][y] != iv[x][y]:
-                return Report.failing("(30)", (lab(x), lab(y)),
-                                      lab(iv[jv[x][y]][y]), lab(iv[x][y]))
-    if subvariety:
-        for x in range(n):
-            for y in range(n):
-                if qv[x][iv[x][y]][y] != y:
-                    return Report.failing("subvariety", (lab(x), lab(y)),
-                                          lab(qv[x][iv[x][y]][y]), lab(y))
-    return Report.passing("ternary-product identities (20)-(30) hold")
+    return evaluate(alg, RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
+                    "ternary-product identities (20)-(30) hold")

@@ -314,3 +314,28 @@ def test_check_and_con_honour_size_cap(chain7_ialg_file, monkeypatch, capsys):
 def test_srs_product_outside_sections_fails(srs_unbounded_prod_file, argv, capsys):
     assert main([argv[0], srs_unbounded_prod_file, *argv[1:]]) == 1
     assert capsys.readouterr().out == "FAIL axiom=domain witness=(a,b) lhs=1 rhs=-\n"
+
+
+@pytest.mark.parametrize("argv", [["derive", "--map", "J"],
+                                  ["roundtrip", "--pair", "ncis-ialg"]])
+def test_derive_and_roundtrip_honour_size_cap(chain7_ialg_file, argv, monkeypatch,
+                                              capsys):
+    verb, *rest = argv
+    assert main([verb, chain7_ialg_file, *rest]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("ORDALG_MAX_SIZE", "3")
+    assert main([verb, chain7_ialg_file, *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size 7 exceeds the cap of 3 (override with ORDALG_MAX_SIZE)" in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(fig2_ncis_file, capsys):
+    from ordalg import cli
+    cli.build_parser.cache_clear()
+    assert main(["check", fig2_ncis_file, "--props"]) == 0
+    assert capsys.readouterr().out == "PASS class=ncis\nPASS props=ncis\n"
+    assert main(["check", fig2_ncis_file]) == 0
+    assert capsys.readouterr().out == "PASS class=ncis\n"
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -1,0 +1,60 @@
+"""Facts of the finite theory that the code relies on, checked exhaustively.
+
+In a finite join-semilattice the common lower bounds of a bounded pair are
+closed under join, so every bounded pair has a greatest lower bound.  The
+rrs laws ask for every common lower bound to lie below x.y and for x.y to
+lie below x and y, so every rrs product is the partial meet; the rrs corpus
+is therefore the ncis corpus with the meet moved to the product, and every
+rrs model is divisible.
+"""
+
+import dataclasses
+
+from oracles import oracle_glb
+from ordalg import (ClassTag, SearchSpec, common_lower_bounds, derive_residual_imp,
+                    enumerate_models, find_counterexample, partial_meet)
+from ordalg.search import _models
+
+
+def _upto(tag: ClassTag, size: int):
+    for n in range(1, size + 1):
+        yield from enumerate_models(SearchSpec(tag, n))
+
+
+def test_every_bounded_pair_has_a_glb_up_to_size_6():
+    pairs = 0
+    for alg in _upto(ClassTag.JSL, 6):
+        for x in range(alg.n):
+            for y in range(alg.n):
+                want = oracle_glb(alg.leq, x, y)
+                assert (want is None) == (not common_lower_bounds(alg, x, y))
+                assert alg.glb.values[x][y] == want
+                pairs += want is not None
+    assert pairs > 1000
+
+
+def test_every_rrs_product_is_the_partial_meet_up_to_size_6():
+    for alg in _upto(ClassTag.RRS, 6):
+        assert alg.meet is None
+        for x in range(alg.n):
+            for y in range(alg.n):
+                assert alg.prod.values[x][y] == partial_meet(alg, x, y)
+
+
+def test_rrs_corpus_equals_the_residuals_of_every_jsl_meet_up_to_size_6():
+    # the route taken before the corpus came from ncis: every jsl model with
+    # its partial meet as product, kept where adjointness forces an arrow
+    for n in range(1, 7):
+        want = []
+        for jsl in _models(ClassTag.JSL, n):
+            cand = dataclasses.replace(jsl, prod=jsl.glb, class_tag=ClassTag.RRS)
+            imp = derive_residual_imp(cand)
+            if imp is not None:
+                want.append(dataclasses.replace(cand, imp=imp,
+                                                name=f"rrs_{n}_{len(want)}"))
+        assert _models(ClassTag.RRS, n) == tuple(want)
+
+
+def test_no_rrs_model_up_to_size_5_is_not_divisible():
+    spec = SearchSpec(ClassTag.RRS, 5, upto=True, violate="divisible")
+    assert find_counterexample(spec) is None
