@@ -37,16 +37,14 @@ that no tuple costs a Python call; ``for v in [expr]`` binds a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Algebra, Report
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     label: str
     arity: int
     note: str
@@ -65,9 +63,9 @@ def _values(table):
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
-    tables = dict(n=alg.n, top=alg.top, le=alg.join_order, jv=alg.join.values,
-                  mv=_values(alg.meet), iv=_values(alg.imp), pv=_values(alg.prod),
-                  rv=_values(alg.r), qv=_values(alg.q), **extra)
+    tables = dict(n=alg.n, top=alg.top, le=alg.join_order, dn=alg.downsets,
+                  jv=alg.join.values, mv=_values(alg.meet), iv=_values(alg.imp),
+                  pv=_values(alg.prod), rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
         hit = next(iter(law.scan(index_tuples(alg.n, law.arity), **tables)), None)
         if hit is None:
@@ -270,7 +268,7 @@ RRS_PROPERTIES = (
 def _section_monoids(ix, top, secs, sp, **_):
     """Per base b: the product of [b, 1] is defined exactly on the section,
     closed and commutative there, with unit top, and associative."""
-    return (hit for b, s, t in zip(range(len(sp)), secs, sp)
+    return (hit for b, s in enumerate(secs) for t in [sp[b]]
             for s_set in [frozenset(s)] for hit in chain(
                 (((b, x, y), "defined" if t[x][y] is not None else "-",
                   "section" if x in s_set and y in s_set else "outside",
@@ -301,13 +299,13 @@ SRS_LAWS = (
     Law("(i)", 4, "compatibility across sections",
         lambda ix, secs, sp, **_: (
             ((z, u, x, y), sp[z][x][y], sp[u][x][y])
-            for z in range(len(sp)) for u in secs[z] for x in secs[u] for y in secs[u]
+            for z, s in enumerate(secs) for u in s for x in secs[u] for y in secs[u]
             if sp[z][x][y] != sp[u][x][y])),
     # x <= y in [u, 1] implies x.z <= y.z there
     Law("(ii)", 4, LE,
         lambda ix, le, secs, sp, **_: (
             ((u, x, y, z), t[x][z], t[y][z])
-            for u, s, t in zip(range(len(sp)), secs, sp)
+            for u, s in enumerate(secs) for t in [sp[u]]
             for x in s for y in s if le[x][y]
             for z in s if not le[t[x][z]][t[y][z]])),
     # (x v z) ._z (y v z) <= z  iff  x v z <= y->z

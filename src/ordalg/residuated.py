@@ -58,16 +58,10 @@ def _check_adjointness(alg: Algebra) -> Report:
     return evaluate(alg, ADJOINTNESS)
 
 
-def _check_rrs_base(alg: Algebra) -> Report:
-    """Domain law, the lower/upper bound laws, and laws (11)-(14), (16)."""
-    return evaluate(alg, RRS_BASE, dn=alg.downsets)
-
-
 def validate_rrs(alg: Algebra) -> Report:
     """Full relatively-residuated check: preamble laws, (11)-(16)."""
     _require(alg, "imp", "prod")
-    return evaluate(alg, RRS_BASE + ADJOINTNESS, "relative residuation laws hold",
-                    dn=alg.downsets)
+    return evaluate(alg, RRS_BASE + ADJOINTNESS, "relative residuation laws hold")
 
 
 def validate_rrs_identities(alg: Algebra) -> Report:
@@ -83,7 +77,7 @@ def validate_rrs_identities(alg: Algebra) -> Report:
     would falsify the identity characterization and raises.
     """
     _require(alg, "imp", "prod")
-    base = _check_rrs_base(alg)
+    base = evaluate(alg, RRS_BASE)
     if not base.ok:
         return base
     ident = evaluate(alg, RRS_IDENTITIES, "residuation identities (17)-(19) hold")
@@ -171,7 +165,7 @@ def validate_srs(srs: SrsAlgebra) -> Report:
     alg = srs.alg
     _require(alg, "imp")
     return evaluate(alg, SRS_LAWS, "sectional residuation laws hold",
-                    dn=alg.downsets, secs=tuple(section(alg, b) for b in range(alg.n)),
+                    secs=tuple(section(alg, b) for b in range(alg.n)),
                     sp=tuple(t.values for t in srs.section_prod))
 
 

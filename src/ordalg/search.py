@@ -294,7 +294,8 @@ def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
                 out.append(_gate_ncis(derive_implication(alg)))
 
     elif tag == ClassTag.RRS:
-        # the divisible rrs models are the ncis models with the meet as product
+        # every rrs product is the partial meet (see tests/test_finite_facts.py),
+        # so the rrs models are the ncis models with the meet as product
         out = [_gate(m, validate_rrs(m))
                for m in (dataclasses.replace(a, prod=a.meet, meet=None,
                                              class_tag=ClassTag.RRS)
