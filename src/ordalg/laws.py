@@ -60,6 +60,10 @@ def _values(table):
     return None if table is None else table.values
 
 
+def _side(v, labels: tuple[str, ...]) -> str:
+    return "-" if v is None else v if isinstance(v, str) else labels[v]
+
+
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
@@ -68,16 +72,11 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
                   pv=_values(alg.prod), rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
         hit = next(iter(law.scan(index_tuples(alg.n, law.arity), **tables)), None)
-        if hit is None:
-            continue
-        witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]
-        lab = alg.labels
-
-        def side(v) -> str:
-            return "-" if v is None else v if isinstance(v, str) else lab[v]
-
-        return Report.failing(label, tuple(lab[i] for i in witness),
-                              side(lhs), side(rhs), note)
+        if hit is not None:
+            witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]
+            lab = alg.labels
+            return Report.failing(label, tuple(lab[i] for i in witness),
+                                  _side(lhs, lab), _side(rhs, lab), note)
     return Report.passing(passing_note)
 
 
