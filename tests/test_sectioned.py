@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import idx, labs
@@ -117,3 +119,43 @@ def test_pseudocomplement_meet_law(fig1, fig2):
             for y in section(alg, base):
                 pc = pseudocomplement_in_section(alg, base, y)
                 assert partial_meet(alg, y, pc) == base
+
+
+def _with_meet_cell(alg, x, y, value):
+    from ordalg import BinTable
+    rows = [list(row) for row in alg.meet.values]
+    rows[x][y] = value
+    return dataclasses.replace(alg, meet=BinTable.from_rows(rows, total=False))
+
+
+def test_validate_sectioned_a_bounded_pair_without_glb():
+    # raw constructor only: a and b both lie below c and d, so (c, d) is
+    # bounded but has no greatest common lower bound (and (a, b) no join)
+    from ordalg import Algebra, BinTable, Universe
+    lq = ((True, False, True, True, True),
+          (False, True, True, True, True),
+          (False, False, True, False, True),
+          (False, False, False, True, True),
+          (False, False, False, False, True))
+    jv = BinTable.from_rows([[0, 4, 2, 3, 4],
+                             [4, 1, 2, 3, 4],
+                             [2, 2, 2, 4, 4],
+                             [3, 3, 4, 3, 4],
+                             [4, 4, 4, 4, 4]], total=True)
+    alg = Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv)
+    rep = validate_sectioned(alg)
+    assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
+    assert rep.note == "bounded pair without greatest common lower bound"
+
+
+def test_validate_sectioned_a_meet_table_disagrees(fig1):
+    a, b, one = idx(fig1, "a", "b", "1")
+    rep = validate_sectioned(_with_meet_cell(fig1, a, b, b))
+    assert rep.fail_line() == "FAIL axiom=(a) witness=(a,b) lhs=b rhs=a"
+    assert rep.note == "meet table disagrees with greatest lower bound"
+    rep = validate_sectioned(_with_meet_cell(fig1, a, one, None))
+    assert rep.fail_line() == "FAIL axiom=(a) witness=(a,1) lhs=- rhs=a"
+    assert rep.note == "meet table disagrees with greatest lower bound"
+    # a value stored for an unbounded pair is not (a)'s concern
+    c = idx(fig1, "c")
+    assert validate_sectioned(_with_meet_cell(fig1, a, c, a)).ok
