@@ -205,7 +205,7 @@ def cmd_search(args) -> int:
         print(f"unknown class {args.klass!r}", file=sys.stderr)
         return 2
     spec = SearchSpec(tag, args.size, upto=args.upto, violate=args.violate,
-                      limit=args.limit, free_imp=args.free_imp)
+                      limit=args.limit)
     if os.environ.get(search_mod.ENV_MAX_SIZE) and \
             args.size > search_mod.DEFAULT_MAX_SIZE:
         print(f"warning: size {args.size} above the default cap of "
@@ -221,7 +221,7 @@ def cmd_search(args) -> int:
         return 0
     if args.count:
         for n in spec.sizes():
-            sub = SearchSpec(tag, n, free_imp=args.free_imp)
+            sub = SearchSpec(tag, n)
             print(f"class={tag.value} size={n} count={count_models(sub)}")
         return 0
     if args.out:
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="print counts only")
     p.add_argument("--violate", help="search for a property counterexample")
     p.add_argument("--free-imp", dest="free_imp", action="store_true",
-                   help="enumerate arrow tables by constraint search instead "
-                        "of sectional derivation")
+                   help="accepted for compatibility; the arrow is unique, so "
+                        "the models are the same with or without it")
     p.add_argument("--limit", type=int)
     p.add_argument("--out", help="write models as .alg files into a directory")
     p.set_defaults(func=cmd_search)

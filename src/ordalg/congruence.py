@@ -157,15 +157,16 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
         if ru == rv:
             continue
         parent[max(ru, rv)] = min(ru, rv)
+        # only pairs of distinct images can merge anything
         for _, tbl in binops:
-            for c in range(n):
-                pending.append((tbl[u][c], tbl[v][c]))
-                pending.append((tbl[c][u], tbl[c][v]))
+            pending += [pq for pq in zip(tbl[u], tbl[v]) if pq[0] != pq[1]]
+            pending += [(row[u], row[v]) for row in tbl if row[u] != row[v]]
+        tu, tv = tern[u], tern[v]
         for c in range(n):
-            for d in range(n):
-                pending.append((tern[u][c][d], tern[v][c][d]))
-                pending.append((tern[c][u][d], tern[c][v][d]))
-                pending.append((tern[c][d][u], tern[c][d][v]))
+            tc = tern[c]
+            pending += [pq for pq in zip(tu[c], tv[c]) if pq[0] != pq[1]]
+            pending += [pq for pq in zip(tc[u], tc[v]) if pq[0] != pq[1]]
+            pending += [(row[u], row[v]) for row in tc if row[u] != row[v]]
     return Partition.from_parent(parent)
 
 
@@ -227,16 +228,16 @@ class ConLattice:
 
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
-    """All congruences, generated as joins of the principal ones."""
+    """All congruences, generated as joins of the principal ones: each round
+    joins the congruences found last with every principal one."""
     n = alg.n
-    found = {Partition.identity(n)}
-    for a, b in combinations(range(n), 2):
-        found.add(principal_congruence(alg, a, b))
+    principal = {principal_congruence(alg, a, b) for a, b in combinations(range(n), 2)}
+    found = principal | {Partition.identity(n)}
     frontier = list(found)
     while frontier:
         fresh = []
         for p in frontier:
-            for q in list(found):
+            for q in principal:
                 j = p.join_with(q)
                 if j not in found:
                     found.add(j)

@@ -26,6 +26,15 @@ class StructureError(OrdalgError):
     """A value violates a structural invariant (bad order, bad table, ...)."""
 
 
+class MeetError(StructureError):
+    """A bounded pair of the order without a greatest common lower bound;
+    only the raw `Algebra` constructor can build such an order."""
+
+    def __init__(self, pair: tuple[int, int], labels: Sequence[str]):
+        self.pair = pair
+        super().__init__(f"meet not unique for ({labels[pair[0]]},{labels[pair[1]]})")
+
+
 class ParseError(OrdalgError):
     """An algebra file could not be parsed."""
 
@@ -219,6 +228,25 @@ class Algebra:
         return glb_table(self.leq, self.labels)
 
     @cached_property
+    def pc(self) -> BinTable:
+        """``pc[base][y]`` is the sectional pseudocomplement of y in
+        [base, 1]: the greatest z >= base with y ^ z = base, or None when
+        there is none (always when base is not below y).  A greatest such z
+        lies above every other one, so it is their join if it exists."""
+        gv, jv = self.glb.values, self.join.values
+        rows = []
+        for base in range(self.n):
+            row: list[int | None] = []
+            for y in range(self.n):
+                z = base
+                for c in self.upsets[base]:
+                    if gv[y][c] == base:
+                        z = jv[z][c]
+                row.append(z if gv[y][z] == base else None)
+            rows.append(row)
+        return BinTable.from_rows(rows, total=False)
+
+    @cached_property
     def join_order(self) -> tuple[tuple[bool, ...], ...]:
         """``join_order[x][y]`` is x <= y read off the join table, as `leq`
         reads it; the raw constructor may pass a join table that disagrees
@@ -327,7 +355,7 @@ def glb_table(leq: Sequence[Sequence[bool]], labels: Sequence[str]) -> BinTable:
                 continue
             greatest = [u for u in clb if all(leq[v][u] for v in clb)]
             if not greatest:
-                raise StructureError(f"meet not unique for ({labels[i]},{labels[j]})")
+                raise MeetError((i, j), labels)
             row.append(greatest[0])
         rows.append(row)
     return BinTable.from_rows(rows, total=False)

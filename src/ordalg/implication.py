@@ -14,7 +14,6 @@ import dataclasses
 
 from .core import Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
-from .sectioned import pseudocomplement_in_section
 
 NcisAlgebra = Algebra  # alias: an Algebra with total imp, partial meet, tag "ncis"
 
@@ -28,7 +27,7 @@ def derive_implication(alg: Algebra) -> Algebra:
     for x in range(n):
         row = []
         for y in range(n):
-            pc = pseudocomplement_in_section(base, y, base.join.values[x][y])
+            pc = base.pc[y][base.join.values[x][y]]
             if pc is None:
                 raise StructureError(
                     f"not sectioned: no pseudocomplement for "

@@ -6,11 +6,8 @@ pair acquires two minimal upper bounds, then reduced to one representative
 per isomorphism class via a canonical form: the lexicographically least
 concatenation of all operation tables over the relabelings that fix the top
 element.  The richer classes are obtained from these by derivation and
-filtering; every emitted model passes its class validator.
-
-The search tree splits at the first order decision and all results are
-merged in canonical order, so the output is deterministic and independent
-of any external parallelization of the per-subtree work.
+filtering; every emitted model passes its class validator.  Each class is
+built once per size and process, and models come out in canonical order.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Callable, Iterator
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, StructureError, build_algebra,
-                   default_labels, ensure_meet, leq, relabel, section)
+                   default_labels, ensure_meet, relabel)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
 from .residuated import (check_divisible, check_rrs_properties, srs_from_rrs,
                          validate_rrs, validate_srs)
@@ -53,7 +50,6 @@ class SearchSpec:
     upto: bool = False
     violate: str | None = None
     limit: int | None = None
-    free_imp: bool = False
 
     def sizes(self) -> range:
         return range(1, self.size + 1) if self.upto else range(self.size, self.size + 1)
@@ -207,63 +203,15 @@ def _leq_from_downmasks(downs: tuple[int, ...]) -> tuple[tuple[bool, ...], ...]:
 # ---------------------------------------------------------------------------
 # per-class model construction
 
-def _free_imp_tables(alg: Algebra) -> list[BinTable]:
-    """All total arrow tables satisfying the four arrow axioms, found by
-    constraint propagation rather than by sectional derivation.
-
-    Absorption pins the table to its values on comparable pairs; for a
-    comparable pair (u, m) the remaining axioms force the single candidate
-    ``max{w >= m : u ^ w = m}`` bounded below by every v with u ^ v = m, so
-    the table is unique when it exists.  Returns [] when some pair admits
-    no value (the semilattice has a section without pseudocomplements).
-    """
-    base = ensure_meet(alg)
-    n = base.n
-    jv = base.join.values
-    mv = base.meet.values
-    param: dict[tuple[int, int], int] = {}
-    for m in range(n):
-        for u in section(base, m):
-            cands = [w for w in section(base, m) if mv[u][w] == m]
-            bound = 0
-            blist = [v for v in range(n) if mv[u][v] == m]
-            if blist:
-                bound = blist[0]
-                for v in blist[1:]:
-                    bound = jv[bound][v]
-            cands = [w for w in cands if leq(base, bound, w)]
-            if not cands:
-                return []
-            if len(cands) > 1:
-                raise StructureError("arrow propagation produced several candidates")
-            param[(u, m)] = cands[0]
-    rows = [[param[(jv[x][y], y)] for y in range(n)] for x in range(n)]
-    table = BinTable.from_rows(rows, total=True)
-    candidate = dataclasses.replace(base, imp=table, class_tag=ClassTag.NCIS)
-    if not validate_ncis(candidate).ok:
-        return []
-    return [table]
-
-
 def _gate(alg: Algebra, report) -> Algebra:
     if not report.ok:
         raise StructureError(f"enumeration produced an invalid model: {report.fail_line()}")
     return alg
 
 
-# Classes whose models depend on the free_imp choice.
-_FREE_IMP_CLASSES = frozenset({ClassTag.NCIS, ClassTag.IALG})
-
-
-def _models(tag: ClassTag, n: int, free_imp: bool = False) -> tuple[Algebra, ...]:
-    """Every model of the class at size n, built once per process: the cache
-    key is always the full (tag, n, free_imp) triple, with free_imp cleared
-    for the classes it does not affect."""
-    return _build_models(tag, n, free_imp and tag in _FREE_IMP_CLASSES)
-
-
 @lru_cache(maxsize=None)
-def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
+def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
+    """Every model of the class at size n, built once per process."""
     if tag == ClassTag.JSL:
         seen: dict[tuple, Algebra] = {}
         for downs in _natural_jsl_downmasks(n):
@@ -283,15 +231,8 @@ def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
                                                class_tag=ClassTag.SECTIONED))
 
     elif tag == ClassTag.NCIS:
-        out = []
-        if free_imp:
-            for alg in _models(ClassTag.JSL, n):
-                for imp in _free_imp_tables(alg):
-                    out.append(dataclasses.replace(ensure_meet(alg), imp=imp,
-                                                   class_tag=ClassTag.NCIS))
-        else:
-            for alg in _models(ClassTag.SECTIONED, n):
-                out.append(_gate_ncis(derive_implication(alg)))
+        out = [_gate(m, validate_ncis(m))
+               for m in map(derive_implication, _models(ClassTag.SECTIONED, n))]
 
     elif tag == ClassTag.RRS:
         # every rrs product is the partial meet (see tests/test_finite_facts.py),
@@ -309,22 +250,17 @@ def _build_models(tag: ClassTag, n: int, free_imp: bool) -> tuple[Algebra, ...]:
 
     elif tag == ClassTag.IALG:
         out = [_gate(m, validate_ialgebra(m))
-               for m in (ialgebra_from_ncis(a)
-                         for a in _models(ClassTag.NCIS, n, free_imp))]
+               for m in map(ialgebra_from_ncis, _models(ClassTag.NCIS, n))]
 
     elif tag == ClassTag.RALG:
         out = [_gate(m, validate_ralgebra(m))
-               for m in (ralgebra_from_rrs(a) for a in _models(ClassTag.RRS, n))]
+               for m in map(ralgebra_from_rrs, _models(ClassTag.RRS, n))]
 
     else:
         raise ValueError(f"unknown class {tag!r}")
 
     return tuple(dataclasses.replace(alg, name=f"{tag.value}_{n}_{i}")
                  for i, alg in enumerate(out))
-
-
-def _gate_ncis(alg: Algebra) -> Algebra:
-    return _gate(alg, validate_ncis(alg))
 
 
 def enumerate_models(spec: SearchSpec) -> Iterator[Algebra]:
@@ -337,7 +273,7 @@ def enumerate_models(spec: SearchSpec) -> Iterator[Algebra]:
                          f"(override with {ENV_MAX_SIZE})")
     emitted = 0
     for n in spec.sizes():
-        for alg in _models(spec.class_tag, n, spec.free_imp):
+        for alg in _models(spec.class_tag, n):
             if spec.limit is not None and emitted >= spec.limit:
                 return
             emitted += 1

@@ -37,32 +37,34 @@ def ialgebra_from_ncis(alg: Algebra) -> Algebra:
                                class_tag=ClassTag.IALG)
 
 
-def ncis_from_ialgebra(alg: Algebra) -> Algebra:
-    """Partial meet recovered from r; every common lower bound must give the
-    same value, otherwise r is not well-defined and the input violates the
+def _readback(alg: Algebra, name: str) -> BinTable:
+    """The partial binary table read off the ternary table ``name`` at any
+    common lower bound z of each pair; every z must give the same value,
+    otherwise the table is not well-defined and the input violates the
     ternary identities."""
-    _require(alg, "imp", "r")
-    n = alg.n
-    rv = alg.r.values
+    tv = getattr(alg, name).values
+    lab = alg.label
     rows: list[list[int | None]] = []
-    for x in range(n):
+    for x in range(alg.n):
         row: list[int | None] = []
-        for y in range(n):
-            clb = sorted(common_lower_bounds(alg, x, y))
-            if not clb:
-                row.append(None)
-                continue
-            vals = {rv[x][y][z]: z for z in clb}
+        for y in range(alg.n):
+            vals = {tv[x][y][z]: z for z in sorted(common_lower_bounds(alg, x, y))}
             if len(vals) > 1:
-                vs = sorted(vals)
+                v0, v1 = sorted(vals)[:2]
                 raise StructureError(
-                    f"r not well-defined at ({alg.label(x)},{alg.label(y)}): "
-                    f"z={alg.label(vals[vs[0]])} gives {alg.label(vs[0])}, "
-                    f"z'={alg.label(vals[vs[1]])} gives {alg.label(vs[1])}")
-            row.append(next(iter(vals)))
+                    f"{name} not well-defined at ({lab(x)},{lab(y)}): "
+                    f"z={lab(vals[v0])} gives {lab(v0)}, "
+                    f"z'={lab(vals[v1])} gives {lab(v1)}")
+            row.append(next(iter(vals), None))
         rows.append(row)
-    return dataclasses.replace(alg, meet=BinTable.from_rows(rows, total=False),
-                               r=None, class_tag=ClassTag.NCIS)
+    return BinTable.from_rows(rows, total=False)
+
+
+def ncis_from_ialgebra(alg: Algebra) -> Algebra:
+    """Partial meet recovered from r (see `_readback`)."""
+    _require(alg, "imp", "r")
+    return dataclasses.replace(alg, meet=_readback(alg, "r"), r=None,
+                               class_tag=ClassTag.NCIS)
 
 
 def validate_ialgebra(alg: Algebra) -> Report:
@@ -111,30 +113,10 @@ def ralgebra_from_rrs(alg: Algebra) -> Algebra:
 
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:
-    """Partial product recovered from q, with the same well-definedness
-    requirement as `ncis_from_ialgebra`."""
+    """Partial product recovered from q (see `_readback`)."""
     _require(alg, "imp", "q")
-    n = alg.n
-    qv = alg.q.values
-    rows: list[list[int | None]] = []
-    for x in range(n):
-        row: list[int | None] = []
-        for y in range(n):
-            clb = sorted(common_lower_bounds(alg, x, y))
-            if not clb:
-                row.append(None)
-                continue
-            vals = {qv[x][y][z]: z for z in clb}
-            if len(vals) > 1:
-                vs = sorted(vals)
-                raise StructureError(
-                    f"q not well-defined at ({alg.label(x)},{alg.label(y)}): "
-                    f"z={alg.label(vals[vs[0]])} gives {alg.label(vs[0])}, "
-                    f"z'={alg.label(vals[vs[1]])} gives {alg.label(vs[1])}")
-            row.append(next(iter(vals)))
-        rows.append(row)
-    return dataclasses.replace(alg, prod=BinTable.from_rows(rows, total=False),
-                               q=None, class_tag=ClassTag.RRS)
+    return dataclasses.replace(alg, prod=_readback(alg, "q"), q=None,
+                               class_tag=ClassTag.RRS)
 
 
 def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:

@@ -36,6 +36,40 @@ def oracle_pseudocomplement(leq, base, y):
     return best[0] if best else None
 
 
+def oracle_arrow_tables(leq):
+    """Every total arrow table on the order satisfying the arrow axioms
+    (1) y <= x->y, (2) (x v y) ^ (x->y) = y, (3) (x v y)->y = x->y and
+    (4) y <= (x v z) -> ((x v z) ^ (y v z)), found by constraint propagation
+    rather than through sections.
+
+    (3) pins x->y to u->y with u = x v y >= y.  For m <= u, (1) and (2) make
+    u->m one of the w >= m with u ^ w = m, and (4) with x = u, z = m puts
+    every such w below it, so u->m is forced and there is at most one table.
+    Returns [] when some forced value does not exist or the forced table
+    breaks an axiom, else the one table as a tuple of rows.
+    """
+    n = len(leq)
+    lub = [[oracle_lub(leq, x, y) for y in range(n)] for x in range(n)]
+    glb = [[oracle_glb(leq, x, y) for y in range(n)] for x in range(n)]
+    forced = {}
+    for u, m in product(range(n), repeat=2):
+        if not leq[m][u]:
+            continue
+        cands = [w for w in range(n) if leq[m][w] and glb[u][w] == m]
+        above_all = [w for w in cands if all(leq[v][w] for v in cands)]
+        if not above_all:
+            return []
+        forced[u, m] = above_all[0]
+    imp = tuple(tuple(forced[lub[x][y], y] for y in range(n)) for x in range(n))
+    for x, y, z in product(range(n), repeat=3):
+        xz = lub[x][z]
+        if not (leq[y][imp[x][y]] and glb[lub[x][y]][imp[x][y]] == y
+                and imp[lub[x][y]][y] == imp[x][y]
+                and leq[y][imp[xz][glb[xz][lub[y][z]]]]):
+            return []
+    return [imp]
+
+
 def oracle_is_sectioned(leq):
     """Every bounded pair has a greatest lower bound and every section is
     pseudocomplemented, checked by exhaustive scan."""

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import idx
-from oracles import (brute_jsl_matrices, count_iso_classes, oracle_is_sectioned,
-                     perm_iso_orders)
+from oracles import (brute_jsl_matrices, count_iso_classes, oracle_arrow_tables,
+                     oracle_is_sectioned, perm_iso_orders)
 from ordalg import (ClassTag, SearchSpec, canonical_form, canonical_key,
                     count_models, enumerate_models, find_counterexample,
                     isomorphic, project_to_class, relabel,
@@ -116,14 +116,18 @@ def test_rejected_jsl_models_really_fail():
         assert not oracle_is_sectioned(m.leq)
 
 
-def test_free_imp_agrees_with_derivation():
-    for n in range(1, 6):
-        derived = list(enumerate_models(spec("ncis", n)))
-        free = list(enumerate_models(spec("ncis", n, free_imp=True)))
-        assert len(derived) == len(free)
-        for d, f in zip(derived, free):
-            assert d.imp.values == f.imp.values
-            assert d.meet.values == f.meet.values
+def test_arrow_propagation_oracle_agrees_with_derivation():
+    # the arrow axioms force at most one table, so the propagation oracle
+    # finds exactly the derived arrow, and none where a section fails
+    for n in range(1, 7):
+        for m in enumerate_models(spec("ncis", n)):
+            assert oracle_arrow_tables(m.leq) == [m.imp.values], m.name
+        rejected = [m for m in enumerate_models(spec("jsl", n))
+                    if not oracle_is_sectioned(m.leq)]
+        for m in rejected:
+            assert oracle_arrow_tables(m.leq) == [], m.name
+        assert len(rejected) == count_models(spec("jsl", n)) - \
+            count_models(spec("ncis", n))
 
 
 def test_counterexample_section_modular():
@@ -179,8 +183,8 @@ def test_srs_models_mirror_rrs():
 
 def test_each_class_built_once_per_size(monkeypatch):
     """Counting jsl and then every other class canonicalises the labelled
-    semilattices once: each (class, size, free_imp) is built once."""
-    search._build_models.cache_clear()
+    semilattices once: each (class, size) is built once."""
+    search._models.cache_clear()
     keyed = []
     real_key = search.canonical_key
     monkeypatch.setattr(search, "canonical_key",
@@ -190,8 +194,5 @@ def test_each_class_built_once_per_size(monkeypatch):
     assert labelled > 0
     for tag in ("sectioned", "ncis", "rrs", "srs", "ialg", "ralg"):
         count_models(spec(tag, 5))
-    for tag in ("jsl", "ncis", "ialg"):
-        count_models(spec(tag, 5, free_imp=True))
     assert len(keyed) == labelled
-    # seven classes, plus ncis and ialg with free_imp
-    assert search._build_models.cache_info().misses == 9
+    assert search._models.cache_info().misses == 7

@@ -159,3 +159,38 @@ def test_validate_sectioned_a_meet_table_disagrees(fig1):
     # a value stored for an unbounded pair is not (a)'s concern
     c = idx(fig1, "c")
     assert validate_sectioned(_with_meet_cell(fig1, a, c, a)).ok
+
+
+def test_pc_table_matches_oracle_on_every_jsl_model_up_to_size_6():
+    from ordalg import ClassTag, SearchSpec, enumerate_models
+    missing = 0
+    for n in range(1, 7):
+        for alg in enumerate_models(SearchSpec(ClassTag.JSL, n)):
+            for base in range(n):
+                for y in range(n):
+                    want = oracle_pseudocomplement(alg.leq, base, y)
+                    assert alg.pc[base][y] == want, (alg.name, base, y)
+                    missing += want is None and alg.leq[base][y]
+    # the non-sectioned models contribute entries without a pseudocomplement
+    assert missing > 0
+
+
+def test_meet_table_disagreement_before_a_missing_glb_reports_the_glb():
+    # raw constructor only: (a) reads the glb table, which fails as a whole
+    # when some bounded pair has no glb, so that failure is reported even
+    # when the stored meet disagrees at an earlier pair
+    from ordalg import Algebra, BinTable, Universe
+    lq = ((True, False, True, True, True),
+          (False, True, True, True, True),
+          (False, False, True, False, True),
+          (False, False, False, True, True),
+          (False, False, False, False, True))
+    jv = BinTable.from_rows([[0, 4, 2, 3, 4],
+                             [4, 1, 2, 3, 4],
+                             [2, 2, 2, 4, 4],
+                             [3, 3, 4, 3, 4],
+                             [4, 4, 4, 4, 4]], total=True)
+    meet = BinTable.from_rows([[1] * 5] * 5, total=False)
+    alg = Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv, meet=meet)
+    rep = validate_sectioned(alg)
+    assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
