@@ -221,8 +221,7 @@ def cmd_search(args) -> int:
         return 0
     if args.count:
         for n in spec.sizes():
-            sub = SearchSpec(tag, n)
-            print(f"class={tag.value} size={n} count={count_models(sub)}")
+            print(f"class={tag.value} size={n} count={count_models(SearchSpec(tag, n))}")
         return 0
     if args.out:
         outdir = Path(args.out)

@@ -128,7 +128,7 @@ def _with_meet_cell(alg, x, y, value):
     return dataclasses.replace(alg, meet=BinTable.from_rows(rows, total=False))
 
 
-def test_validate_sectioned_a_bounded_pair_without_glb():
+def _without_glb(meet=None):
     # raw constructor only: a and b both lie below c and d, so (c, d) is
     # bounded but has no greatest common lower bound (and (a, b) no join)
     from ordalg import Algebra, BinTable, Universe
@@ -142,8 +142,11 @@ def test_validate_sectioned_a_bounded_pair_without_glb():
                              [2, 2, 2, 4, 4],
                              [3, 3, 4, 3, 4],
                              [4, 4, 4, 4, 4]], total=True)
-    alg = Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv)
-    rep = validate_sectioned(alg)
+    return Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv, meet=meet)
+
+
+def test_validate_sectioned_a_bounded_pair_without_glb():
+    rep = validate_sectioned(_without_glb())
     assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
     assert rep.note == "bounded pair without greatest common lower bound"
 
@@ -176,21 +179,10 @@ def test_pc_table_matches_oracle_on_every_jsl_model_up_to_size_6():
 
 
 def test_meet_table_disagreement_before_a_missing_glb_reports_the_glb():
-    # raw constructor only: (a) reads the glb table, which fails as a whole
-    # when some bounded pair has no glb, so that failure is reported even
-    # when the stored meet disagrees at an earlier pair
-    from ordalg import Algebra, BinTable, Universe
-    lq = ((True, False, True, True, True),
-          (False, True, True, True, True),
-          (False, False, True, False, True),
-          (False, False, False, True, True),
-          (False, False, False, False, True))
-    jv = BinTable.from_rows([[0, 4, 2, 3, 4],
-                             [4, 1, 2, 3, 4],
-                             [2, 2, 2, 4, 4],
-                             [3, 3, 4, 3, 4],
-                             [4, 4, 4, 4, 4]], total=True)
-    meet = BinTable.from_rows([[1] * 5] * 5, total=False)
-    alg = Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv, meet=meet)
+    # (a) reads the glb table, which fails as a whole when some bounded pair
+    # has no glb, so that failure is reported even when the stored meet
+    # disagrees at an earlier pair
+    from ordalg import BinTable
+    alg = _without_glb(meet=BinTable.from_rows([[1] * 5] * 5, total=False))
     rep = validate_sectioned(alg)
     assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
