@@ -1,4 +1,4 @@
-"""Golden corpus: the serialized models of every class up to size 6.
+"""Golden corpus: the serialized models of every class up to size 7.
 
 For each (class, size) the fixture stores how many models ``search`` emits
 and the sha256 of their ``serialize_algebra`` texts joined in emission
@@ -18,7 +18,7 @@ from pathlib import Path
 from ordalg import ClassTag, SearchSpec, enumerate_models, serialize_algebra
 
 FIXTURE = Path(__file__).parent / "fixtures" / "model_hashes.json"
-MAX_SIZE = 6
+MAX_SIZE = 7
 
 
 def model_hashes() -> dict[str, dict]:
