@@ -9,7 +9,6 @@ input or usage was bad.  Human-oriented prose goes to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -167,8 +166,8 @@ def cmd_roundtrip(args) -> int:
               file=sys.stderr)
         return 1
     back = backward(forward(alg))
-    diff = first_table_difference(alg, dataclasses.replace(
-        back, class_tag=alg.class_tag, name=alg.name))
+    diff = first_table_difference(
+        alg, back.replace(class_tag=alg.class_tag, name=alg.name))
     if diff is None:
         print("IDENTICAL")
         return 0

@@ -169,6 +169,10 @@ class TernTable:
         return self.values[i]
 
 
+# cached properties of `Algebra` that read only ``leq`` and ``join``
+_ORDER_CACHES = ("downsets", "upsets", "glb", "pc", "join_order")
+
+
 @dataclass(frozen=True)
 class Algebra:
     """A finite join-semilattice with top, plus optional extra operations.
@@ -252,6 +256,16 @@ class Algebra:
         reads it; the raw constructor may pass a join table that disagrees
         with the ``leq`` field."""
         return order_from_join(self.join.values)
+
+    def replace(self, **changes) -> Algebra:
+        """`dataclasses.replace` that keeps the cached `downsets`, `upsets`,
+        `glb`, `pc` and `join_order` when ``leq`` and ``join`` are left alone."""
+        out = dataclasses.replace(self, **changes)
+        if out.leq is self.leq and out.join is self.join:
+            for name in _ORDER_CACHES:
+                if name in self.__dict__:
+                    out.__dict__[name] = self.__dict__[name]
+        return out
 
     def tables(self) -> tuple[tuple[str, BinTable | TernTable], ...]:
         """Present operation tables in canonical slot order."""
@@ -543,7 +557,7 @@ def ensure_meet(alg: Algebra) -> Algebra:
     """Return an equal algebra that carries the derived partial meet table."""
     if alg.meet is not None:
         return alg
-    return dataclasses.replace(alg, meet=alg.glb)
+    return alg.replace(meet=alg.glb)
 
 
 def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
@@ -576,7 +590,7 @@ def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
     elif tag == ClassTag.RALG:
         kw["imp"] = need("imp")
         kw["q"] = need("q")
-    return dataclasses.replace(alg, **kw)
+    return alg.replace(**kw)
 
 
 def relabel(alg: Algebra, new_of_old: Sequence[int],

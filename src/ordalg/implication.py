@@ -10,8 +10,6 @@ exhaustively over the enumerated model corpus.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .core import Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 
@@ -34,8 +32,8 @@ def derive_implication(alg: Algebra) -> Algebra:
                     f"({base.label(x)},{base.label(y)})")
             row.append(pc)
         rows.append(row)
-    return dataclasses.replace(base, imp=BinTable.from_rows(rows, total=True),
-                               class_tag=ClassTag.NCIS)
+    return base.replace(imp=BinTable.from_rows(rows, total=True),
+                        class_tag=ClassTag.NCIS)
 
 
 def derive_sections(alg: Algebra) -> Algebra:
@@ -43,8 +41,7 @@ def derive_sections(alg: Algebra) -> Algebra:
     pseudocomplement of y in [x, 1] is recoverable as imp[y][x]."""
     if alg.imp is None:
         raise StructureError("input has no imp table")
-    return dataclasses.replace(ensure_meet(alg), imp=None,
-                               class_tag=ClassTag.SECTIONED)
+    return ensure_meet(alg).replace(imp=None, class_tag=ClassTag.SECTIONED)
 
 
 def validate_ncis(alg: Algebra) -> Report:

@@ -10,7 +10,6 @@ semilattices of `ordalg.implication`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
@@ -121,8 +120,7 @@ def srs_from_rrs(alg: Algebra) -> SrsAlgebra:
             rows.append(tuple(alg.prod.values[i][j] if i in sec and j in sec else None
                               for j in range(n)))
         tables.append(BinTable(tuple(rows), total=False))
-    return SrsAlgebra(dataclasses.replace(alg, class_tag=ClassTag.SRS),
-                      tuple(tables))
+    return SrsAlgebra(alg.replace(class_tag=ClassTag.SRS), tuple(tables))
 
 
 def rrs_from_srs(srs: SrsAlgebra) -> Algebra:
@@ -153,8 +151,8 @@ def rrs_from_srs(srs: SrsAlgebra) -> Algebra:
             else:
                 row.append(next(iter(seen)))
         rows.append(row)
-    return dataclasses.replace(alg, prod=BinTable.from_rows(rows, total=False),
-                               class_tag=ClassTag.RRS)
+    return alg.replace(prod=BinTable.from_rows(rows, total=False),
+                       class_tag=ClassTag.RRS)
 
 
 def validate_srs(srs: SrsAlgebra) -> Report:
@@ -204,8 +202,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
         src = ensure_meet(alg)
         if src.imp is None:
             raise StructureError("to_rrs requires an imp table")
-        out = dataclasses.replace(src, prod=src.meet, meet=None,
-                                  class_tag=ClassTag.RRS)
+        out = src.replace(prod=src.meet, meet=None, class_tag=ClassTag.RRS)
         for rep in (validate_rrs(out), check_divisible(out),
                     _check_prod_idempotent(out), _check_prod_arrow_bound(out)):
             if not rep.ok:
@@ -221,8 +218,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
         rep = evaluate(alg, PROD_MEET, gv=alg.glb.values)
         if not rep.ok:
             raise BridgeError(rep)
-        return dataclasses.replace(alg, meet=alg.prod, prod=None,
-                                   class_tag=ClassTag.NCIS)
+        return alg.replace(meet=alg.prod, prod=None, class_tag=ClassTag.NCIS)
 
     raise ValueError(f"unknown bridge direction {direction!r}")
 

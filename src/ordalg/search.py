@@ -2,26 +2,39 @@
 
 Join-semilattices with top are generated as naturally labeled orders (every
 element is added as a maximal point, the top last), pruned as soon as some
-pair acquires two minimal upper bounds, then reduced to one representative
-per isomorphism class via a canonical form: the lexicographically least
-concatenation of all operation tables over the relabelings that fix the top
-element.  The richer classes are obtained from these by derivation and
-filtering; every emitted model passes its class validator.  Each class is
-built once per size and process, and models come out in canonical order.
+pair acquires two minimal upper bounds.  They are reduced to one
+representative per isomorphism class in two stages:
+
+1. Grouping.  Elements fall into cells by their (down-set size, up-set
+   size) pair, which every isomorphism preserves.  The least relabeled
+   downset-mask tuple over the relabelings that keep each cell on its own
+   block of positions is a complete invariant, cheap because only
+   relabelings inside cells are tried; the first structure of each such
+   form is kept.
+2. Keying.  Each kept structure gets the documented canonical key once: the
+   lexicographically least concatenation of all operation tables over the
+   relabelings that fix the top element.  The model is read off the key, and
+   models are sorted by it.
+
+The richer classes are obtained from these by derivation and filtering;
+every emitted model passes its class validator.  Each class is built once
+per size and process, and models come out in canonical order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator
 
 from .congruence import maltsev_report
-from .core import (Algebra, BinTable, ClassTag, StructureError, build_algebra,
-                   default_labels, ensure_meet, relabel)
+from .core import (Algebra, BinTable, ClassTag, StructureError, Universe,
+                   build_algebra, default_labels, ensure_meet, order_from_join,
+                   relabel)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
 from .residuated import (check_divisible, check_rrs_properties, srs_from_rrs,
                          validate_rrs, validate_srs)
@@ -82,13 +95,32 @@ def _flat_tables(alg: Algebra, new_of_old: list[int]) -> tuple:
     return tuple(parts)
 
 
-def _perms_fixing_top(alg: Algebra) -> Iterator[list[int]]:
+def _candidate_perms(alg: Algebra) -> Iterator[list[int]]:
+    """The relabelings fixing the top that can give the least flat tables.
+
+    Row 0 of the relabeled join table is 0 exactly where the element at
+    position 0 absorbs the element there (x v a = a).  So the least tables
+    put at 0 an idempotent element a that absorbs the most other non-top
+    elements, and those elements next; every other relabeling loses on the
+    leading zeros of row 0.
+    """
     n, top = alg.n, alg.top
-    others = [i for i in range(n) if i != top]
-    for arrangement in permutations(range(n - 1)):
+    jv = alg.join.values
+    others = [x for x in range(n) if x != top]
+    absorbed = {a: [x for x in others if x != a and jv[a][x] == a]
+                for a in others if jv[a][a] == a}
+    if absorbed:
+        most = max(map(len, absorbed.values()))
+        orders = ((a, *lo, *hi) for a, below in absorbed.items() if len(below) == most
+                  for lo in permutations(below)
+                  for hi in permutations([x for x in others
+                                          if x != a and x not in below]))
+    else:  # no idempotent element: only raw-constructed tables get here
+        orders = permutations(others)
+    for order in orders:
         p = [0] * n
         p[top] = n - 1
-        for elem, pos in zip(others, arrangement):
+        for pos, elem in enumerate(order):
             p[elem] = pos
         yield p
 
@@ -103,7 +135,7 @@ def _canonical_search(alg: Algebra) -> tuple[tuple, list[int]]:
     jv = alg.join.values
     best: tuple | None = None
     best_perm: list[int] | None = None
-    for p in _perms_fixing_top(alg):
+    for p in _candidate_perms(alg):
         if best is not None:
             inv = [0] * n
             for old, new in enumerate(p):
@@ -142,62 +174,98 @@ def _natural_jsl_downmasks(n: int) -> Iterator[tuple[int, ...]]:
     """Downset masks of naturally labeled join-semilattices with top n-1.
 
     ``downs[i]`` has bit j set iff j <= i (including j = i).  Elements are
-    added as maximal points; a pair that ever has two minimal upper bounds
-    can never recover a least one, so such branches are pruned immediately.
+    added as maximal points, together with a table of the least upper bounds
+    that exist so far.  A new point k with down-set D is a minimal upper
+    bound of the pairs in D only, and a second one for a pair whose join
+    lies outside D; a pair can never lose its second minimal upper bound,
+    so such a D is pruned.  Otherwise k becomes the join of the pairs in D
+    that had none.  The top, above everything, completes every branch.
     """
     if n == 1:
         yield (1,)
         return
 
-    def unique_mub(downs: list[int], final: bool) -> bool:
-        k = len(downs)
-        for i in range(k):
-            for j in range(i + 1, k):
-                ubs = [u for u in range(k)
-                       if (downs[u] >> i) & 1 and (downs[u] >> j) & 1]
-                if not ubs:
-                    if final:
-                        return False
-                    continue
-                minimal = 0
-                for u in ubs:
-                    if all(not (downs[u] >> v) & 1 for v in ubs if v != u):
-                        minimal += 1
-                        if minimal > 1:
-                            return False
-        return True
-
-    def extend(downs: list[int]) -> Iterator[tuple[int, ...]]:
+    def extend(downs: tuple[int, ...],
+               joins: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+        # joins[i][j] is the least upper bound of i and j, or -1 if none yet
         k = len(downs)
         if k == n - 1:
-            downs.append(((1 << (n - 1)) - 1) | (1 << (n - 1)))
-            if unique_mub(downs, final=True):
-                yield tuple(downs)
-            downs.pop()
+            yield downs + ((1 << n) - 1,)
             return
         for mask in range(1 << k):
-            ok = True
-            m = mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if downs[i] & ~mask & ((1 << k) - 1):
-                    ok = False
-                    break
-                m ^= low
-            if not ok:
+            members = [i for i in range(k) if (mask >> i) & 1]
+            if any(downs[i] & ~mask for i in members):
                 continue
-            downs.append(mask | (1 << k))
-            if unique_mub(downs, final=False):
-                yield from extend(downs)
-            downs.pop()
+            if any(joins[i][j] >= 0 and not (mask >> joins[i][j]) & 1
+                   for i in members for j in members):
+                continue
+            inside = [bool((mask >> i) & 1) for i in range(k)]
+            grown = tuple(
+                tuple(v if v >= 0 or not (inside[i] and inside[j]) else k
+                      for j, v in enumerate(row)) + ((k if inside[i] else -1),)
+                for i, row in enumerate(joins))
+            grown += (tuple(k if inside[j] else -1 for j in range(k)) + (k,),)
+            yield from extend(downs + (mask | (1 << k),), grown)
 
-    yield from extend([1])
+    yield from extend((1,), ((0,),))
 
 
 def _leq_from_downmasks(downs: tuple[int, ...]) -> tuple[tuple[bool, ...], ...]:
     n = len(downs)
     return tuple(tuple(bool((downs[j] >> i) & 1) for j in range(n)) for i in range(n))
+
+
+def _grouping_form(downs: tuple[int, ...]) -> tuple[int, ...]:
+    """Grouping form of a structure given by its downset masks: the least
+    relabeled mask tuple over the relabelings that map each cell of equal
+    (down-set size, up-set size) onto its own block of positions.
+
+    Blocks follow the sorted cell values, so every strict lower bound of an
+    element lies in an earlier block and its relabeled mask is fixed when
+    it is placed.  Positions are filled in order, keeping every partial
+    labelling with the least prefix.  A partial labelling matters only
+    through the masks of placed lower bounds that it gives the elements not
+    yet placed, so labellings that agree on those are merged.
+    """
+    n = len(downs)
+    above: list[list[int]] = [[] for _ in range(n)]
+    for y, mask in enumerate(downs):
+        for x in range(n):
+            if x != y and (mask >> x) & 1:
+                above[x].append(y)
+    cells: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for x in range(n):
+        cells[downs[x].bit_count(), len(above[x]) + 1].append(x)
+    # in each state st, st[x] is the mask of the placed lower bounds of x,
+    # or -1 once x is placed
+    states = {(0,) * n}
+    form: list[int] = []
+    for value in sorted(cells):
+        cell = cells[value]
+        for _ in cell:
+            bit = 1 << len(form)
+            best = min(m for st in states for x in cell if (m := st[x]) >= 0)
+            nxt = set()
+            for st in states:
+                for x in cell:
+                    if st[x] == best:
+                        new = list(st)
+                        new[x] = -1
+                        for y in above[x]:
+                            new[y] |= bit
+                        nxt.add(tuple(new))
+            states = nxt
+            form.append(best | bit)
+    return tuple(form)
+
+
+def _jsl_from_key(key: tuple) -> Algebra:
+    """The model a jsl `canonical_key` spells out: its flat tables are the
+    join table on the default labels, top last."""
+    n, _, flat = key
+    rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+    return Algebra(Universe(default_labels(n), n - 1), order_from_join(rows),
+                   BinTable(rows, total=True))
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +281,19 @@ def _gate(alg: Algebra, report) -> Algebra:
 def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
     """Every model of the class at size n, built once per process."""
     if tag == ClassTag.JSL:
-        seen: dict[tuple, Algebra] = {}
+        reps: dict[tuple[int, ...], tuple[int, ...]] = {}
         for downs in _natural_jsl_downmasks(n):
-            alg = build_algebra(default_labels(n),
-                                leq_matrix=_leq_from_downmasks(downs),
-                                class_tag=ClassTag.JSL)
-            key = canonical_key(alg)
-            if key not in seen:
-                seen[key] = canonical_form(alg)
-        out = [seen[k] for k in sorted(seen)]
+            reps.setdefault(_grouping_form(downs), downs)
+        keys = sorted(canonical_key(build_algebra(
+            default_labels(n), leq_matrix=_leq_from_downmasks(downs),
+            class_tag=ClassTag.JSL)) for downs in reps.values())
+        out = [_jsl_from_key(key) for key in keys]
 
     elif tag == ClassTag.SECTIONED:
         out = []
         for alg in _models(ClassTag.JSL, n):
             if validate_sectioned(alg).ok:
-                out.append(dataclasses.replace(ensure_meet(alg),
-                                               class_tag=ClassTag.SECTIONED))
+                out.append(ensure_meet(alg).replace(class_tag=ClassTag.SECTIONED))
 
     elif tag == ClassTag.NCIS:
         out = [_gate(m, validate_ncis(m))
@@ -238,14 +303,13 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
         # every rrs product is the partial meet (see tests/test_finite_facts.py),
         # so the rrs models are the ncis models with the meet as product
         out = [_gate(m, validate_rrs(m))
-               for m in (dataclasses.replace(a, prod=a.meet, meet=None,
-                                             class_tag=ClassTag.RRS)
+               for m in (a.replace(prod=a.meet, meet=None, class_tag=ClassTag.RRS)
                          for a in _models(ClassTag.NCIS, n))]
 
     elif tag == ClassTag.SRS:
         out = []
         for alg in _models(ClassTag.RRS, n):
-            srs = dataclasses.replace(alg, class_tag=ClassTag.SRS)
+            srs = alg.replace(class_tag=ClassTag.SRS)
             out.append(_gate(srs, validate_srs(srs_from_rrs(srs))))
 
     elif tag == ClassTag.IALG:
@@ -259,8 +323,7 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
     else:
         raise ValueError(f"unknown class {tag!r}")
 
-    return tuple(dataclasses.replace(alg, name=f"{tag.value}_{n}_{i}")
-                 for i, alg in enumerate(out))
+    return tuple(alg.replace(name=f"{tag.value}_{n}_{i}") for i, alg in enumerate(out))
 
 
 def enumerate_models(spec: SearchSpec) -> Iterator[Algebra]:

@@ -8,8 +8,6 @@ the conversions to and from the partial form are mutually inverse.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
                    TernTable, common_lower_bounds, ensure_meet,
                    validate_join_semilattice)
@@ -33,8 +31,7 @@ def ialgebra_from_ncis(alg: Algebra) -> Algebra:
     jv, mv = src.join.values, src.meet.values
     vals = tuple(tuple(tuple(mv[jv[i][k]][jv[j][k]] for k in range(n))
                        for j in range(n)) for i in range(n))
-    return dataclasses.replace(src, meet=None, r=TernTable(vals),
-                               class_tag=ClassTag.IALG)
+    return src.replace(meet=None, r=TernTable(vals), class_tag=ClassTag.IALG)
 
 
 def _readback(alg: Algebra, name: str) -> BinTable:
@@ -63,8 +60,7 @@ def _readback(alg: Algebra, name: str) -> BinTable:
 def ncis_from_ialgebra(alg: Algebra) -> Algebra:
     """Partial meet recovered from r (see `_readback`)."""
     _require(alg, "imp", "r")
-    return dataclasses.replace(alg, meet=_readback(alg, "r"), r=None,
-                               class_tag=ClassTag.NCIS)
+    return alg.replace(meet=_readback(alg, "r"), r=None, class_tag=ClassTag.NCIS)
 
 
 def validate_ialgebra(alg: Algebra) -> Report:
@@ -108,15 +104,13 @@ def ralgebra_from_rrs(alg: Algebra) -> Algebra:
                 row.append(v)
             plane.append(tuple(row))
         vals.append(tuple(plane))
-    return dataclasses.replace(alg, prod=None, q=TernTable(tuple(vals)),
-                               class_tag=ClassTag.RALG)
+    return alg.replace(prod=None, q=TernTable(tuple(vals)), class_tag=ClassTag.RALG)
 
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:
     """Partial product recovered from q (see `_readback`)."""
     _require(alg, "imp", "q")
-    return dataclasses.replace(alg, prod=_readback(alg, "q"), q=None,
-                               class_tag=ClassTag.RRS)
+    return alg.replace(prod=_readback(alg, "q"), q=None, class_tag=ClassTag.RRS)
 
 
 def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:

@@ -173,6 +173,30 @@ def perm_iso_tagged(a, b):
     return False
 
 
+def oracle_least_tables(alg):
+    """Lexicographically least concatenation of the present operation
+    tables over every relabeling that fixes the top, undefined cells read
+    as n: the tables part of the documented canonical key."""
+    n, top = alg.n, alg.top
+    tables = [t.values for _, t in alg.tables()]
+    best = None
+    for order in permutations([x for x in range(n) if x != top]):
+        old = list(order) + [top]
+        new = {x: pos for pos, x in enumerate(old)}
+        flat = []
+        for vals in tables:
+            for i in range(n):
+                for j in range(n):
+                    cell = vals[old[i]][old[j]]
+                    if isinstance(cell, tuple):
+                        flat.extend(new[cell[old[k]]] for k in range(n))
+                    else:
+                        flat.append(n if cell is None else new[cell])
+        if best is None or tuple(flat) < best:
+            best = tuple(flat)
+    return best
+
+
 def count_iso_classes(items, iso):
     reps = []
     for item in items:

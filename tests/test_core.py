@@ -254,3 +254,13 @@ def test_partial_meet_not_unique_is_an_error():
     alg = Algebra(Universe(labels, 4), lq, jv)
     with pytest.raises(StructureError, match=r"meet not unique for \(u,v\)"):
         partial_meet(alg, 2, 3)
+
+
+def test_replace_carries_order_caches_only_over_the_same_order(fig1):
+    glb, pc = fig1.glb, fig1.pc
+    renamed = fig1.replace(name="other", imp=None, class_tag=ClassTag.SECTIONED)
+    assert renamed.__dict__["glb"] is glb and renamed.__dict__["pc"] is pc
+    assert (renamed.name, renamed.imp, renamed.leq) == ("other", None, fig1.leq)
+    rejoined = fig1.replace(join=BinTable(fig1.join.values, total=True))
+    assert "glb" not in rejoined.__dict__ and "pc" not in rejoined.__dict__
+    assert rejoined.glb == glb

@@ -5,15 +5,15 @@ import pytest
 
 from conftest import idx
 from oracles import (brute_jsl_matrices, count_iso_classes, oracle_arrow_tables,
-                     oracle_is_sectioned, perm_iso_orders)
-from ordalg import (ClassTag, SearchSpec, canonical_form, canonical_key,
-                    count_models, enumerate_models, find_counterexample,
+                     oracle_is_sectioned, oracle_least_tables, perm_iso_orders)
+from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
+                    build_algebra, canonical_form, canonical_key, count_models,
+                    default_labels, enumerate_models, find_counterexample,
                     isomorphic, project_to_class, relabel,
                     section_shape_report, validate_ialgebra, validate_ncis,
                     validate_ralgebra, validate_rrs, validate_sectioned,
                     validate_srs, validate_join_semilattice, srs_from_rrs)
-from ordalg import search
-
+from ordalg import core, search
 
 def spec(tag, size, **kw):
     return SearchSpec(ClassTag(tag), size, **kw)
@@ -182,8 +182,8 @@ def test_srs_models_mirror_rrs():
 
 
 def test_each_class_built_once_per_size(monkeypatch):
-    """Counting jsl and then every other class canonicalises the labelled
-    semilattices once: each (class, size) is built once."""
+    """Counting jsl and then every other class keys the jsl representatives
+    once: each (class, size) is built once."""
     search._models.cache_clear()
     keyed = []
     real_key = search.canonical_key
@@ -196,3 +196,64 @@ def test_each_class_built_once_per_size(monkeypatch):
         count_models(spec(tag, 5))
     assert len(keyed) == labelled
     assert search._models.cache_info().misses == 7
+
+
+def _downmasks(leq):
+    n = len(leq)
+    return tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+
+
+def test_canonical_key_matches_brute_force_over_all_relabelings():
+    """The pruned relabeling search finds the least tables of all of them."""
+    rng = random.Random(3)
+    models = [m for tag, top in (("jsl", 6), ("ncis", 5), ("ialg", 5), ("rrs", 4))
+              for n in range(1, top + 1) for m in enumerate_models(spec(tag, n))]
+    for m in models:
+        p = list(range(m.n))
+        rng.shuffle(p)
+        for alg in (m, relabel(m, p)):
+            assert canonical_key(alg)[2] == oracle_least_tables(alg)
+    # raw tables the constructors reject, idempotent or not
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        leq = tuple(tuple(i == j for j in range(n)) for i in range(n))
+        alg = Algebra(Universe(default_labels(n), rng.randrange(n)), leq,
+                      BinTable(rows, total=True))
+        assert canonical_key(alg)[2] == oracle_least_tables(alg)
+
+
+def test_grouping_form_separates_exactly_the_isomorphism_classes():
+    """Over every naturally labelled structure up to size 6, two structures
+    share a grouping form iff their canonical keys are equal."""
+    for n in range(1, 7):
+        form_of_key, key_of_form = {}, {}
+        for downs in search._natural_jsl_downmasks(n):
+            alg = build_algebra(default_labels(n),
+                                leq_matrix=search._leq_from_downmasks(downs))
+            key, form = canonical_key(alg), search._grouping_form(downs)
+            assert form_of_key.setdefault(key, form) == form
+            assert key_of_form.setdefault(form, key) == key
+        assert len(key_of_form) == count_models(spec("jsl", n))
+
+
+def test_grouping_form_unchanged_by_relabelings_fixing_the_top():
+    rng = random.Random(7)
+    for m in enumerate_models(spec("jsl", 7)):
+        form = search._grouping_form(_downmasks(m.leq))
+        for _ in range(3):
+            p = list(range(m.n - 1))
+            rng.shuffle(p)
+            scrambled = relabel(m, p + [m.top])
+            assert search._grouping_form(_downmasks(scrambled.leq)) == form
+
+
+def test_derived_classes_reuse_the_order_caches(monkeypatch):
+    """ncis at size 7 is derived from the sectioned models, whose glb and
+    pc tables it reads, without building a single glb table."""
+    search._models(ClassTag.SECTIONED, 7)
+    calls = []
+    real = core.glb_table
+    monkeypatch.setattr(core, "glb_table", lambda *a: calls.append(a) or real(*a))
+    assert len(search._models.__wrapped__(ClassTag.NCIS, 7)) == 165
+    assert calls == []
