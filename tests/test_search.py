@@ -15,6 +15,7 @@ from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
                     validate_srs, validate_join_semilattice, srs_from_rrs)
 from ordalg import core, search
 
+
 def spec(tag, size, **kw):
     return SearchSpec(ClassTag(tag), size, **kw)
 
