@@ -18,7 +18,7 @@ from . import search as search_mod
 from .congruence import congruence_lattice, maltsev_report
 from .core import (Algebra, ClassTag, OrdalgError, ParseError, Report,
                    StructureError, UNDEF_TOKEN, first_table_difference,
-                   project_to_class)
+                   project_to_class, validate_join_semilattice)
 from .fileio import parse_algebra, serialize_algebra
 from .implication import (check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
@@ -30,7 +30,6 @@ from .search import SearchSpec, count_models, enumerate_models, find_counterexam
 from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra,
                         ralgebra_from_rrs, rrs_from_ralgebra,
                         validate_ialgebra, validate_ralgebra)
-from .core import validate_join_semilattice
 
 _CLASS_NAMES = [t.value for t in ClassTag]
 

@@ -11,7 +11,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import Algebra, Report, StructureError
+from .core import Algebra, Report, StructureError, require_tables
+from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, evaluate
+
+
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in the union-find forest ``parent``, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the trees of a and b under the smaller root; False if they
+    were one tree already."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a == b:
+        return False
+    parent[max(a, b)] = min(a, b)
+    return True
 
 
 @dataclass(frozen=True, order=True)
@@ -31,18 +50,10 @@ class Partition:
 
     @staticmethod
     def from_parent(parent: list[int]) -> "Partition":
-        n = len(parent)
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         rep: dict[int, int] = {}
-        out = [0] * n
-        for i in range(n):
-            r = find(i)
+        out = [0] * len(parent)
+        for i in range(len(parent)):
+            r = _find(parent, i)
             if r not in rep:
                 rep[r] = i
             out[i] = rep[r]
@@ -51,19 +62,10 @@ class Partition:
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
         parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for block in blocks:
             block = list(block)
             for other in block[1:]:
-                a, b = find(block[0]), find(other)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                _union(parent, block[0], other)
         return Partition.from_parent(parent)
 
     @property
@@ -83,10 +85,6 @@ class Partition:
         c = self.class_of[i]
         return frozenset(j for j, cj in enumerate(self.class_of) if cj == c)
 
-    @property
-    def num_classes(self) -> int:
-        return len(set(self.class_of))
-
     def meet(self, other: "Partition") -> "Partition":
         pairs: dict[tuple[int, int], int] = {}
         out = [0] * self.n
@@ -99,17 +97,8 @@ class Partition:
 
     def join_with(self, other: "Partition") -> "Partition":
         parent = list(self.class_of)
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for i in range(self.n):
-            a, b = find(i), find(other.class_of[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+            _union(parent, i, other.class_of[i])
         return Partition.from_parent(parent)
 
     def refines(self, other: "Partition") -> bool:
@@ -143,20 +132,11 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     binops, tern = _total_ops(alg)
     n = alg.n
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     pending = [(a, b)]
     while pending:
         u, v = pending.pop()
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not _union(parent, u, v):
             continue
-        parent[max(ru, rv)] = min(ru, rv)
         # only pairs of distinct images can merge anything
         for _, tbl in binops:
             pending += [pq for pq in zip(tbl[u], tbl[v]) if pq[0] != pq[1]]
@@ -356,76 +336,9 @@ def term_witness_check(alg: Algebra) -> Report:
     On a ternary-product algebra, q replaces r and scheme (a) requires the
     divisibility identity q(x, x->y, y) = y.
     """
-    if alg.imp is None:
-        raise StructureError("term check requires an imp table")
+    require_tables(alg, "imp")
     tern = alg.r if alg.r is not None else alg.q
     if tern is None:
-        raise StructureError("term check requires an r or q table")
-    is_q = alg.r is None
-    n, top = alg.n, alg.top
-    lab = alg.label
-    tv = tern.values
-    iv = alg.imp.values
-
-    if is_q:
-        for x in range(n):
-            for y in range(n):
-                if tv[x][iv[x][y]][y] != y:
-                    return Report.failing("(a)", (lab(x), lab(y)),
-                                          lab(tv[x][iv[x][y]][y]), lab(y),
-                                          note="scheme (a) requires the subvariety "
-                                               "identity q(x,x->y,y)=y")
-
-    def t1a(x: int, y: int, z: int) -> int:
-        return tv[z][iv[y][x]][x]
-
-    def t2a(x: int, y: int, z: int) -> int:
-        return tv[x][iv[y][z]][z]
-
-    for x in range(n):
-        for y in range(n):
-            if t1a(x, y, y) != x:
-                return Report.failing("(a)", (lab(x), lab(y)), lab(t1a(x, y, y)), lab(x),
-                                      note="t1(x,y,y) = x fails")
-            if t1a(x, x, y) != t2a(x, y, y):
-                return Report.failing("(a)", (lab(x), lab(y)),
-                                      lab(t1a(x, x, y)), lab(t2a(x, y, y)),
-                                      note="t1(x,x,y) = t2(x,y,y) fails")
-            if t2a(x, x, y) != y:
-                return Report.failing("(a)", (lab(x), lab(y)), lab(t2a(x, x, y)), lab(y),
-                                      note="t2(x,x,y) = y fails")
-
-    def t1b(x: int, y: int, z: int) -> int:
-        return tv[z][y][x]
-
-    def t2b(x: int, y: int, z: int) -> int:
-        return tv[x][iv[y][z]][z]
-
-    for x in range(n):
-        for y in range(n):
-            if t1b(x, x, y) != x:
-                return Report.failing("(b)", (lab(x), lab(y)), lab(t1b(x, x, y)), lab(x),
-                                      note="t1(x,x,y) = x fails")
-            if t1b(x, y, y) != t2b(x, y, y):
-                return Report.failing("(b)", (lab(x), lab(y)),
-                                      lab(t1b(x, y, y)), lab(t2b(x, y, y)),
-                                      note="t1(x,y,y) = t2(x,y,y) fails")
-            if t2b(x, x, y) != y:
-                return Report.failing("(b)", (lab(x), lab(y)), lab(t2b(x, x, y)), lab(y),
-                                      note="t2(x,x,y) = y fails")
-            if t1b(x, y, x) != x:
-                return Report.failing("(b)", (lab(x), lab(y)), lab(t1b(x, y, x)), lab(x),
-                                      note="t1(x,y,x) = x fails")
-            if t2b(x, y, x) != x:
-                return Report.failing("(b)", (lab(x), lab(y)), lab(t2b(x, y, x)), lab(x),
-                                      note="t2(x,y,x) = x fails")
-
-    for x in range(n):
-        for y in range(n):
-            both_top = iv[x][y] == top and iv[y][x] == top
-            if both_top != (x == y):
-                return Report.failing("(c)", (lab(x), lab(y)),
-                                      "true" if both_top else "false",
-                                      "true" if x == y else "false",
-                                      note="x->y = y->x = 1 must hold exactly when x = y")
-    return Report.passing("all term schemes hold pointwise")
+        raise StructureError("this operation requires an r or q table")
+    laws = TERM_SCHEMES if alg.r is not None else TERM_Q_DIVISIBLE + TERM_SCHEMES
+    return evaluate(alg, laws, "all term schemes hold pointwise", tv=tern.values)

@@ -14,6 +14,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .laws import JOIN_LAWS, Report, evaluate
+
 UNDEF = None
 UNDEF_TOKEN = "-"
 
@@ -62,37 +64,6 @@ class ClassTag(str, Enum):
     RRS = "rrs"
     IALG = "ialg"
     RALG = "ralg"
-
-
-@dataclass(frozen=True)
-class Report:
-    """Pass/fail verdict of a validator, with a witness for failures.
-
-    ``witness`` holds element labels; ``lhs``/``rhs`` are the evaluated
-    sides of the violated law (labels, ``-`` for undefined, or
-    ``true``/``false`` for boolean sides).
-    """
-
-    ok: bool
-    axiom: str = ""
-    witness: tuple[str, ...] = ()
-    lhs: str = ""
-    rhs: str = ""
-    note: str = ""
-
-    @staticmethod
-    def passing(note: str = "") -> "Report":
-        return Report(True, note=note)
-
-    @staticmethod
-    def failing(axiom: str, witness: tuple[str, ...], lhs: str, rhs: str,
-                note: str = "") -> "Report":
-        return Report(False, axiom=axiom, witness=witness, lhs=lhs, rhs=rhs, note=note)
-
-    def fail_line(self) -> str:
-        """Stable machine-readable failure line (one line, key=value)."""
-        w = ",".join(self.witness)
-        return f"FAIL axiom={self.axiom} witness=({w}) lhs={self.lhs} rhs={self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -420,43 +391,15 @@ def validate_join_semilattice(alg: Algebra) -> Report:
     """Check idempotence, commutativity, associativity, order consistency
     and top absorption of the join table.  First violation in scan order wins.
     """
-    n, top = alg.n, alg.top
-    jv = alg.join.values
-    lq = alg.leq
-    lab = alg.label
-    for x in range(n):
-        if jv[x][x] != x:
-            return Report.failing("join-idempotent", (lab(x),), lab(jv[x][x]), lab(x))
-    for x in range(n):
-        for y in range(n):
-            if jv[x][y] != jv[y][x]:
-                return Report.failing("join-commutative", (lab(x), lab(y)),
-                                      lab(jv[x][y]), lab(jv[y][x]))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                l = jv[x][jv[y][z]]
-                rr = jv[jv[x][y]][z]
-                if l != rr:
-                    return Report.failing("join-associative", (lab(x), lab(y), lab(z)),
-                                          lab(l), lab(rr))
-    for x in range(n):
-        for y in range(n):
-            j = jv[x][y]
-            if not (lq[x][j] and lq[y][j]):
-                return Report.failing("join-order", (lab(x), lab(y)), lab(j),
-                                      "upper bound")
-            for u in range(n):
-                if lq[x][u] and lq[y][u] and not lq[j][u]:
-                    return Report.failing("join-order", (lab(x), lab(y)), lab(j),
-                                          lab(u), note="join is not the least upper bound")
-            if lq[x][y] != (j == y):
-                return Report.failing("join-order", (lab(x), lab(y)), lab(j), lab(y),
-                                      note="order and join table disagree")
-    for x in range(n):
-        if jv[x][top] != top:
-            return Report.failing("top-absorbing", (lab(x),), lab(jv[x][top]), lab(top))
-    return Report.passing("join-semilattice laws hold")
+    return evaluate(alg, JOIN_LAWS, "join-semilattice laws hold")
+
+
+def require_tables(alg: Algebra, *names: str) -> None:
+    """Raise unless the algebra carries each named operation table."""
+    for name in names:
+        if getattr(alg, name) is None:
+            article = "an" if name in ("imp", "r") else "a"
+            raise StructureError(f"this operation requires {article} {name} table")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +479,8 @@ def build_algebra(labels: Sequence[str], *,
         if q_values is not None else None
 
     tag = class_tag or infer_class_tag(meet_t, imp_t, prod_t, r_t, q_t)
-    return Algebra(universe, lq, jt, meet_t, imp_t, prod_t, r_t, q_t, tag, name)
+    # the order caches built by the checks above carry over
+    return alg.replace(meet=meet_t, imp=imp_t, prod=prod_t, r=r_t, q=q_t, class_tag=tag)
 
 
 def infer_class_tag(meet, imp, prod, r, q) -> ClassTag:
@@ -566,30 +510,15 @@ def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
     Missing derivable tables (the meet) are filled in; missing essential
     tables raise.
     """
-    def need(name: str):
-        t = getattr(alg, name)
-        if t is None:
-            raise StructureError(f"class {tag.value} requires a {name} table")
-        return t
-
+    kept = {ClassTag.NCIS: ("imp",), ClassTag.RRS: ("imp", "prod"),
+            ClassTag.SRS: ("imp", "prod"), ClassTag.IALG: ("imp", "r"),
+            ClassTag.RALG: ("imp", "q")}.get(tag, ())
     kw: dict = dict(meet=None, imp=None, prod=None, r=None, q=None,
                     class_tag=tag)
-    if tag == ClassTag.JSL:
-        pass
-    elif tag == ClassTag.SECTIONED:
+    if tag in (ClassTag.SECTIONED, ClassTag.NCIS):
         kw["meet"] = ensure_meet(alg).meet
-    elif tag == ClassTag.NCIS:
-        kw["meet"] = ensure_meet(alg).meet
-        kw["imp"] = need("imp")
-    elif tag in (ClassTag.RRS, ClassTag.SRS):
-        kw["imp"] = need("imp")
-        kw["prod"] = need("prod")
-    elif tag == ClassTag.IALG:
-        kw["imp"] = need("imp")
-        kw["r"] = need("r")
-    elif tag == ClassTag.RALG:
-        kw["imp"] = need("imp")
-        kw["q"] = need("q")
+    require_tables(alg, *kept)
+    kw.update((name, getattr(alg, name)) for name in kept)
     return alg.replace(**kw)
 
 

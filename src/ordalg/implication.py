@@ -10,7 +10,8 @@ exhaustively over the enumerated model corpus.
 
 from __future__ import annotations
 
-from .core import Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet
+from .core import (Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet,
+                   require_tables)
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 
 NcisAlgebra = Algebra  # alias: an Algebra with total imp, partial meet, tag "ncis"
@@ -39,8 +40,7 @@ def derive_implication(alg: Algebra) -> Algebra:
 def derive_sections(alg: Algebra) -> Algebra:
     """Forget the arrow, keeping the partial meet; the sectional
     pseudocomplement of y in [x, 1] is recoverable as imp[y][x]."""
-    if alg.imp is None:
-        raise StructureError("input has no imp table")
+    require_tables(alg, "imp")
     return ensure_meet(alg).replace(imp=None, class_tag=ClassTag.SECTIONED)
 
 
@@ -56,8 +56,7 @@ def validate_ncis(alg: Algebra) -> Report:
     with it and be defined exactly on bounded pairs ("domain" failures).
     Undefined meets inside (2) or (4) are hard structural failures.
     """
-    if alg.imp is None:
-        raise StructureError("class ncis requires an imp table")
+    require_tables(alg, "imp")
     return evaluate(alg, NCIS_AXIOMS, "arrow axioms (1)-(4) hold", gv=alg.glb.values)
 
 
@@ -70,6 +69,5 @@ def check_ncis_properties(alg: Algebra) -> Report:
     (8) ((x->y)->y)->y = x->y
     (9) 1->x = x
     """
-    if alg.imp is None:
-        raise StructureError("class ncis requires an imp table")
+    require_tables(alg, "imp")
     return evaluate(alg, NCIS_PROPERTIES, "arrow properties (5)-(9) hold")

@@ -22,11 +22,18 @@ The tables a scan may name:
     n, top   carrier size and the top's index
     ix       the row's index tuples
     le       le[x][y] is x <= y, read off the join table
+    lq       the stored order ``leq``, which the raw constructor may pass
+             out of step with the join table
+    dn, up   downsets and upsets of the stored order
     jv       join values; iv imp; mv stored meet; pv prod; rv r; qv q
              (``None`` when the algebra has no such table)
-    gv       the partial glb from the order (passed by the validators
-             that compare against it)
-    dn       downsets from the order, for common lower bounds
+
+and, passed by the validators that need them:
+
+    gv       the partial glb of the stored order
+    pc       the sectional pseudocomplements, ``Algebra.pc``
+    unmet    the bounded pairs without a glb (sectioned (a))
+    tv       the ternary table the term schemes read: r, else q
     secs, sp sections [b, 1] and the per-section products (srs only)
 
 To add a law, append a row to its validator's tuple at the place where it
@@ -37,11 +44,44 @@ that no tuple costs a Python call; ``for v in [expr]`` binds a value.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .core import Algebra, Report
+if TYPE_CHECKING:
+    from .core import Algebra
+
+
+@dataclass(frozen=True)
+class Report:
+    """Pass/fail verdict of a validator, with a witness for failures.
+
+    ``witness`` holds element labels; ``lhs``/``rhs`` are the evaluated
+    sides of the violated law (labels, ``-`` for undefined, or
+    ``true``/``false`` for boolean sides).
+    """
+
+    ok: bool
+    axiom: str = ""
+    witness: tuple[str, ...] = ()
+    lhs: str = ""
+    rhs: str = ""
+    note: str = ""
+
+    @staticmethod
+    def passing(note: str = "") -> "Report":
+        return Report(True, note=note)
+
+    @staticmethod
+    def failing(axiom: str, witness: tuple[str, ...], lhs: str, rhs: str,
+                note: str = "") -> "Report":
+        return Report(False, axiom=axiom, witness=witness, lhs=lhs, rhs=rhs, note=note)
+
+    def fail_line(self) -> str:
+        """Stable machine-readable failure line (one line, key=value)."""
+        w = ",".join(self.witness)
+        return f"FAIL axiom={self.axiom} witness=({w}) lhs={self.lhs} rhs={self.rhs}"
 
 
 class Law(NamedTuple):
@@ -67,8 +107,8 @@ def _side(v, labels: tuple[str, ...]) -> str:
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
-    tables = dict(n=alg.n, top=alg.top, le=alg.join_order, dn=alg.downsets,
-                  jv=alg.join.values, mv=_values(alg.meet), iv=_values(alg.imp),
+    tables = dict(n=alg.n, top=alg.top, le=alg.join_order, lq=alg.leq,
+                  dn=alg.downsets, up=alg.upsets, jv=alg.join.values, mv=_values(alg.meet), iv=_values(alg.imp),
                   pv=_values(alg.prod), rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
         hit = next(iter(law.scan(index_tuples(alg.n, law.arity), **tables)), None)
@@ -82,6 +122,53 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
 
 LE = "expected lhs <= rhs"
 UNDEF_MEET = "meet undefined where the axiom needs it"
+
+# ---------------------------------------------------------------------------
+# join-semilattices with top (`validate_join_semilattice`, and the first
+# rows of the total presentations)
+
+JOIN_LAWS = (
+    Law("join-idempotent", 1, "",
+        lambda ix, jv, **_: (((x,), jv[x][x], x) for (x,) in ix if jv[x][x] != x)),
+    Law("join-commutative", 2, "",
+        lambda ix, jv, **_: (((x, y), jv[x][y], jv[y][x])
+                             for x, y in ix if jv[x][y] != jv[y][x])),
+    # x v (y v z) = (x v y) v z
+    Law("join-associative", 3, "",
+        lambda ix, jv, **_: (((x, y, z), l, r) for x, y, z in ix
+                             for l in [jv[x][jv[y][z]]] for r in [jv[jv[x][y]][z]]
+                             if l != r)),
+    # x v y is the least upper bound of x and y in the stored order, and
+    # x <= y there exactly when x v y = y; per pair, the first check failing
+    Law("join-order", 2, "",
+        lambda ix, lq, up, jv, **_: (
+            ((x, y), j, "upper bound") if not (lq[x][j] and lq[y][j]) else
+            ((x, y), j, min(lower), "join is not the least upper bound") if lower else
+            ((x, y), j, y, "order and join table disagree")
+            for x, y in ix for j in [jv[x][y]] for lower in [(up[x] & up[y]) - up[j]]
+            if not (lq[x][j] and lq[y][j]) or lower or lq[x][y] != (j == y))),
+    Law("top-absorbing", 1, "",
+        lambda ix, top, jv, **_: (((x,), jv[x][top], top)
+                                  for (x,) in ix if jv[x][top] != top)),
+)
+
+# ---------------------------------------------------------------------------
+# sections as pseudocomplemented lattices (`validate_sectioned`)
+
+SECTIONED_LAWS = (
+    # (a) every bounded pair has a greatest lower bound ...
+    Law("(a)", 2, "bounded pair without greatest common lower bound",
+        lambda ix, unmet, **_: ((pair, "-", "-") for pair in unmet)),
+    # ... which a stored meet table agrees with
+    Law("(a)", 2, "meet table disagrees with greatest lower bound",
+        lambda ix, mv, gv, **_: iter(()) if mv is None else (
+            ((x, y), mv[x][y], gv[x][y]) for x, y in ix
+            if gv[x][y] is not None and mv[x][y] != gv[x][y])),
+    # (b) every y in [b, 1] has a pseudocomplement there
+    Law("(b)", 2, "no pseudocomplement in section",
+        lambda ix, lq, pc, **_: (((b, y), "-", "-") for b, y in ix
+                                 if lq[b][y] and pc[b][y] is None)),
+)
 
 # ---------------------------------------------------------------------------
 # scans shared by several validators
@@ -433,9 +520,49 @@ RALG_IDENTITIES = (
     Law("(30)", 2, "", _arrow_absorbs),
 )
 
-RALG_SUBVARIETY = (
-    # q(x, x->y, y) = y
-    Law("subvariety", 2, "",
-        lambda ix, iv, qv, **_: (((x, y), v, y) for x, y in ix
-                                 for v in [qv[x][iv[x][y]][y]] if v != y)),
+def _q_divisible(ix, iv, qv, **_):  # q(x, x->y, y) = y
+    return (((x, y), v, y) for x, y in ix for v in [qv[x][iv[x][y]][y]] if v != y)
+
+
+RALG_SUBVARIETY = (Law("subvariety", 2, "", _q_divisible),)
+
+# ---------------------------------------------------------------------------
+# term schemes behind the congruence verdicts (`term_witness_check`); ``tv``
+# is r, or q on a ternary-product algebra, whose rows start with
+# `TERM_Q_DIVISIBLE`
+
+TERM_Q_DIVISIBLE = (
+    Law("(a)", 2, "scheme (a) requires the subvariety identity q(x,x->y,y)=y",
+        _q_divisible),
+)
+
+TERM_SCHEMES = (
+    # (a) 3-permutability: t1(x,y,z) = r(z, y->x, x), t2(x,y,z) = r(x, y->z, z)
+    Law("(a)", 2, "",
+        lambda ix, iv, tv, **_: (
+            ((x, y), a, x, "t1(x,y,y) = x fails") if a != x else
+            ((x, y), b, c, "t1(x,x,y) = t2(x,y,y) fails") if b != c else
+            ((x, y), d, y, "t2(x,x,y) = y fails")
+            for x, y in ix for a in [tv[y][iv[y][x]][x]] for b in [tv[y][iv[x][x]][x]]
+            for c in [tv[x][iv[y][y]][y]] for d in [tv[x][iv[x][y]][y]]
+            if a != x or b != c or d != y)),
+    # (b) distributivity, a chain t0 = x, t1(x,y,z) = r(z,y,x),
+    #     t2(x,y,z) = r(x, y->z, z), t3 = z
+    Law("(b)", 2, "",
+        lambda ix, iv, tv, **_: (
+            ((x, y), a, x, "t1(x,x,y) = x fails") if a != x else
+            ((x, y), b, c, "t1(x,y,y) = t2(x,y,y) fails") if b != c else
+            ((x, y), d, y, "t2(x,x,y) = y fails") if d != y else
+            ((x, y), e, x, "t1(x,y,x) = x fails") if e != x else
+            ((x, y), f, x, "t2(x,y,x) = x fails")
+            for x, y in ix for a in [tv[y][x][x]] for b in [tv[y][y][x]]
+            for c in [tv[x][iv[y][y]][y]] for d in [tv[x][iv[x][y]][y]]
+            for e in [tv[x][y][x]] for f in [tv[x][iv[y][x]][x]]
+            if a != x or b != c or d != y or e != x or f != x)),
+    # (c) weak regularity: x->y = y->x = 1 exactly when x = y
+    Law("(c)", 2, "x->y = y->x = 1 must hold exactly when x = y",
+        lambda ix, top, iv, **_: (
+            ((x, y), "true" if both else "false", "true" if x == y else "false")
+            for x, y in ix for both in [iv[x][y] == top and iv[y][x] == top]
+            if both != (x == y))),
 )

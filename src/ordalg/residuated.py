@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   common_lower_bounds, ensure_meet, leq, section)
+                   common_lower_bounds, ensure_meet, leq, require_tables, section)
 from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
                    evaluate)
@@ -42,12 +42,6 @@ class SrsAlgebra:
     section_prod: tuple[BinTable, ...]
 
 
-def _require(alg: Algebra, *names: str) -> None:
-    for name in names:
-        if getattr(alg, name) is None:
-            raise StructureError(f"class {alg.class_tag.value} requires a {name} table")
-
-
 def _check_adjointness(alg: Algebra) -> Report:
     """Relative adjointness (15): (x v z) . (y v z) <= z iff x v z <= y -> z.
 
@@ -59,7 +53,7 @@ def _check_adjointness(alg: Algebra) -> Report:
 
 def validate_rrs(alg: Algebra) -> Report:
     """Full relatively-residuated check: preamble laws, (11)-(16)."""
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     return evaluate(alg, RRS_BASE + ADJOINTNESS, "relative residuation laws hold")
 
 
@@ -75,7 +69,7 @@ def validate_rrs_identities(alg: Algebra) -> Report:
     against the adjointness verdict on the same algebra; a disagreement
     would falsify the identity characterization and raises.
     """
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     base = evaluate(alg, RRS_BASE)
     if not base.ok:
         return base
@@ -90,7 +84,7 @@ def validate_rrs_identities(alg: Algebra) -> Report:
 
 def check_divisible(alg: Algebra) -> Report:
     """(x v y) . (x -> y) = y for all pairs."""
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     return evaluate(alg, DIVISIBLE, "divisibility holds")
 
 
@@ -100,7 +94,7 @@ def check_rrs_properties(alg: Algebra) -> Report:
     The first inequality of (v) is checked only where x . (x -> y) is
     defined; the pair need not be bounded.
     """
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     return evaluate(alg, RRS_PROPERTIES, "properties (i)-(viii) hold",
                     gv=alg.glb.values)
 
@@ -110,7 +104,7 @@ def check_rrs_properties(alg: Algebra) -> Report:
 
 def srs_from_rrs(alg: Algebra) -> SrsAlgebra:
     """Restrict the product to each section [b, 1]."""
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     n = alg.n
     tables = []
     for b in range(n):
@@ -161,7 +155,7 @@ def validate_srs(srs: SrsAlgebra) -> Report:
     commutative monoid with unit top, compatibility (i), monotonicity (ii),
     sectional adjointness (iii), and the arrow absorption (iv)."""
     alg = srs.alg
-    _require(alg, "imp")
+    require_tables(alg, "imp")
     return evaluate(alg, SRS_LAWS, "sectional residuation laws hold",
                     secs=tuple(section(alg, b) for b in range(alg.n)),
                     sp=tuple(t.values for t in srs.section_prod))
@@ -200,8 +194,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
     """
     if direction == "to_rrs":
         src = ensure_meet(alg)
-        if src.imp is None:
-            raise StructureError("to_rrs requires an imp table")
+        require_tables(src, "imp")
         out = src.replace(prod=src.meet, meet=None, class_tag=ClassTag.RRS)
         for rep in (validate_rrs(out), check_divisible(out),
                     _check_prod_idempotent(out), _check_prod_arrow_bound(out)):
@@ -210,7 +203,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
         return out
 
     if direction == "to_ncis":
-        _require(alg, "imp", "prod")
+        require_tables(alg, "imp", "prod")
         for rep in (check_divisible(alg), _check_prod_idempotent(alg),
                     _check_prod_arrow_bound(alg)):
             if not rep.ok:
@@ -230,8 +223,7 @@ def derive_residual_imp(alg: Algebra) -> BinTable | None:
     a principal down-set of the section; its maximum is y -> z.  Returns
     None when some pair admits no residual.
     """
-    if alg.prod is None:
-        raise StructureError("residual derivation requires a prod table")
+    require_tables(alg, "prod")
     n = alg.n
     jv, pv = alg.join.values, alg.prod.values
     rows = [[0] * n for _ in range(n)]

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .core import (Algebra, MeetError, Report, StructureError, leq,
                    partial_meet, section)
+from .laws import SECTIONED_LAWS, evaluate
 
 
 @dataclass(frozen=True)
@@ -60,28 +61,12 @@ def section_report(alg: Algebra, base: int) -> SectionReport:
 def validate_sectioned(alg: Algebra) -> Report:
     """PASS iff (a) every bounded pair has a greatest common lower bound and
     (b) every element of every section has a pseudocomplement there."""
-    n = alg.n
-    lab = alg.label
     try:
-        gv = alg.glb.values
+        tables = dict(gv=alg.glb.values, pc=alg.pc.values, unmet=())
     except MeetError as exc:
-        return Report.failing("(a)", tuple(map(lab, exc.pair)), "-", "-",
-                              note="bounded pair without greatest common lower bound")
-    if alg.meet is not None:
-        for x in range(n):
-            for y in range(n):
-                stored = alg.meet.values[x][y]
-                if gv[x][y] is not None and stored != gv[x][y]:
-                    return Report.failing("(a)", (lab(x), lab(y)),
-                                          "-" if stored is None else lab(stored),
-                                          lab(gv[x][y]),
-                                          note="meet table disagrees with greatest lower bound")
-    for base in range(n):
-        for y in section(alg, base):
-            if alg.pc[base][y] is None:
-                return Report.failing("(b)", (lab(base), lab(y)), "-", "-",
-                                      note="no pseudocomplement in section")
-    return Report.passing("every section is a pseudocomplemented lattice")
+        tables = dict(gv=None, pc=None, unmet=(exc.pair,))
+    return evaluate(alg, SECTIONED_LAWS, "every section is a pseudocomplemented lattice",
+                    **tables)
 
 
 def section_shape_report(alg: Algebra, base: int) -> SectionShape:

@@ -9,23 +9,17 @@ the conversions to and from the partial form are mutually inverse.
 from __future__ import annotations
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   TernTable, common_lower_bounds, ensure_meet,
-                   validate_join_semilattice)
-from .laws import IALG_IDENTITIES, RALG_IDENTITIES, RALG_SUBVARIETY, evaluate
+                   TernTable, common_lower_bounds, ensure_meet, require_tables)
+from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
+                   evaluate)
 
 IAlgebra = Algebra  # alias: total imp and total r, tag "ialg"
 RAlgebra = Algebra  # alias: total imp and total q, tag "ralg"
 
 
-def _require(alg: Algebra, *names: str) -> None:
-    for name in names:
-        if getattr(alg, name) is None:
-            raise StructureError(f"this operation requires a {name} table")
-
-
 def ialgebra_from_ncis(alg: Algebra) -> Algebra:
     """Total ternary meet-of-joins table from the partial meet."""
-    _require(alg, "imp")
+    require_tables(alg, "imp")
     src = ensure_meet(alg)
     n = src.n
     jv, mv = src.join.values, src.meet.values
@@ -59,7 +53,7 @@ def _readback(alg: Algebra, name: str) -> BinTable:
 
 def ncis_from_ialgebra(alg: Algebra) -> Algebra:
     """Partial meet recovered from r (see `_readback`)."""
-    _require(alg, "imp", "r")
+    require_tables(alg, "imp", "r")
     return alg.replace(meet=_readback(alg, "r"), r=None, class_tag=ClassTag.NCIS)
 
 
@@ -78,16 +72,14 @@ def validate_ialgebra(alg: Algebra) -> Report:
     (9')  z <= r(x,y,z)
     (10') r(u, r(x,y,z), z) = r(r(u,x,z), r(u,y,z), z)
     """
-    _require(alg, "imp", "r")
-    base = validate_join_semilattice(alg)
-    if not base.ok:
-        return base
-    return evaluate(alg, IALG_IDENTITIES, "ternary-meet identities (1')-(10') hold")
+    require_tables(alg, "imp", "r")
+    return evaluate(alg, JOIN_LAWS + IALG_IDENTITIES,
+                    "ternary-meet identities (1')-(10') hold")
 
 
 def ralgebra_from_rrs(alg: Algebra) -> Algebra:
     """Total ternary product-of-joins table from the partial product."""
-    _require(alg, "imp", "prod")
+    require_tables(alg, "imp", "prod")
     n = alg.n
     jv, pv = alg.join.values, alg.prod.values
     vals = []
@@ -109,7 +101,7 @@ def ralgebra_from_rrs(alg: Algebra) -> Algebra:
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:
     """Partial product recovered from q (see `_readback`)."""
-    _require(alg, "imp", "q")
+    require_tables(alg, "imp", "q")
     return alg.replace(prod=_readback(alg, "q"), q=None, class_tag=ClassTag.RRS)
 
 
@@ -129,9 +121,6 @@ def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:
     (29) q(x,y,z) = q(x v z, y v z, z)
     (30) (x v y)->y = x->y
     """
-    _require(alg, "imp", "q")
-    base = validate_join_semilattice(alg)
-    if not base.ok:
-        return base
-    return evaluate(alg, RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
+    require_tables(alg, "imp", "q")
+    return evaluate(alg, JOIN_LAWS + RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
                     "ternary-product identities (20)-(30) hold")

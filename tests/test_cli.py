@@ -86,6 +86,18 @@ def test_check_missing_table_is_usage_error(tmp_path, capsys):
     assert main(["check", str(p), "--class", "ncis"]) == 2
 
 
+@pytest.mark.parametrize("argv, table", [
+    (["check", "--class", "rrs"], "a prod"),
+    (["check", "--class", "ialg"], "an r"),
+    (["check", "--props", "--class", "ralg"], "a q"),
+    (["roundtrip", "--pair", "rrs-ralg"], "a prod"),
+])
+def test_missing_table_message(fig1_ncis_file, capsys, argv, table):
+    assert main(argv[:1] + [fig1_ncis_file] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"this operation requires {table} table\n")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.alg"
     p.write_text("algebra\nelements: a a\nend\n", encoding="utf-8")

@@ -3,10 +3,16 @@ import pytest
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG2_NCIS_SRC,
                       ONE_ELEMENT_SRC, idx)
 from oracles import oracle_glb, oracle_lub
-from ordalg import (Algebra, BinTable, ClassTag, ParseError, Universe,
-                    build_algebra, common_lower_bounds, join, leq,
-                    parse_algebra, partial_meet, section, serialize_algebra,
-                    validate_join_semilattice)
+from ordalg import (Algebra, BinTable, ClassTag, ParseError, SearchSpec,
+                    StructureError, Universe, build_algebra, check_ncis_properties,
+                    common_lower_bounds, derive_residual_imp, derive_sections,
+                    enumerate_models, ialgebra_from_ncis, join, leq,
+                    ncis_rrs_bridge, parse_algebra, partial_meet,
+                    project_to_class, section, serialize_algebra,
+                    term_witness_check, validate_ialgebra, validate_join_semilattice,
+                    validate_ncis, validate_ralgebra, validate_rrs,
+                    validate_sectioned)
+from ordalg import core
 
 
 # --- parsing ---------------------------------------------------------------
@@ -264,3 +270,35 @@ def test_replace_carries_order_caches_only_over_the_same_order(fig1):
     rejoined = fig1.replace(join=BinTable(fig1.join.values, total=True))
     assert "glb" not in rejoined.__dict__ and "pc" not in rejoined.__dict__
     assert rejoined.glb == glb
+
+
+@pytest.mark.parametrize("tag, validate", [(ClassTag.NCIS, validate_ncis),
+                                           (ClassTag.SECTIONED, validate_sectioned)])
+def test_parsed_algebra_keeps_the_glb_that_checked_its_meet(monkeypatch, tag, validate):
+    """`build_algebra` hands on the glb table it built to check a stored
+    meet, so parsing and validating a file builds one glb table."""
+    texts = [serialize_algebra(m) for m in enumerate_models(SearchSpec(tag, 6))]
+    calls = []
+    real = core.glb_table
+    monkeypatch.setattr(core, "glb_table", lambda *a: calls.append(a) or real(*a))
+    assert all(validate(parse_algebra(text)).ok for text in texts)
+    assert (len(texts), len(calls)) == (45, 45)
+
+
+@pytest.mark.parametrize("call", [
+    validate_ncis, check_ncis_properties, derive_sections, validate_rrs,
+    validate_ialgebra, validate_ralgebra, ialgebra_from_ncis, term_witness_check,
+    lambda a: project_to_class(a, ClassTag.RRS),
+    lambda a: ncis_rrs_bridge(a, "to_rrs")])
+def test_a_missing_table_has_one_message(fig1_order, call):
+    with pytest.raises(StructureError, match=r"^this operation requires an imp table$"):
+        call(fig1_order)
+
+
+def test_the_missing_table_message_names_the_table(fig1, fig1_order):
+    with pytest.raises(StructureError, match=r"^this operation requires a prod table$"):
+        derive_residual_imp(fig1_order)
+    with pytest.raises(StructureError, match=r"^this operation requires an r table$"):
+        validate_ialgebra(fig1)
+    with pytest.raises(StructureError, match=r"^this operation requires a q table$"):
+        validate_ralgebra(fig1)
