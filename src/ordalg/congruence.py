@@ -50,9 +50,10 @@ class Partition:
 
     @staticmethod
     def from_parent(parent: list[int]) -> "Partition":
+        n = len(parent)
         rep: dict[int, int] = {}
-        out = [0] * len(parent)
-        for i in range(len(parent)):
+        out = [0] * n
+        for i in range(n):
             r = _find(parent, i)
             if r not in rep:
                 rep[r] = i

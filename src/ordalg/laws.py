@@ -36,6 +36,9 @@ and, passed by the validators that need them:
     tv       the ternary table the term schemes read: r, else q
     secs, sp sections [b, 1] and the per-section products (srs only)
 
+``le``, ``dn`` and ``up`` are the algebra's cached order tables; `evaluate`
+builds them only when a row names them among its parameters.
+
 To add a law, append a row to its validator's tuple at the place where it
 is to be checked.  The scan is one generator expression that reads both
 sides from the tables and applies the relation inside the generator, so
@@ -104,13 +107,21 @@ def _side(v, labels: tuple[str, ...]) -> str:
     return "-" if v is None else v if isinstance(v, str) else labels[v]
 
 
+# tables read off the order, built on first use by a row that names them
+_ORDER_TABLES = {"le": "join_order", "dn": "downsets", "up": "upsets"}
+
+
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
-    tables = dict(n=alg.n, top=alg.top, le=alg.join_order, lq=alg.leq,
-                  dn=alg.downsets, up=alg.upsets, jv=alg.join.values, mv=_values(alg.meet), iv=_values(alg.imp),
-                  pv=_values(alg.prod), rv=_values(alg.r), qv=_values(alg.q), **extra)
+    tables = dict(n=alg.n, top=alg.top, lq=alg.leq, jv=alg.join.values,
+                  mv=_values(alg.meet), iv=_values(alg.imp), pv=_values(alg.prod),
+                  rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
+        code = law.scan.__code__
+        for name in code.co_varnames[1:code.co_argcount]:
+            if name not in tables:
+                tables[name] = getattr(alg, _ORDER_TABLES[name])
         hit = next(iter(law.scan(index_tuples(alg.n, law.arity), **tables)), None)
         if hit is not None:
             witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]
