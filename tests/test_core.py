@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG2_NCIS_SRC,
                       ONE_ELEMENT_SRC, idx)
 from oracles import oracle_glb, oracle_lub
 from ordalg import (Algebra, BinTable, ClassTag, ParseError, SearchSpec,
-                    StructureError, Universe, build_algebra, check_ncis_properties,
-                    common_lower_bounds, derive_residual_imp, derive_sections,
-                    enumerate_models, ialgebra_from_ncis, join, leq,
+                    StructureError, TernTable, Universe, build_algebra,
+                    check_ncis_properties, common_lower_bounds,
+                    derive_residual_imp, derive_sections, enumerate_models,
+                    first_table_difference, ialgebra_from_ncis, join, leq,
                     ncis_rrs_bridge, parse_algebra, partial_meet,
-                    project_to_class, section, serialize_algebra,
+                    project_to_class, ralgebra_from_rrs, relabel, section,
+                    serialize_algebra,
                     term_witness_check, validate_ialgebra, validate_join_semilattice,
                     validate_ncis, validate_ralgebra, validate_rrs,
                     validate_sectioned)
@@ -302,3 +306,55 @@ def test_the_missing_table_message_names_the_table(fig1, fig1_order):
         validate_ialgebra(fig1)
     with pytest.raises(StructureError, match=r"^this operation requires a q table$"):
         validate_ralgebra(fig1)
+
+
+# --- ternary tables: relabel and the table diff ------------------------------
+
+def _set_cell(table: TernTable, cell: tuple[int, int, int], value: int) -> TernTable:
+    vals = [[list(row) for row in plane] for plane in table.values]
+    i, j, k = cell
+    vals[i][j][k] = value
+    return TernTable(tuple(tuple(tuple(row) for row in plane) for plane in vals))
+
+
+def test_first_table_difference_names_the_first_differing_ternary_cell(fig1, fig1_rrs):
+    ia, ra = ialgebra_from_ncis(fig1), ralgebra_from_rrs(fig1_rrs)
+    assert first_table_difference(ia, ia) is None
+    assert first_table_difference(ra, ra) is None
+    # (d,a,c) comes after (b,c,d) in the scan, so (b,c,d) is named
+    changed = ia.replace(r=_set_cell(_set_cell(ia.r, (3, 0, 2), 0), (1, 2, 3), 4))
+    assert first_table_difference(ia, changed) == ("r", ("b", "c", "d"), "d", "1")
+    assert first_table_difference(changed, ia) == ("r", ("b", "c", "d"), "1", "d")
+    changed = ra.replace(q=_set_cell(ra.q, (0, 4, 1), 2))
+    assert first_table_difference(ra, changed) == ("q", ("a", "1", "b"), "b", "c")
+
+
+def test_first_table_difference_reports_a_one_sided_ternary_table(fig1, fig1_rrs):
+    ia, ra = ialgebra_from_ncis(fig1), ralgebra_from_rrs(fig1_rrs)
+    assert first_table_difference(ia, ia.replace(r=None)) == ("r", (), "present", "-")
+    assert first_table_difference(ia.replace(r=None), ia) == ("r", (), "-", "present")
+    assert first_table_difference(ra.replace(q=None), ra) == ("q", (), "-", "present")
+    # r comes before q, and a one-sided imp before either
+    assert first_table_difference(ia, ra) == ("r", (), "present", "-")
+    assert first_table_difference(ra, ia) == ("r", (), "-", "present")
+    assert first_table_difference(ia.replace(imp=None), ra) == ("imp", (), "-", "present")
+
+
+def test_relabel_moves_every_table_cell(fig1, fig1_rrs):
+    p = [2, 0, 3, 1, 4]
+
+    def cell(values, coords):
+        for c in coords:
+            values = values[c]
+        return values
+
+    for alg in (ialgebra_from_ncis(fig1), ralgebra_from_rrs(fig1_rrs), fig1):
+        moved = relabel(alg, p)
+        assert moved.labels == ("b", "d", "a", "c", "1")
+        for name, table in alg.tables():
+            arity = 3 if isinstance(table, TernTable) else 2
+            for coords in itertools.product(range(5), repeat=arity):
+                v = cell(table.values, coords)
+                assert cell(getattr(moved, name).values, [p[c] for c in coords]) == \
+                    (None if v is None else p[v])
+        assert relabel(moved, [p.index(i) for i in range(5)]) == alg
