@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import Algebra, Report, StructureError, require_tables
+from .core import Algebra, Report, StructureError, TernTable, require_tables
 from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, evaluate
 
 
@@ -111,16 +111,20 @@ class Partition:
                        for blk in self.blocks())
 
 
+def _ternary(alg: Algebra) -> TernTable:
+    """The ternary table of an algebra with an arrow: r, else q."""
+    require_tables(alg, "imp")
+    if alg.r is None and alg.q is None:
+        raise StructureError("this operation requires an r or q table")
+    return alg.r if alg.r is not None else alg.q
+
+
 def _total_ops(alg: Algebra):
     """Basic operations of the total signature; rejects partial tables."""
     if alg.meet is not None or alg.prod is not None:
         raise ValueError("congruence analysis requires total operations only "
                          "(partial meet/product present)")
-    if alg.imp is None:
-        raise ValueError("congruence analysis requires an imp table")
-    tern = alg.r if alg.r is not None else alg.q
-    if tern is None:
-        raise ValueError("congruence analysis requires an r or q table")
+    tern = _ternary(alg)
     return [(2, alg.join.values), (2, alg.imp.values)], tern.values
 
 
@@ -337,9 +341,6 @@ def term_witness_check(alg: Algebra) -> Report:
     On a ternary-product algebra, q replaces r and scheme (a) requires the
     divisibility identity q(x, x->y, y) = y.
     """
-    require_tables(alg, "imp")
-    tern = alg.r if alg.r is not None else alg.q
-    if tern is None:
-        raise StructureError("this operation requires an r or q table")
+    tern = _ternary(alg)
     laws = TERM_SCHEMES if alg.r is not None else TERM_Q_DIVISIBLE + TERM_SCHEMES
     return evaluate(alg, laws, "all term schemes hold pointwise", tv=tern.values)

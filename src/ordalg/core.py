@@ -9,6 +9,7 @@ be shared freely across threads or worker processes without synchronization.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -18,6 +19,13 @@ from .laws import JOIN_LAWS, Report, evaluate
 
 UNDEF = None
 UNDEF_TOKEN = "-"
+
+# The operation slots of an `Algebra`, in file and table order: name ->
+# (arity, total).  The join is always present, the others are optional: the
+# partial meet of the sections, the arrow, the partial product of the
+# residuated forms, and the total ternary r or q of the I-algebras.
+OPS = {"join": (2, True), "meet": (2, False), "imp": (2, True),
+       "prod": (2, False), "r": (3, True), "q": (3, True)}
 
 
 class OrdalgError(Exception):
@@ -182,6 +190,10 @@ class Algebra:
     def label(self, i: int) -> str:
         return self.universe.labels[i]
 
+    def token(self, v: int | None) -> str:
+        """A table value as files and tables print it: its label, or ``-``."""
+        return UNDEF_TOKEN if v is None else self.universe.labels[v]
+
     @cached_property
     def index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -240,8 +252,8 @@ class Algebra:
 
     def tables(self) -> tuple[tuple[str, BinTable | TernTable], ...]:
         """Present operation tables in canonical slot order."""
-        out = [("join", self.join)]
-        for name in ("meet", "imp", "prod", "r", "q"):
+        out = []
+        for name in OPS:
             t = getattr(self, name)
             if t is not None:
                 out.append((name, t))
@@ -351,6 +363,21 @@ def order_from_join(values: Sequence[Sequence[int]]) -> tuple[tuple[bool, ...], 
     return tuple(tuple(values[i][j] == j for j in range(n)) for i in range(n))
 
 
+def _make_table(name: str, values) -> BinTable | TernTable:
+    """The table of slot ``name`` from nested rows of element indices."""
+    arity, total = OPS[name]
+    if arity == 2:
+        return BinTable.from_rows(values, total)
+    return TernTable(tuple(tuple(tuple(row) for row in plane) for plane in values))
+
+
+def entry(values, cell: Sequence[int]) -> int | None:
+    """The value of nested table values at a cell ``(i, j, ...)``."""
+    for c in cell:
+        values = values[c]
+    return values
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     """Generated-model labels: letters for the body, ``1`` for the top."""
     if n == 1:
@@ -456,31 +483,33 @@ def build_algebra(labels: Sequence[str], *,
         raise StructureError(f"not a join-semilattice: {rep.axiom} at "
                              f"({','.join(rep.witness)})")
 
-    meet_t = None
-    if meet_values is not None:
-        meet_t = BinTable.from_rows(meet_values, total=False)
-        true_meet = alg.glb
-        for i in range(n):
-            for j in range(n):
-                got, want = meet_t.values[i][j], true_meet.values[i][j]
-                if (got is None) != (want is None):
-                    raise StructureError(
-                        f"meet table domain mismatch at ({labels[i]},{labels[j]})")
-                if got != want:
-                    raise StructureError(
-                        "meet table does not match the greatest lower bound at "
-                        f"({labels[i]},{labels[j]})")
+    given = {"meet": meet_values, "imp": imp_values, "prod": prod_values,
+             "r": r_values, "q": q_values}
+    extra = {}
+    for slot, values in given.items():
+        if values is not None:
+            extra[slot] = _make_table(slot, values)
+            if slot == "meet":
+                _check_meet(alg, extra[slot])
 
-    imp_t = BinTable.from_rows(imp_values, total=True) if imp_values is not None else None
-    prod_t = BinTable.from_rows(prod_values, total=False) if prod_values is not None else None
-    r_t = TernTable(tuple(tuple(tuple(row) for row in plane) for plane in r_values)) \
-        if r_values is not None else None
-    q_t = TernTable(tuple(tuple(tuple(row) for row in plane) for plane in q_values)) \
-        if q_values is not None else None
-
-    tag = class_tag or infer_class_tag(meet_t, imp_t, prod_t, r_t, q_t)
+    tag = class_tag or infer_class_tag(*(extra.get(slot) for slot in given))
     # the order caches built by the checks above carry over
-    return alg.replace(meet=meet_t, imp=imp_t, prod=prod_t, r=r_t, q=q_t, class_tag=tag)
+    return alg.replace(**extra, class_tag=tag)
+
+
+def _check_meet(alg: Algebra, meet: BinTable) -> None:
+    """Raise unless a stored meet table is the greatest lower bound."""
+    labels, glb = alg.labels, alg.glb.values
+    for i in range(alg.n):
+        for j in range(alg.n):
+            got, want = meet.values[i][j], glb[i][j]
+            if (got is None) != (want is None):
+                raise StructureError(
+                    f"meet table domain mismatch at ({labels[i]},{labels[j]})")
+            if got != want:
+                raise StructureError(
+                    "meet table does not match the greatest lower bound at "
+                    f"({labels[i]},{labels[j]})")
 
 
 def infer_class_tag(meet, imp, prod, r, q) -> ClassTag:
@@ -513,8 +542,8 @@ def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
     kept = {ClassTag.NCIS: ("imp",), ClassTag.RRS: ("imp", "prod"),
             ClassTag.SRS: ("imp", "prod"), ClassTag.IALG: ("imp", "r"),
             ClassTag.RALG: ("imp", "q")}.get(tag, ())
-    kw: dict = dict(meet=None, imp=None, prod=None, r=None, q=None,
-                    class_tag=tag)
+    kw: dict = {name: None for name in OPS if name != "join"}
+    kw["class_tag"] = tag
     if tag in (ClassTag.SECTIONED, ClassTag.NCIS):
         kw["meet"] = ensure_meet(alg).meet
     require_tables(alg, *kept)
@@ -533,32 +562,17 @@ def relabel(alg: Algebra, new_of_old: Sequence[int],
     new_labels = tuple(labels) if labels is not None else \
         tuple(alg.labels[inv[i]] for i in range(n))
 
-    def permute_bin(t: BinTable | None) -> BinTable | None:
-        if t is None:
-            return None
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = t.values[inv[i]][inv[j]]
-                row.append(None if v is None else p[v])
-            rows.append(tuple(row))
-        return BinTable(tuple(rows), t.total)
-
-    def permute_tern(t: TernTable | None) -> TernTable | None:
-        if t is None:
-            return None
-        vals = tuple(tuple(tuple(p[t.values[inv[i]][inv[j]][inv[k]]]
-                                 for k in range(n)) for j in range(n))
-                     for i in range(n))
-        return TernTable(vals)
+    def permute(values, arity: int):
+        """``values`` with each argument and the value moved along p."""
+        if arity == 0:
+            return None if values is None else p[values]
+        return tuple(permute(values[inv[i]], arity - 1) for i in range(n))
 
     lq = tuple(tuple(alg.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n))
-    return Algebra(Universe(new_labels, p[alg.top]), lq,
-                   permute_bin(alg.join), permute_bin(alg.meet),
-                   permute_bin(alg.imp), permute_bin(alg.prod),
-                   permute_tern(alg.r), permute_tern(alg.q),
-                   alg.class_tag, alg.name)
+    moved = {name: dataclasses.replace(t, values=permute(t.values, OPS[name][0]))
+             for name, t in alg.tables()}
+    return Algebra(Universe(new_labels, p[alg.top]), lq, **moved,
+                   class_tag=alg.class_tag, name=alg.name)
 
 
 def first_table_difference(a: Algebra, b: Algebra):
@@ -572,32 +586,17 @@ def first_table_difference(a: Algebra, b: Algebra):
         return ("elements", (), " ".join(a.labels), " ".join(b.labels))
     n = a.n
 
-    def tok(alg: Algebra, v: int | None) -> str:
-        return UNDEF_TOKEN if v is None else alg.label(v)
-
-    for name in ("join", "meet", "imp", "prod"):
+    for name, (arity, _) in OPS.items():
         ta, tb = getattr(a, name), getattr(b, name)
         if (ta is None) != (tb is None):
             return (name, (), "present" if ta is not None else UNDEF_TOKEN,
                     "present" if tb is not None else UNDEF_TOKEN)
         if ta is None:
             continue
-        for i in range(n):
-            for j in range(n):
-                if ta.values[i][j] != tb.values[i][j]:
-                    return (name, (a.label(i), a.label(j)),
-                            tok(a, ta.values[i][j]), tok(b, tb.values[i][j]))
-    for name in ("r", "q"):
-        ta, tb = getattr(a, name), getattr(b, name)
-        if (ta is None) != (tb is None):
-            return (name, (), "present" if ta is not None else UNDEF_TOKEN,
-                    "present" if tb is not None else UNDEF_TOKEN)
-        if ta is None:
+        if ta.values == tb.values:
             continue
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if ta.values[i][j][k] != tb.values[i][j][k]:
-                        return (name, (a.label(i), a.label(j), a.label(k)),
-                                a.label(ta.values[i][j][k]), b.label(tb.values[i][j][k]))
+        for cell in itertools.product(range(n), repeat=arity):
+            va, vb = entry(ta.values, cell), entry(tb.values, cell)
+            if va != vb:
+                return (name, tuple(a.label(c) for c in cell), a.token(va), b.token(vb))
     return None

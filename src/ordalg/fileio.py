@@ -22,29 +22,40 @@ The format is UTF-8 text; ``#`` starts a comment.  A file holds one algebra:
       ...
     end
 
-Row i, column j of a binary block is op(e_i, e_j).  `serialize_algebra`
-reproduces this layout canonically (single spaces, two-space indent, rows in
-element order), and `parse_algebra(serialize_algebra(a))` returns an algebra
-equal to ``a`` field by field.
+The ``op`` headers and their order come from the slot table `core.OPS`:
+``op <name>:`` for a total slot, ``op <name> partial:`` for a partial one.
+Row i, column j of a binary block is op(e_i, e_j); a ternary block is n
+blocks of n such rows, block k fixing the third argument.
+`serialize_algebra` reproduces this layout canonically (single spaces,
+two-space indent, rows in element order, blocks apart by a blank line), and
+`parse_algebra(serialize_algebra(a))` returns an algebra equal to ``a``
+field by field.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-from .core import (Algebra, ParseError, StructureError, UNDEF_TOKEN,
-                   build_algebra)
+from .core import (OPS, Algebra, ParseError, StructureError, UNDEF_TOKEN,
+                   build_algebra, entry)
 
 _TOKEN = re.compile(r"\S+")
 
-_BINARY_HEADERS = {
-    ("op", "join:"): ("join", True),
-    ("op", "meet", "partial:"): ("meet", False),
-    ("op", "imp:"): ("imp", True),
-    ("op", "prod", "partial:"): ("prod", False),
-}
-_TERNARY_HEADERS = {("op", "r:"): "r", ("op", "q:"): "q"}
+_HEADERS = {name: f"op {name}{'' if total else ' partial'}:"
+            for name, (_, total) in OPS.items()}
+_SLOT_OF_HEADER = {header: name for name, header in _HEADERS.items()}
+
+
+def _values(rows: list[list[int | None]], n: int, arity: int):
+    """Nested table values from the rows of an ``op`` block: a binary table
+    is its rows, a ternary one n blocks of n rows, block k fixing z = e_k,
+    the order in which `serialize_algebra` writes them."""
+    if arity == 2:
+        return rows
+    return tuple(tuple(tuple(rows[k * n + i][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 @dataclass
@@ -98,7 +109,6 @@ def parse_algebra(text: str) -> Algebra:
     order_pairs: list[tuple[int, int]] = []
     have_order = False
     blocks: dict[str, list[list[int | None]]] = {}
-    tern_blocks: dict[str, list[list[int]]] = {}
 
     def element(tok: str, line: _Line, col: int) -> int:
         if tok not in index:
@@ -162,21 +172,14 @@ def parse_algebra(text: str) -> Algebra:
         elif head == "op":
             need_elements(line)
             n = len(labels)  # type: ignore[arg-type]
-            key = tuple(line.words)
-            if key in _BINARY_HEADERS:
-                kind, total = _BINARY_HEADERS[key]
-                if kind in blocks:
-                    raise ParseError(f"duplicate 'op {kind}' block", line.no, line.toks[0][1])
-                blocks[kind] = [read_row(kind, total, n) for _ in range(n)]
-            elif key in _TERNARY_HEADERS:
-                kind = _TERNARY_HEADERS[key]
-                if kind in tern_blocks:
-                    raise ParseError(f"duplicate 'op {kind}' block", line.no, line.toks[0][1])
-                rows = [read_row(kind, True, n) for _ in range(n * n)]
-                tern_blocks[kind] = rows  # type: ignore[assignment]
-            else:
-                raise ParseError(f"unknown op header '{' '.join(line.words)}'",
-                                 line.no, line.toks[0][1])
+            header = " ".join(line.words)
+            if header not in _SLOT_OF_HEADER:
+                raise ParseError(f"unknown op header '{header}'", line.no, line.toks[0][1])
+            kind = _SLOT_OF_HEADER[header]
+            if kind in blocks:
+                raise ParseError(f"duplicate 'op {kind}' block", line.no, line.toks[0][1])
+            arity, total = OPS[kind]
+            blocks[kind] = [read_row(kind, total, n) for _ in range(n ** (arity - 1))]
         else:
             raise ParseError(f"unexpected '{head}'", line.no, line.toks[0][1])
 
@@ -186,70 +189,31 @@ def parse_algebra(text: str) -> Algebra:
     if labels is None:
         raise ParseError("missing 'elements:' line")
 
-    n = len(labels)
-
-    def tern_values(kind: str):
-        if kind not in tern_blocks:
-            return None
-        rows = tern_blocks[kind]
-        # rows come in n blocks of n rows; block k fixes z = e_k
-        return tuple(tuple(tuple(rows[k * n + i][j] for k in range(n))
-                           for j in range(n)) for i in range(n))
-
+    tables = {f"{kind}_values": _values(rows, len(labels), OPS[kind][0])
+              for kind, rows in blocks.items()}
     try:
-        return build_algebra(
-            labels,
-            order_pairs=order_pairs if have_order else None,
-            join_values=blocks.get("join"),
-            meet_values=blocks.get("meet"),
-            imp_values=blocks.get("imp"),
-            prod_values=blocks.get("prod"),
-            r_values=tern_values("r"),
-            q_values=tern_values("q"),
-            name=name,
-        )
+        return build_algebra(labels, order_pairs=order_pairs if have_order else None,
+                             name=name, **tables)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_algebra(alg: Algebra) -> str:
     """Canonical file text for an algebra (bit-exact round-trip)."""
-    lab = alg.label
     n = alg.n
-
-    def tok(v: int | None) -> str:
-        return UNDEF_TOKEN if v is None else lab(v)
-
     out = ["algebra"]
     if alg.name:
         out.append(f"name: {alg.name}")
     out.append("elements: " + " ".join(alg.labels))
 
-    def bin_block(header: str, table) -> None:
-        out.append(header)
-        for i in range(n):
-            out.append("  " + " ".join(tok(table.values[i][j]) for j in range(n)))
-
-    bin_block("op join:", alg.join)
-    if alg.meet is not None:
-        bin_block("op meet partial:", alg.meet)
-    if alg.imp is not None:
-        bin_block("op imp:", alg.imp)
-    if alg.prod is not None:
-        bin_block("op prod partial:", alg.prod)
-
-    def tern_block(header: str, table) -> None:
-        out.append(header)
-        for k in range(n):
-            if k:
+    for name, table in alg.tables():
+        out.append(_HEADERS[name])
+        blocks = itertools.product(range(n), repeat=OPS[name][0] - 2)
+        for b, rest in enumerate(blocks):
+            if b:
                 out.append("")
-            for i in range(n):
-                out.append("  " + " ".join(lab(table.values[i][j][k]) for j in range(n)))
-
-    if alg.r is not None:
-        tern_block("op r:", alg.r)
-    if alg.q is not None:
-        tern_block("op q:", alg.q)
+            out += ["  " + " ".join([alg.token(entry(v, rest)) for v in row])
+                    for row in table.values]
 
     out.append("end")
     return "\n".join(out) + "\n"

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import (FIG1_NCIS_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
+from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
                       FIG2_ORDER_SRC, ONE_ELEMENT_SRC)
 from ordalg.cli import main, render_table
 from ordalg import parse_algebra
@@ -223,6 +223,16 @@ def test_con_full_blocks(tmp_path, fig2_ncis_file, capsys):
 
 def test_con_rejects_partial_signature(fig1_ncis_file, capsys):
     assert main(["con", fig1_ncis_file]) == 2
+
+
+def test_con_names_a_missing_table_as_every_verb_does(tmp_path, capsys):
+    arrow_only = FIG1_NCIS_SRC[:FIG1_NCIS_SRC.index("op meet partial:")] + \
+        FIG1_NCIS_SRC[FIG1_NCIS_SRC.index("op imp:"):]
+    for src, table in ((FIG1_ORDER_SRC, "an imp"), (arrow_only, "an r or q")):
+        path = tmp_path / "a.alg"
+        path.write_text(src, encoding="utf-8")
+        assert main(["con", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"this operation requires {table} table\n")
 
 
 def test_search_count(capsys):
