@@ -86,6 +86,23 @@ def oracle_is_sectioned(leq):
     return True
 
 
+
+def oracle_section_laws(leq, base):
+    """(modular, distributive) of the section [base, 1], by scanning the
+    modular law x <= z => x v (y ^ z) = (x v y) ^ z and the distributive
+    law x ^ (y v z) = (x ^ y) v (x ^ z) over every triple of the section,
+    with joins and meets from `oracle_lub` and `oracle_glb`."""
+    n = len(leq)
+    sec = [x for x in range(n) if leq[base][x]]
+    lub = lambda x, y: oracle_lub(leq, x, y)
+    glb = lambda x, y: oracle_glb(leq, x, y)
+    triples = list(product(sec, repeat=3))
+    modular = all(lub(x, glb(y, z)) == glb(lub(x, y), z)
+                  for x, y, z in triples if leq[x][z])
+    distributive = all(glb(x, lub(y, z)) == lub(glb(x, y), glb(x, z))
+                       for x, y, z in triples)
+    return modular, distributive
+
 # --- labeled join-semilattice enumeration (independent of the package) -----
 
 def brute_jsl_matrices(n):

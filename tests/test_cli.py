@@ -361,3 +361,12 @@ def test_parser_is_built_once_and_keeps_no_state(fig2_ncis_file, capsys):
     assert capsys.readouterr().out == "PASS class=ncis\n"
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_an_order_cycle_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "cycle.alg"
+    path.write_text("algebra\nelements: a b 1\norder:\n  a < b\n  b < a\nend\n",
+                    encoding="utf-8")
+    assert main(["check", str(path), "--class", "jsl"]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: order not antisymmetric: a and b form a cycle\n")
