@@ -214,7 +214,9 @@ class ConLattice:
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
     """All congruences, generated as joins of the principal ones: each round
-    joins the congruences found last with every principal one."""
+    joins the congruences found last with every principal one.  The
+    signature is checked first, as a one-element algebra has no pair."""
+    _total_ops(alg)
     n = alg.n
     principal = {principal_congruence(alg, a, b) for a, b in combinations(range(n), 2)}
     found = principal | {Partition.identity(n)}

@@ -263,34 +263,21 @@ class Algebra:
 # ---------------------------------------------------------------------------
 # order utilities
 
-def transitive_reflexive_closure(n: int, pairs: Iterable[tuple[int, int]],
-                                 labels: Sequence[str]) -> tuple[tuple[bool, ...], ...]:
-    """Close the given strict pairs reflexively and transitively.
-
-    Raises on antisymmetry violations (a cycle in the input pairs).
-    """
-    m = [[False] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = True
+def transitive_reflexive_closure(n: int, pairs: Iterable[tuple[int, int]]
+                                 ) -> tuple[tuple[bool, ...], ...]:
+    """Close the given strict pairs reflexively and transitively (one pass
+    of Warshall's algorithm).  A cycle in the pairs is left for
+    `check_partial_order` to report."""
+    m = [[i == j for j in range(n)] for i in range(n)]
     for a, b in pairs:
         m[a][b] = True
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            mk = m[k]
-            for i in range(n):
-                if m[i][k]:
-                    mi = m[i]
-                    for j in range(n):
-                        if mk[j] and not mi[j]:
-                            mi[j] = True
-                            changed = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] and m[j][i]:
-                raise StructureError(
-                    f"order not antisymmetric: {labels[i]} and {labels[j]} form a cycle")
+    for k in range(n):
+        mk = m[k]
+        for mi in m:
+            if mi[k]:
+                for j in range(n):
+                    if mk[j]:
+                        mi[j] = True
     return tuple(tuple(row) for row in m)
 
 
@@ -458,7 +445,7 @@ def build_algebra(labels: Sequence[str], *,
     if leq_matrix is not None:
         lq = tuple(tuple(bool(v) for v in row) for row in leq_matrix)
     elif order_pairs is not None:
-        lq = transitive_reflexive_closure(n, order_pairs, labels)
+        lq = transitive_reflexive_closure(n, order_pairs)
     elif join_values is not None:
         lq = order_from_join(join_values)
     else:

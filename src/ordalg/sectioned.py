@@ -4,6 +4,13 @@ A section of a join-semilattice with top is a principal filter [x, 1].  For
 ``y`` in the section, its sectional pseudocomplement is the greatest ``z``
 in the section with ``y ^ z = x``; every reader here takes it from the
 table ``Algebra.pc``, built once per algebra from its glb and join tables.
+
+Sections need not be distributive.  `section_shape_report` reads the shape
+of a section off the M3-N5 theorem (Davey & Priestley, *Introduction to
+Lattices and Order*, Thm 4.10): a finite lattice is modular iff it has no
+pentagon (N5) sublattice, and distributive iff it has neither a pentagon
+nor a diamond (M3).  The witness reported is the least (bottom, ..., top)
+tuple of such a sublattice in index order.
 """
 
 from __future__ import annotations
@@ -11,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (Algebra, MeetError, Report, StructureError, leq,
-                   partial_meet, section)
+from .core import Algebra, MeetError, Report, leq, partial_meet, section
 from .laws import SECTIONED_LAWS, evaluate
 
 
@@ -70,74 +76,25 @@ def validate_sectioned(alg: Algebra) -> Report:
 
 
 def section_shape_report(alg: Algebra, base: int) -> SectionShape:
-    """Distributivity/modularity of the section, with a pentagon or diamond
-    sublattice witness when the corresponding law fails."""
+    """Distributivity and modularity of the section [base, 1] by the M3-N5
+    theorem, with the least pentagon (bottom, x, y, w, top), x < y, as the
+    witness, else the least diamond (bottom, p, q, r, top), else none."""
     sec = section(alg, base)
-
-    def m(x: int, y: int) -> int:
-        v = partial_meet(alg, x, y)
-        if v is None:
-            raise ValueError(f"section [{alg.label(base)},1] is not a lattice")
-        return v
-
-    def j(x: int, y: int) -> int:
-        return alg.join.values[x][y]  # type: ignore[return-value]
-
-    modular = True
-    for x in sec:
-        for y in sec:
-            for z in sec:
-                if leq(alg, x, z) and j(x, m(y, z)) != m(j(x, y), z):
-                    modular = False
-                    break
-            if not modular:
-                break
-        if not modular:
-            break
-
-    distributive = True
-    for x in sec:
-        for y in sec:
-            for z in sec:
-                if m(x, j(y, z)) != j(m(x, y), m(x, z)):
-                    distributive = False
-                    break
-            if not distributive:
-                break
-        if not distributive:
-            break
-
-    if modular and distributive:
-        return SectionShape(base, True, True, None, None)
-
-    lt = lambda a, b: a != b and leq(alg, a, b)
-    incomp = lambda a, b: not leq(alg, a, b) and not leq(alg, b, a)
-
-    if not modular:
-        for z0 in sec:
-            for x in sec:
-                for y in sec:
-                    for w in sec:
-                        for z1 in sec:
-                            if (lt(z0, x) and lt(x, y) and lt(y, z1)
-                                    and lt(z0, w) and lt(w, z1)
-                                    and incomp(x, w) and incomp(y, w)
-                                    and m(x, w) == z0 and m(y, w) == z0
-                                    and j(x, w) == z1 and j(y, w) == z1):
-                                return SectionShape(base, distributive, False,
-                                                    "N5", (z0, x, y, w, z1))
-        raise StructureError("non-modular section without pentagon sublattice")
-
-    for z0 in sec:
-        for pi, p in enumerate(sec):
-            for qi in range(pi + 1, len(sec)):
-                for ri in range(qi + 1, len(sec)):
-                    q_, r_ = sec[qi], sec[ri]
-                    for z1 in sec:
-                        if (lt(z0, p) and lt(z0, q_) and lt(z0, r_)
-                                and incomp(p, q_) and incomp(p, r_) and incomp(q_, r_)
-                                and m(p, q_) == z0 and m(p, r_) == z0 and m(q_, r_) == z0
-                                and j(p, q_) == z1 and j(p, r_) == z1 and j(q_, r_) == z1):
-                            return SectionShape(base, False, True,
-                                                "M3", (z0, p, q_, r_, z1))
-    raise StructureError("non-distributive modular section without diamond sublattice")
+    mv = (alg.meet if alg.meet is not None else alg.glb).values
+    jv, le = alg.join.values, alg.join_order
+    if any(mv[x][y] is None for x in sec for y in sec):
+        raise ValueError(f"section [{alg.label(base)},1] is not a lattice")
+    incomp = lambda a, b: not le[a][b] and not le[b][a]
+    n5 = min(((mv[x][w], x, y, w, jv[x][w])
+              for x in sec for y in sec if x != y and le[x][y]
+              for w in sec if incomp(x, w) and incomp(y, w)
+              and mv[x][w] == mv[y][w] and jv[x][w] == jv[y][w]), default=None)
+    if n5 is not None:
+        return SectionShape(base, False, False, "N5", n5)
+    m3 = min(((mv[p][q], p, q, r, jv[p][q]) for p, q, r in combinations(sec, 3)
+              if incomp(p, q) and incomp(p, r) and incomp(q, r)
+              and mv[p][q] == mv[p][r] == mv[q][r] and jv[p][q] == jv[p][r] == jv[q][r]),
+             default=None)
+    if m3 is not None:
+        return SectionShape(base, False, True, "M3", m3)
+    return SectionShape(base, True, True, None, None)

@@ -8,8 +8,10 @@ the conversions to and from the partial form are mutually inverse.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   TernTable, common_lower_bounds, ensure_meet, require_tables)
+                   TernTable, common_lower_bounds, ensure_meet, entry, require_tables)
 from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
                    evaluate)
 
@@ -21,11 +23,20 @@ def ialgebra_from_ncis(alg: Algebra) -> Algebra:
     """Total ternary meet-of-joins table from the partial meet."""
     require_tables(alg, "imp")
     src = ensure_meet(alg)
-    n = src.n
-    jv, mv = src.join.values, src.meet.values
-    vals = tuple(tuple(tuple(mv[jv[i][k]][jv[j][k]] for k in range(n))
-                       for j in range(n)) for i in range(n))
-    return src.replace(meet=None, r=TernTable(vals), class_tag=ClassTag.IALG)
+    return src.replace(meet=None, r=_lift(src, "meet"), class_tag=ClassTag.IALG)
+
+
+def _lift(alg: Algebra, name: str) -> TernTable:
+    """The total ternary table ``(x v z) op (y v z)`` of the partial binary
+    table ``name``, the inverse of `_readback`: z bounds both arguments, so
+    op must be defined there."""
+    tv, jv, span = getattr(alg, name).values, alg.join.values, range(alg.n)
+    vals = tuple(tuple(tuple([tv[jx[z]][jy[z]] for z in span]) for jy in jv) for jx in jv)
+    if any(None in row for plane in vals for row in plane):
+        cell = next(c for c in product(span, repeat=3) if entry(vals, c) is None)
+        raise StructureError(f"{'product' if name == 'prod' else name} undefined on "
+                             f"a bounded pair at ({','.join(map(alg.label, cell))})")
+    return TernTable(vals)
 
 
 def _readback(alg: Algebra, name: str) -> BinTable:
@@ -80,23 +91,7 @@ def validate_ialgebra(alg: Algebra) -> Report:
 def ralgebra_from_rrs(alg: Algebra) -> Algebra:
     """Total ternary product-of-joins table from the partial product."""
     require_tables(alg, "imp", "prod")
-    n = alg.n
-    jv, pv = alg.join.values, alg.prod.values
-    vals = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                v = pv[jv[i][k]][jv[j][k]]
-                if v is None:
-                    raise StructureError(
-                        "product undefined on a bounded pair at "
-                        f"({alg.label(i)},{alg.label(j)},{alg.label(k)})")
-                row.append(v)
-            plane.append(tuple(row))
-        vals.append(tuple(plane))
-    return alg.replace(prod=None, q=TernTable(tuple(vals)), class_tag=ClassTag.RALG)
+    return alg.replace(prod=None, q=_lift(alg, "prod"), class_tag=ClassTag.RALG)
 
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:

@@ -235,6 +235,21 @@ def test_con_names_a_missing_table_as_every_verb_does(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"this operation requires {table} table\n")
 
 
+def test_con_checks_the_signature_of_a_one_element_file(tmp_path, capsys):
+    # a one-element algebra has no pair to close, so no principal congruence
+    # is built; the signature is still checked
+    path = tmp_path / "one.alg"
+    path.write_text(ONE_ELEMENT_SRC, encoding="utf-8")
+    assert main(["con", str(path)]) == 2
+    assert capsys.readouterr() == ("", "this operation requires an imp table\n")
+    path.write_text("algebra\nelements: 1\nop meet partial:\n  1\nop imp:\n  1\nend\n",
+                    encoding="utf-8")
+    assert main(["con", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "congruence analysis requires total operations only "
+        "(partial meet/product present)\n")
+
+
 def test_search_count(capsys):
     assert main(["search", "--class", "jsl", "--size", "4", "--upto",
                  "--count"]) == 0

@@ -87,6 +87,15 @@ def test_shape_m3_is_modular_not_distributive(m3):
     assert labs(m3, shape.witness) == ("0", "p", "q", "r", "1")
 
 
+def test_shape_of_a_section_with_an_undefined_stored_meet(fig1):
+    a, b, one = idx(fig1, "a", "b", "1")
+    broken = _with_meet_cell(fig1, b, one, None)
+    with pytest.raises(ValueError, match=r"^section \[a,1\] is not a lattice$"):
+        section_shape_report(broken, a)
+    # the section of c does not hold b, so the broken cell is not read
+    assert section_shape_report(broken, idx(fig1, "c")).distributive
+
+
 def test_pseudocomplement_antitone(fig1, fig2):
     # base <= u <= v implies pc(v) <= pc(u)
     from ordalg import leq

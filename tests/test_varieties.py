@@ -182,3 +182,19 @@ def test_q_monotone_in_first_argument(ra1, ra2):
                 for y in range(ra.n):
                     for z in range(ra.n):
                         assert leq(ra, qv[x][y][z], qv[jv[x][w]][y][z])
+
+
+@pytest.mark.parametrize("source, slot, noun, convert", [
+    ("fig1", "meet", "meet", ialgebra_from_ncis),
+    ("fig1_rrs", "prod", "product", ralgebra_from_rrs)])
+def test_lift_rejects_an_undefined_bounded_cell(request, source, slot, noun, convert):
+    # raw constructor only: the parser and build_algebra reject such tables
+    from ordalg import BinTable
+    alg = request.getfixturevalue(source)
+    a, b = idx(alg, "a", "b")
+    rows = [list(row) for row in getattr(alg, slot).values]
+    rows[a][b] = None
+    broken = dataclasses.replace(alg, **{slot: BinTable.from_rows(rows, total=False)})
+    with pytest.raises(StructureError,
+                       match=fr"^{noun} undefined on a bounded pair at \(a,b,a\)$"):
+        convert(broken)
