@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -198,8 +197,7 @@ def cmd_search(args) -> int:
     tag = ClassTag(args.klass)  # argparse allows the class names only
     spec = SearchSpec(tag, args.size, upto=args.upto, violate=args.violate,
                       limit=args.limit)
-    if os.environ.get(search_mod.ENV_MAX_SIZE) and \
-            args.size > search_mod.DEFAULT_MAX_SIZE:
+    if search_mod.DEFAULT_MAX_SIZE < args.size <= search_mod.size_cap():
         print(f"warning: size {args.size} above the default cap of "
               f"{search_mod.DEFAULT_MAX_SIZE}; identity scans are O(n^4) and "
               "canonicalization is factorial, expect a long run",

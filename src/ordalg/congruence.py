@@ -15,21 +15,17 @@ from .core import Algebra, Report, StructureError, TernTable, require_tables
 from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, evaluate
 
 
-def _find(parent: list[int], i: int) -> int:
-    """Root of i in the union-find forest ``parent``, halving the path."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Merge the trees of a and b under the smaller root; False if they
-    were one tree already."""
-    a, b = _find(parent, a), _find(parent, b)
-    if a == b:
+def _merge(cls: list[int], u: int, v: int) -> bool:
+    """Merge the classes of u and v, where ``cls[i]`` is the bitmask of i's
+    class; False if they were one class already."""
+    if cls[u] == cls[v]:
         return False
-    parent[max(a, b)] = min(a, b)
+    both = cls[u] | cls[v]
+    m = both
+    while m:
+        low = m & -m
+        cls[low.bit_length() - 1] = both
+        m ^= low
     return True
 
 
@@ -49,25 +45,17 @@ class Partition:
         return Partition((0,) * n)
 
     @staticmethod
-    def from_parent(parent: list[int]) -> "Partition":
-        n = len(parent)
-        rep: dict[int, int] = {}
-        out = [0] * n
-        for i in range(n):
-            r = _find(parent, i)
-            if r not in rep:
-                rep[r] = i
-            out[i] = rep[r]
-        return Partition(tuple(out))
+    def _from_classes(cls: list[int]) -> "Partition":
+        return Partition(tuple((c & -c).bit_length() - 1 for c in cls))
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
-        parent = list(range(n))
+        cls = [1 << i for i in range(n)]
         for block in blocks:
             block = list(block)
             for other in block[1:]:
-                _union(parent, block[0], other)
-        return Partition.from_parent(parent)
+                _merge(cls, block[0], other)
+        return Partition._from_classes(cls)
 
     @property
     def n(self) -> int:
@@ -97,10 +85,11 @@ class Partition:
         return Partition(tuple(out))
 
     def join_with(self, other: "Partition") -> "Partition":
-        parent = list(self.class_of)
+        cls = [1 << i for i in range(self.n)]
         for i in range(self.n):
-            _union(parent, i, other.class_of[i])
-        return Partition.from_parent(parent)
+            _merge(cls, i, self.class_of[i])
+            _merge(cls, i, other.class_of[i])
+        return Partition._from_classes(cls)
 
     def refines(self, other: "Partition") -> bool:
         return all(other.class_of[i] == other.class_of[self.class_of[i]]
@@ -120,12 +109,13 @@ def _ternary(alg: Algebra) -> TernTable:
 
 
 def _total_ops(alg: Algebra):
-    """Basic operations of the total signature; rejects partial tables."""
+    """Join, arrow and ternary tables of the total signature; rejects
+    partial tables."""
     if alg.meet is not None or alg.prod is not None:
         raise ValueError("congruence analysis requires total operations only "
                          "(partial meet/product present)")
     tern = _ternary(alg)
-    return [(2, alg.join.values), (2, alg.imp.values)], tern.values
+    return (alg.join.values, alg.imp.values), tern.values
 
 
 def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
@@ -136,14 +126,14 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     """
     binops, tern = _total_ops(alg)
     n = alg.n
-    parent = list(range(n))
+    cls = [1 << i for i in range(n)]
     pending = [(a, b)]
     while pending:
         u, v = pending.pop()
-        if not _union(parent, u, v):
+        if not _merge(cls, u, v):
             continue
         # only pairs of distinct images can merge anything
-        for _, tbl in binops:
+        for tbl in binops:
             pending += [pq for pq in zip(tbl[u], tbl[v]) if pq[0] != pq[1]]
             pending += [(row[u], row[v]) for row in tbl if row[u] != row[v]]
         tu, tv = tern[u], tern[v]
@@ -152,7 +142,7 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
             pending += [pq for pq in zip(tu[c], tv[c]) if pq[0] != pq[1]]
             pending += [pq for pq in zip(tc[u], tc[v]) if pq[0] != pq[1]]
             pending += [(row[u], row[v]) for row in tc if row[u] != row[v]]
-    return Partition.from_parent(parent)
+    return Partition._from_classes(cls)
 
 
 @dataclass(frozen=True)
@@ -213,23 +203,15 @@ class ConLattice:
 
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
-    """All congruences, generated as joins of the principal ones: each round
-    joins the congruences found last with every principal one.  The
+    """All congruences, as the joins of principal ones: the identity, closed
+    under join with each principal congruence in one pass apiece.  The
     signature is checked first, as a one-element algebra has no pair."""
     _total_ops(alg)
     n = alg.n
     principal = {principal_congruence(alg, a, b) for a, b in combinations(range(n), 2)}
-    found = principal | {Partition.identity(n)}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in principal:
-                j = p.join_with(q)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
+    found = {Partition.identity(n)}
+    for q in principal:
+        found |= {p.join_with(q) for p in found}
     return ConLattice(tuple(sorted(found)))
 
 

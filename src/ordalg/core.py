@@ -300,7 +300,7 @@ def check_partial_order(leq: Sequence[Sequence[bool]], labels: Sequence[str]) ->
                             f"order not transitive at ({labels[i]},{labels[j]},{labels[k]})")
 
 
-def find_top(leq: Sequence[Sequence[bool]], labels: Sequence[str]) -> int:
+def find_top(leq: Sequence[Sequence[bool]]) -> int:
     n = len(leq)
     tops = [j for j in range(n) if all(leq[i][j] for i in range(n))]
     if len(tops) != 1:
@@ -452,7 +452,7 @@ def build_algebra(labels: Sequence[str], *,
         lq = tuple(tuple(i == j for j in range(n)) for i in range(n))
 
     check_partial_order(lq, labels)
-    top = find_top(lq, labels)
+    top = find_top(lq)
     universe = Universe(labels, top)
 
     order_given = leq_matrix is not None or order_pairs is not None

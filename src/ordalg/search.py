@@ -32,7 +32,7 @@ from itertools import permutations
 from typing import Callable, Iterator
 
 from .congruence import maltsev_report
-from .core import (Algebra, BinTable, ClassTag, StructureError, Universe,
+from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Universe,
                    build_algebra, default_labels, ensure_meet, order_from_join,
                    relabel)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
@@ -47,13 +47,18 @@ ENV_MAX_SIZE = "ORDALG_MAX_SIZE"
 
 
 def size_cap() -> int:
+    """Largest model size a verb takes on: ORDALG_MAX_SIZE when it is set
+    and not empty, else the default."""
     raw = os.environ.get(ENV_MAX_SIZE)
-    if raw is None:
+    if not raw:
         return DEFAULT_MAX_SIZE
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_MAX_SIZE
+        cap = 0
+    if cap < 1:
+        raise OrdalgError(f"{ENV_MAX_SIZE}={raw!r} is not a positive integer")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -319,9 +324,6 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
     elif tag == ClassTag.RALG:
         out = [_gate(m, validate_ralgebra(m))
                for m in map(ralgebra_from_rrs, _models(ClassTag.RRS, n))]
-
-    else:
-        raise ValueError(f"unknown class {tag!r}")
 
     return tuple(alg.replace(name=f"{tag.value}_{n}_{i}") for i, alg in enumerate(out))
 

@@ -332,6 +332,18 @@ def test_search_cap_exceeded_without_override(capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_size_cap_is_usage_error(chain7_ialg_file, raw, monkeypatch, capsys):
+    monkeypatch.setenv("ORDALG_MAX_SIZE", raw)
+    for argv in (["search", "--class", "jsl", "--size", "9", "--count"],
+                 ["check", chain7_ialg_file, "--class", "ialg"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ORDALG_MAX_SIZE={raw!r} is not a positive integer" in captured.err
+        assert "warning" not in captured.err
+
+
 def test_check_and_con_honour_size_cap(chain7_ialg_file, monkeypatch, capsys):
     assert main(["check", chain7_ialg_file, "--class", "ialg"]) == 0
     assert main(["con", chain7_ialg_file]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -95,6 +96,38 @@ def test_lattice_matches_oracle(ia1, ia2, two_chain):
     for alg in (two_chain, ia1, ia2):
         lat = congruence_lattice(alg)
         assert sorted(lat.congruences) == sorted(oracle_congruences(alg))
+
+
+def _edited_models(count: int = 300, seed: int = 11):
+    """A seeded sample of single-cell edits of the imp and ternary tables of
+    the ialg and ralg models of sizes 2-5: total algebras mostly outside the
+    variety.  Random tables would do no good here, as their Con is trivial."""
+    rng = random.Random(seed)
+    models = [alg for tag in (ClassTag.IALG, ClassTag.RALG) for n in range(2, 6)
+              for alg in enumerate_models(SearchSpec(tag, n))]
+    for _ in range(count):
+        alg = rng.choice(models)
+        n, i, j, k = alg.n, *(rng.randrange(alg.n) for _ in range(3))
+        if rng.random() < 0.5:
+            rows = [list(row) for row in alg.imp.values]
+            rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+            yield dataclasses.replace(alg, imp=BinTable.from_rows(rows, total=True))
+        else:
+            name = "r" if alg.r is not None else "q"
+            vals = [[list(row) for row in plane] for plane in getattr(alg, name).values]
+            vals[i][j][k] = rng.choice([v for v in range(n) if v != vals[i][j][k]])
+            yield dataclasses.replace(alg, **{name: TernTable(
+                tuple(tuple(tuple(row) for row in plane) for plane in vals))})
+
+
+def test_lattice_matches_oracle_outside_the_variety():
+    sizes = set()
+    for alg in _edited_models():
+        lat = congruence_lattice(alg)
+        assert lat.congruences == tuple(sorted(oracle_congruences(alg))), alg.name
+        sizes.add(lat.size)
+    # the sample reaches lattices far larger than the two-element one
+    assert max(sizes) >= 8
 
 
 def test_lattice_frozen_sizes(ia1, ia2):
