@@ -98,16 +98,17 @@ def test_lattice_matches_oracle(ia1, ia2, two_chain):
         assert sorted(lat.congruences) == sorted(oracle_congruences(alg))
 
 
-def _edited_models(count: int = 300, seed: int = 11):
+def _edited_models():
     """A seeded sample of single-cell edits of the imp and ternary tables of
     the ialg and ralg models of sizes 2-5: total algebras mostly outside the
     variety.  Random tables would do no good here, as their Con is trivial."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
     models = [alg for tag in (ClassTag.IALG, ClassTag.RALG) for n in range(2, 6)
               for alg in enumerate_models(SearchSpec(tag, n))]
-    for _ in range(count):
+    for _ in range(300):
         alg = rng.choice(models)
-        n, i, j, k = alg.n, *(rng.randrange(alg.n) for _ in range(3))
+        n = alg.n
+        i, j, k = (rng.randrange(n) for _ in range(3))
         if rng.random() < 0.5:
             rows = [list(row) for row in alg.imp.values]
             rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
