@@ -135,7 +135,10 @@ def cmd_derive(args) -> int:
         print("derived output failed target validation", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise StructureError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -215,12 +218,15 @@ def cmd_search(args) -> int:
         return 0
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         written = 0
-        for model in enumerate_models(spec):
-            (outdir / f"{model.name}.alg").write_text(serialize_algebra(model),
-                                                      encoding="utf-8")
-            written += 1
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for model in enumerate_models(spec):
+                (outdir / f"{model.name}.alg").write_text(serialize_algebra(model),
+                                                          encoding="utf-8")
+                written += 1
+        except OSError as exc:
+            raise StructureError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {written} models to {outdir}", file=sys.stderr)
         return 0
     first = True

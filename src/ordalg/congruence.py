@@ -1,14 +1,16 @@
 """Congruence lattices of the total algebras and their Maltsev-style verdicts.
 
-Congruence analysis only applies to the total signatures (join, arrow, and
-one ternary operation); the partial-operation classes are rejected, since a
-compatible-partition notion for them is a different theory.
+A congruence is an equivalence that every basic translation x -> f(..., x, ...)
+preserves (Mal'cev), so the algebra is read once, as its distinct translations.
+An equivalence is kept as class bitmasks.  Only the total signatures (join,
+arrow, one ternary operation) are analysed; the partial-operation classes are
+rejected, since a compatible-partition notion for them is a different theory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations
 
 from .core import Algebra, Report, StructureError, TernTable, require_tables
@@ -29,71 +31,65 @@ def _merge(cls: list[int], u: int, v: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Partition:
-    """Equivalence relation in canonical form: ``class_of[i]`` is the
-    smallest element of i's class."""
+    """Equivalence relation: ``classes[i]`` is the bitmask of i's class.
+    Partitions sort by ``class_of``."""
 
-    class_of: tuple[int, ...]
+    classes: tuple[int, ...]
 
     @staticmethod
     def identity(n: int) -> "Partition":
-        return Partition(tuple(range(n)))
+        return Partition(tuple(1 << i for i in range(n)))
 
     @staticmethod
     def single_class(n: int) -> "Partition":
-        return Partition((0,) * n)
-
-    @staticmethod
-    def _from_classes(cls: list[int]) -> "Partition":
-        return Partition(tuple((c & -c).bit_length() - 1 for c in cls))
+        return Partition(((1 << n) - 1,) * n)
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
         cls = [1 << i for i in range(n)]
-        for block in blocks:
-            block = list(block)
+        for block in map(list, blocks):
             for other in block[1:]:
                 _merge(cls, block[0], other)
-        return Partition._from_classes(cls)
+        return Partition(tuple(cls))
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Canonical form: ``class_of[i]`` is the smallest element of i's class."""
+        return tuple((c & -c).bit_length() - 1 for c in self.classes)
+
+    def __lt__(self, other: "Partition") -> bool:
+        return self.class_of < other.class_of
 
     @property
     def n(self) -> int:
-        return len(self.class_of)
+        return len(self.classes)
 
     def relates(self, i: int, j: int) -> bool:
-        return self.class_of[i] == self.class_of[j]
+        return bool(self.classes[i] >> j & 1)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(self.class_of):
-            groups.setdefault(c, []).append(i)
-        return tuple(tuple(groups[c]) for c in sorted(groups))
+        # dict.fromkeys keeps the classes in the order of their smallest element
+        return tuple(tuple(j for j in range(self.n) if c >> j & 1)
+                     for c in dict.fromkeys(self.classes))
 
     def block_of(self, i: int) -> frozenset[int]:
-        c = self.class_of[i]
-        return frozenset(j for j, cj in enumerate(self.class_of) if cj == c)
+        c = self.classes[i]
+        return frozenset(j for j in range(self.n) if c >> j & 1)
 
     def meet(self, other: "Partition") -> "Partition":
-        pairs: dict[tuple[int, int], int] = {}
-        out = [0] * self.n
-        for i in range(self.n):
-            key = (self.class_of[i], other.class_of[i])
-            if key not in pairs:
-                pairs[key] = i
-            out[i] = pairs[key]
-        return Partition(tuple(out))
+        return Partition(tuple(a & b for a, b in zip(self.classes, other.classes)))
 
     def join_with(self, other: "Partition") -> "Partition":
-        cls = [1 << i for i in range(self.n)]
-        for i in range(self.n):
-            _merge(cls, i, self.class_of[i])
-            _merge(cls, i, other.class_of[i])
-        return Partition._from_classes(cls)
+        cls = list(self.classes)
+        for i, c in enumerate(other.class_of):
+            _merge(cls, i, c)
+        return Partition(tuple(cls))
 
     def refines(self, other: "Partition") -> bool:
-        return all(other.class_of[i] == other.class_of[self.class_of[i]]
-                   for i in range(self.n))
+        return not any(a & ~b for a, b in zip(self.classes, other.classes))
 
     def notation(self, labels) -> str:
         return "".join("{" + ",".join(labels[i] for i in blk) + "}"
@@ -108,41 +104,43 @@ def _ternary(alg: Algebra) -> TernTable:
     return alg.r if alg.r is not None else alg.q
 
 
-def _total_ops(alg: Algebra):
-    """Join, arrow and ternary tables of the total signature; rejects
+def _translations(alg: Algebra) -> list[tuple[int, ...]]:
+    """The distinct basic translations x -> f(..., x, ...) of join, arrow
+    and the ternary table, each as an n-tuple, in sorted order.  Constant
+    maps and the identity identify nothing and are left out.  Rejects
     partial tables."""
     if alg.meet is not None or alg.prod is not None:
         raise ValueError("congruence analysis requires total operations only "
                          "(partial meet/product present)")
-    tern = _ternary(alg)
-    return (alg.join.values, alg.imp.values), tern.values
+    tern = _ternary(alg).values
+    maps: set[tuple[int, ...]] = set()
+    for tbl in (alg.join.values, alg.imp.values):
+        maps.update(tbl)  # x -> f(c, x)
+        maps.update(zip(*tbl))  # x -> f(x, c)
+    for i, plane in enumerate(tern):
+        maps.update(plane)  # x -> t(i, j, x)
+        maps.update(zip(*plane))  # x -> t(i, x, k)
+        maps.update(zip(*(t[i] for t in tern)))  # x -> t(x, i, k)
+    return sorted(m for m in maps - {tuple(range(alg.n))} if len(set(m)) > 1)
 
 
-def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
-    """Smallest congruence identifying a and b.
-
-    Closure of {(a, b)} under the equivalence laws and single-argument
-    substitution into each basic operation (unary polynomial translations).
-    """
-    binops, tern = _total_ops(alg)
-    n = alg.n
+def _principal(maps: list[tuple[int, ...]], n: int, a: int, b: int) -> Partition:
+    """Smallest equivalence relating a and b that every map preserves: each
+    pair it merges is pushed through every map that sends it to a pair not
+    related yet."""
     cls = [1 << i for i in range(n)]
     pending = [(a, b)]
     while pending:
         u, v = pending.pop()
-        if not _merge(cls, u, v):
-            continue
-        # only pairs of distinct images can merge anything
-        for tbl in binops:
-            pending += [pq for pq in zip(tbl[u], tbl[v]) if pq[0] != pq[1]]
-            pending += [(row[u], row[v]) for row in tbl if row[u] != row[v]]
-        tu, tv = tern[u], tern[v]
-        for c in range(n):
-            tc = tern[c]
-            pending += [pq for pq in zip(tu[c], tv[c]) if pq[0] != pq[1]]
-            pending += [pq for pq in zip(tc[u], tc[v]) if pq[0] != pq[1]]
-            pending += [(row[u], row[v]) for row in tc if row[u] != row[v]]
-    return Partition._from_classes(cls)
+        if _merge(cls, u, v):
+            pending += [(f[u], f[v]) for f in maps if cls[f[u]] != cls[f[v]]]
+    return Partition(tuple(cls))
+
+
+def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
+    """Smallest congruence identifying a and b: the closure of {(a, b)}
+    under the equivalence laws and the basic translations."""
+    return _principal(_translations(alg), alg.n, a, b)
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,7 @@ class ConLattice:
     @cached_property
     def class_masks(self) -> tuple[tuple[int, ...], ...]:
         """``class_masks[a][i]`` has bit j set iff congruence a relates i and j."""
-        out = []
-        for p in self.congruences:
-            by_class: dict[int, int] = {}
-            for i, c in enumerate(p.class_of):
-                by_class[c] = by_class.get(c, 0) | (1 << i)
-            out.append(tuple(by_class[c] for c in p.class_of))
-        return tuple(out)
+        return tuple(p.classes for p in self.congruences)
 
     @cached_property
     def _relation_masks(self) -> tuple[int, ...]:
@@ -204,11 +196,11 @@ class ConLattice:
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
     """All congruences, as the joins of principal ones: the identity, closed
-    under join with each principal congruence in one pass apiece.  The
-    signature is checked first, as a one-element algebra has no pair."""
-    _total_ops(alg)
+    under join with each principal congruence in one pass apiece.  Reading
+    the translations checks the signature, even of a one-element algebra."""
+    maps = _translations(alg)
     n = alg.n
-    principal = {principal_congruence(alg, a, b) for a, b in combinations(range(n), 2)}
+    principal = {_principal(maps, n, a, b) for a, b in combinations(range(n), 2)}
     found = {Partition.identity(n)}
     for q in principal:
         found |= {p.join_with(q) for p in found}

@@ -225,12 +225,17 @@ def count_iso_classes(items, iso):
 # --- partitions and congruences ---------------------------------------------
 
 def all_partitions(n):
-    """Every set partition of {0..n-1} as a canonical Partition."""
+    """Every set partition of {0..n-1} as a Partition, built from its blocks
+    directly: entry i of its classes is the bitmask of i's block."""
     results = []
 
     def grow(i, blocks):
         if i == n:
-            results.append(Partition.from_blocks(n, [list(b) for b in blocks]))
+            classes = [0] * n
+            for b in blocks:
+                for j in b:
+                    classes[j] = sum(1 << k for k in b)
+            results.append(Partition(tuple(classes)))
             return
         for b in blocks:
             b.append(i)
@@ -278,12 +283,15 @@ def oracle_congruences(alg):
 
 
 def oracle_principal(alg, a, b):
-    """Smallest congruence relating a and b: meet of all such congruences."""
-    best = None
+    """Smallest congruence relating a and b: the intersection of the pair
+    sets of all such congruences."""
+    n = alg.n
+    best = frozenset((i, j) for i in range(n) for j in range(n))
     for p in oracle_congruences(alg):
         if p.relates(a, b):
-            best = p if best is None else best.meet(p)
-    return best
+            best &= _pairs(p, n)
+    return Partition(tuple(sum(1 << j for j in range(n) if (i, j) in best)
+                           for i in range(n)))
 
 
 def _pairs(p, n):

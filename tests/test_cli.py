@@ -1,3 +1,5 @@
+import errno
+
 import pytest
 
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
@@ -283,6 +285,37 @@ def test_search_out_dir(tmp_path, capsys):
     assert files == ["jsl_3_0.alg", "jsl_3_1.alg"]
     for f in (tmp_path / "models").iterdir():
         parse_algebra(f.read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def unwritable(tmp_path):
+    """--out paths that cannot be written, by the error they raise."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir" / "jsl_3_0.alg").mkdir(parents=True)
+    return {"existing file": tmp_path / "file",
+            "missing directory": tmp_path / "missing" / "out.alg",
+            "directory": tmp_path / "dir",
+            "file as directory": tmp_path / "file" / "out.alg",
+            "model file is a directory": tmp_path / "dir"}
+
+
+@pytest.mark.parametrize("argv, where, code", [
+    (["search", "--class", "jsl", "--size", "3"], "existing file", errno.EEXIST),
+    (["search", "--class", "jsl", "--size", "3"], "file as directory", errno.ENOTDIR),
+    (["search", "--class", "jsl", "--size", "3"], "model file is a directory",
+     errno.EISDIR),
+    (["derive", "{fig2}", "--map", "A"], "missing directory", errno.ENOENT),
+    (["derive", "{fig2}", "--map", "A"], "directory", errno.EISDIR),
+    (["derive", "{fig2}", "--map", "A"], "file as directory", errno.ENOTDIR),
+])
+def test_unwritable_out_is_usage_error(argv, where, code, unwritable, fig2_ncis_file,
+                                       capsys):
+    out = unwritable[where]
+    argv = [fig2_ncis_file if a == "{fig2}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: [Errno {code}] ")
 
 
 def test_search_unknown_property(capsys):

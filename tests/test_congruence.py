@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -129,6 +130,47 @@ def test_lattice_matches_oracle_outside_the_variety():
         sizes.add(lat.size)
     # the sample reaches lattices far larger than the two-element one
     assert max(sizes) >= 8
+
+
+# edited models whose principal congruences are checked against the oracle
+PRINCIPAL_SAMPLE = 60
+
+
+def test_principal_matches_oracle_outside_the_variety():
+    algs = [alg for alg in _trivial_r_family() if alg.n <= 4]
+    algs += itertools.islice(_edited_models(), PRINCIPAL_SAMPLE)
+    proper = 0
+    for alg in algs:
+        for a, b in itertools.combinations(range(alg.n), 2):
+            got = principal_congruence(alg, a, b)
+            assert got == oracle_principal(alg, a, b), alg.name
+            proper += got != Partition.single_class(alg.n)
+    # the sample reaches many principal congruences below the full relation
+    assert proper >= 100
+
+
+def _brute_translations(alg):
+    """Every map x -> f(..., x, ...) of join, arrow and the ternary table,
+    the other arguments fixed, minus the constant maps and the identity."""
+    n = alg.n
+    join, imp = alg.join.values, alg.imp.values
+    tern = (alg.r if alg.r is not None else alg.q).values
+    ops = [(2, lambda x, y: join[x][y]), (2, lambda x, y: imp[x][y]),
+           (3, lambda x, y, z: tern[x][y][z])]
+    maps = set()
+    for arity, f in ops:
+        for pos in range(arity):
+            for rest in itertools.product(range(n), repeat=arity - 1):
+                maps.add(tuple(f(*rest[:pos], x, *rest[pos:]) for x in range(n)))
+    return {m for m in maps if len(set(m)) > 1 and m != tuple(range(n))}
+
+
+def test_translations_match_brute_force(ia1, ia2, two_chain, fig2_rrs):
+    algs = [two_chain, ia1, ia2, ralgebra_from_rrs(fig2_rrs)]
+    algs += [alg for alg in _trivial_r_family() if alg.n <= 4]
+    algs += itertools.islice(_edited_models(), PRINCIPAL_SAMPLE)
+    for alg in algs:
+        assert congruence._translations(alg) == sorted(_brute_translations(alg)), alg.name
 
 
 def test_lattice_frozen_sizes(ia1, ia2):

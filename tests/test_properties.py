@@ -104,6 +104,27 @@ def test_partition_canonical_representatives(p):
 
 
 @given(partition_pairs())
+def test_partition_order_equality_and_hash_follow_class_of(triple):
+    assert [p.class_of for p in sorted(triple)] == sorted(p.class_of for p in triple)
+    copies = [Partition.from_blocks(p.n, p.blocks()) for p in triple]
+    for a in triple:
+        for b in (*triple, *copies):
+            assert (a == b) == (a.class_of == b.class_of)
+            assert (a < b) == (a.class_of < b.class_of)
+            assert (a <= b) == (a.class_of <= b.class_of)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@given(partitions())
+def test_block_of_is_the_frozenset_of_the_class(p):
+    for i in range(p.n):
+        block = p.block_of(i)
+        assert type(block) is frozenset
+        assert block == {j for j in range(p.n) if p.class_of[j] == p.class_of[i]}
+
+
+@given(partition_pairs())
 def test_partition_lattice_laws(triple):
     a, b, c = triple
     assert a.meet(b) == b.meet(a)
