@@ -26,6 +26,10 @@ The ``op`` headers and their order come from the slot table `core.OPS`:
 ``op <name>:`` for a total slot, ``op <name> partial:`` for a partial one.
 Row i, column j of a binary block is op(e_i, e_j); a ternary block is n
 blocks of n such rows, block k fixing the third argument.
+Lines are those of `str.splitlines` and tokens are runs of non-whitespace,
+so a label or name may contain neither whitespace nor ``#``.  A malformed
+file raises `ParseError`, reading ``line L, column C: message`` where the
+error has a place; the column counts characters from 1, a tab as one.
 `serialize_algebra` reproduces this layout canonically (single spaces,
 two-space indent, rows in element order, blocks apart by a blank line), and
 `parse_algebra(serialize_algebra(a))` returns an algebra equal to ``a``
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .core import (OPS, Algebra, ParseError, StructureError, UNDEF_TOKEN,
                    build_algebra, entry)
@@ -58,50 +61,27 @@ def _values(rows: list[list[int | None]], n: int, arity: int):
                  for i in range(n))
 
 
-@dataclass
-class _Line:
-    no: int
-    toks: list[tuple[str, int]]  # (token, 1-based column)
-
-    @property
-    def words(self) -> list[str]:
-        return [t for t, _ in self.toks]
+_Line = tuple[int, str, list[str]]  # line number, text before '#', its tokens
 
 
-def _significant_lines(text: str) -> list[_Line]:
-    out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("#")
-        content = raw if cut < 0 else raw[:cut]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
-        if toks:
-            out.append(_Line(no, toks))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = _significant_lines(text)
-        self.pos = 0
-
-    def peek(self) -> _Line | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> _Line:
-        line = self.peek()
-        if line is None:
-            raise ParseError("unexpected end of file")
-        self.pos += 1
-        return line
+def _error(message: str, line: _Line, k: int = 0) -> ParseError:
+    """The error at token k of a line, its column worked out from the text."""
+    no, content, _ = line
+    return ParseError(message, no, [m.start() + 1 for m in _TOKEN.finditer(content)][k])
 
 
 def parse_algebra(text: str) -> Algebra:
     """Parse one algebra file; raises `ParseError` with line/column info."""
-    p = _Parser(text)
-
-    first = p.take()
-    if first.words != ["algebra"]:
-        raise ParseError("expected 'algebra' header", first.no, first.toks[0][1])
+    lines: list[_Line] = []  # blank and comment-only lines left out
+    for no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.partition("#")[0]
+        toks = content.split()
+        if toks:
+            lines.append((no, content, toks))
+    if not lines:
+        raise ParseError("unexpected end of file")
+    if lines[0][2] != ["algebra"]:
+        raise _error("expected 'algebra' header", lines[0])
 
     name = ""
     labels: list[str] | None = None
@@ -110,82 +90,76 @@ def parse_algebra(text: str) -> Algebra:
     have_order = False
     blocks: dict[str, list[list[int | None]]] = {}
 
-    def element(tok: str, line: _Line, col: int) -> int:
-        if tok not in index:
-            raise ParseError(f"unknown element '{tok}'", line.no, col)
-        return index[tok]
-
-    def need_elements(line: _Line) -> None:
-        if labels is None:
-            raise ParseError("'elements:' must come first", line.no, line.toks[0][1])
-
-    def read_row(kind: str, total: bool, n: int) -> list[int | None]:
-        line = p.take()
-        if len(line.toks) != n:
-            raise ParseError(f"row of '{kind}' needs {n} entries, got {len(line.toks)}",
-                             line.no, line.toks[0][1])
-        row: list[int | None] = []
-        for tok, col in line.toks:
-            if tok == UNDEF_TOKEN:
-                if total:
-                    raise ParseError(f"'{UNDEF_TOKEN}' not allowed in total table "
-                                     f"'{kind}'", line.no, col)
-                row.append(None)
-            else:
-                row.append(element(tok, line, col))
-        return row
-
-    while True:
-        line = p.take()
-        head = line.words[0]
+    pos = 1
+    while pos < len(lines):
+        line = lines[pos]
+        pos += 1
+        toks = line[2]
+        head = toks[0]
         if head == "end":
             break
+        if labels is None and head in ("order:", "op"):
+            raise _error("'elements:' must come first", line)
         if head == "name:":
-            if len(line.words) != 2:
-                raise ParseError("name: takes exactly one token", line.no, line.toks[0][1])
-            name = line.words[1]
+            if len(toks) != 2:
+                raise _error("name: takes exactly one token", line)
+            name = toks[1]
         elif head == "elements:":
             if labels is not None:
-                raise ParseError("duplicate elements: line", line.no, line.toks[0][1])
-            if len(line.toks) < 2:
-                raise ParseError("elements: needs at least one label",
-                                 line.no, line.toks[0][1])
+                raise _error("duplicate elements: line", line)
+            if len(toks) < 2:
+                raise _error("elements: needs at least one label", line)
             labels = []
-            for tok, col in line.toks[1:]:
+            for k, tok in enumerate(toks[1:], start=1):
                 if tok == UNDEF_TOKEN:
-                    raise ParseError(f"label may not be '{UNDEF_TOKEN}'", line.no, col)
+                    raise _error(f"label may not be '{UNDEF_TOKEN}'", line, k)
                 if tok in index:
-                    raise ParseError(f"duplicate label '{tok}'", line.no, col)
+                    raise _error(f"duplicate label '{tok}'", line, k)
                 index[tok] = len(labels)
                 labels.append(tok)
         elif head == "order:":
-            need_elements(line)
             have_order = True
-            while True:
-                nxt = p.peek()
-                if nxt is None or len(nxt.words) != 3 or nxt.words[1] != "<":
-                    break
-                rel = p.take()
-                a = element(rel.words[0], rel, rel.toks[0][1])
-                b = element(rel.words[2], rel, rel.toks[2][1])
-                order_pairs.append((a, b))
+            while pos < len(lines) and len(lines[pos][2]) == 3 and lines[pos][2][1] == "<":
+                rel = lines[pos]
+                pos += 1
+                a, _, b = rel[2]
+                for k, tok in ((0, a), (2, b)):
+                    if tok not in index:
+                        raise _error(f"unknown element '{tok}'", rel, k)
+                order_pairs.append((index[a], index[b]))
         elif head == "op":
-            need_elements(line)
-            n = len(labels)  # type: ignore[arg-type]
-            header = " ".join(line.words)
+            header = " ".join(toks)
             if header not in _SLOT_OF_HEADER:
-                raise ParseError(f"unknown op header '{header}'", line.no, line.toks[0][1])
+                raise _error(f"unknown op header '{header}'", line)
             kind = _SLOT_OF_HEADER[header]
             if kind in blocks:
-                raise ParseError(f"duplicate 'op {kind}' block", line.no, line.toks[0][1])
+                raise _error(f"duplicate 'op {kind}' block", line)
             arity, total = OPS[kind]
-            blocks[kind] = [read_row(kind, total, n) for _ in range(n ** (arity - 1))]
+            n = len(labels)  # type: ignore[arg-type]
+            cell = index if total else {**index, UNDEF_TOKEN: None}
+            count = n ** (arity - 1)
+            rows = []
+            for row in lines[pos:pos + count]:
+                if len(row[2]) != n:
+                    raise _error(f"row of '{kind}' needs {n} entries, got {len(row[2])}", row)
+                try:
+                    rows.append([cell[tok] for tok in row[2]])
+                except KeyError as exc:
+                    tok = exc.args[0]
+                    message = (f"'{UNDEF_TOKEN}' not allowed in total table '{kind}'"
+                               if tok == UNDEF_TOKEN else f"unknown element '{tok}'")
+                    raise _error(message, row, row[2].index(tok)) from None
+            if len(rows) < count:
+                raise ParseError("unexpected end of file")
+            pos += count
+            blocks[kind] = rows
         else:
-            raise ParseError(f"unexpected '{head}'", line.no, line.toks[0][1])
+            raise _error(f"unexpected '{head}'", line)
+    else:
+        raise ParseError("unexpected end of file")
 
-    trailing = p.peek()
-    if trailing is not None:
-        raise ParseError("text after 'end'", trailing.no, trailing.toks[0][1])
+    if pos < len(lines):
+        raise _error("text after 'end'", lines[pos])
     if labels is None:
         raise ParseError("missing 'elements:' line")
 
