@@ -76,7 +76,9 @@ class ClassTag(str, Enum):
 
 @dataclass(frozen=True)
 class Universe:
-    """Carrier set: n distinct printable labels plus the top element's index."""
+    """Carrier set: n distinct labels plus the top element's index.  A label is
+    one token of the file format: nonempty, without whitespace or ``#``, and
+    not the undefined-entry token."""
 
     labels: tuple[str, ...]
     top: int
@@ -84,7 +86,7 @@ class Universe:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for lab in self.labels:
-            if not lab or any(c.isspace() for c in lab):
+            if not lab or "#" in lab or any(c.isspace() for c in lab):
                 raise StructureError(f"invalid label {lab!r}")
             if lab == UNDEF_TOKEN:
                 raise StructureError(f"label may not be the reserved token {UNDEF_TOKEN!r}")
@@ -435,8 +437,11 @@ def build_algebra(labels: Sequence[str], *,
     join table; the join table is derived from the order when absent.  All
     structural invariants are checked: the order axioms, unique top, the
     join-semilattice laws, and agreement of a supplied meet table with the
-    genuine greatest lower bounds.
+    genuine greatest lower bounds.  A name, like a label, may not contain
+    whitespace or ``#``, so that the file format can carry it.
     """
+    if "#" in name or any(c.isspace() for c in name):
+        raise StructureError(f"invalid name {name!r}")
     labels = tuple(labels)
     n = len(labels)
     if n == 0:

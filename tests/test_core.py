@@ -234,6 +234,8 @@ def test_universe_rejects_bad_labels():
         Universe(("-",), 0)
     with pytest.raises(StructureError):
         Universe(("",), 0)
+    with pytest.raises(StructureError, match=r"^invalid label 'a#b'$"):
+        build_algebra(["a#b", "1"], order_pairs=[(0, 1)])
 
 
 def test_parse_non_associative_join():

@@ -2,9 +2,11 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, strategies as st
 
-from ordalg import (ClassTag, Partition, SearchSpec, canonical_key,
+from ordalg import (ClassTag, Partition, SearchSpec, StructureError,
+                    build_algebra, canonical_key,
                     check_ncis_properties, enumerate_models, isomorphic, join,
                     leq, parse_algebra, relabel, serialize_algebra,
                     validate_join_semilattice, validate_ncis)
@@ -32,6 +34,25 @@ def test_serialize_parse_roundtrip(alg):
         again = dataclasses.replace(again, class_tag=alg.class_tag)
     assert again == alg
     assert serialize_algebra(again) == text
+
+
+@given(st.text(max_size=6))
+def test_a_name_round_trips_unless_rejected(name):
+    """A name with whitespace or '#' is rejected; every other one survives
+    serialization, where it is written as one token of the ``name:`` line."""
+    if "#" in name or any(c.isspace() for c in name):
+        with pytest.raises(StructureError, match="^invalid name "):
+            build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
+        return
+    alg = build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
+    assert parse_algebra(serialize_algebra(alg)) == alg
+
+
+@pytest.mark.parametrize("name", ["x#y", "two words", "tab\tname", "#", "x\x1cy"])
+def test_a_name_the_file_format_cannot_carry_is_rejected(name):
+    with pytest.raises(StructureError) as err:
+        build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
+    assert str(err.value) == f"invalid name {name!r}"
 
 
 @given(st.sampled_from(JSL), st.randoms(use_true_random=False))
