@@ -38,7 +38,7 @@ _TABLE_OPS = [name for name, (arity, _) in OPS.items() if arity == 2]
 def _load(path: str) -> Algebra:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructureError(f"cannot read {path}: {exc}") from exc
     return parse_algebra(text)
 
@@ -198,6 +198,8 @@ def cmd_con(args) -> int:
 
 def cmd_search(args) -> int:
     tag = ClassTag(args.klass)  # argparse allows the class names only
+    if args.limit is not None and args.limit < 1:
+        raise ValueError("limit must be a positive integer")
     spec = SearchSpec(tag, args.size, upto=args.upto, violate=args.violate,
                       limit=args.limit)
     if search_mod.DEFAULT_MAX_SIZE < args.size <= search_mod.size_cap():

@@ -108,6 +108,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err and "duplicate label" in err
 
 
+def test_non_utf8_file_is_a_read_error(tmp_path, capsys):
+    p = tmp_path / "latin1.alg"
+    p.write_bytes("algebra\nelements: \xe9 1\nend\n".encode("latin-1"))
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_unknown_flag_exits_2(fig1_ncis_file):
     with pytest.raises(SystemExit) as exc:
         main(["check", fig1_ncis_file, "--bogus"])
@@ -316,6 +325,14 @@ def test_unwritable_out_is_usage_error(argv, where, code, unwritable, fig2_ncis_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cannot write {out}: [Errno {code}] ")
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+@pytest.mark.parametrize("mode", [[], ["--count"], ["--violate", "section-modular"]],
+                         ids=["list", "count", "violate"])
+def test_search_limit_below_one_is_usage_error(limit, mode, capsys):
+    assert main(["search", "--class", "jsl", "--size", "3", "--limit", limit, *mode]) == 2
+    assert capsys.readouterr() == ("", "limit must be a positive integer\n")
 
 
 def test_search_unknown_property(capsys):
