@@ -20,6 +20,12 @@ from .laws import JOIN_LAWS, Report, evaluate
 UNDEF = None
 UNDEF_TOKEN = "-"
 
+
+def _splits(text: str) -> bool:
+    """Whether the file format would split `text` into tokens or cut it at
+    its comment mark: a label or name that does cannot be read back."""
+    return "#" in text or any(c.isspace() for c in text)
+
 # The operation slots of an `Algebra`, in file and table order: name ->
 # (arity, total).  The join is always present, the others are optional: the
 # partial meet of the sections, the arrow, the partial product of the
@@ -86,7 +92,7 @@ class Universe:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for lab in self.labels:
-            if not lab or "#" in lab or any(c.isspace() for c in lab):
+            if not lab or _splits(lab):
                 raise StructureError(f"invalid label {lab!r}")
             if lab == UNDEF_TOKEN:
                 raise StructureError(f"label may not be the reserved token {UNDEF_TOKEN!r}")
@@ -440,7 +446,7 @@ def build_algebra(labels: Sequence[str], *,
     genuine greatest lower bounds.  A name, like a label, may not contain
     whitespace or ``#``, so that the file format can carry it.
     """
-    if "#" in name or any(c.isspace() for c in name):
+    if _splits(name):
         raise StructureError(f"invalid name {name!r}")
     labels = tuple(labels)
     n = len(labels)

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ordalg import (ClassTag, Partition, SearchSpec, StructureError,
                     build_algebra, canonical_key,
@@ -37,22 +37,20 @@ def test_serialize_parse_roundtrip(alg):
 
 
 @given(st.text(max_size=6))
+@example("x#y")
+@example("two words")
+@example("tab\tname")
+@example("x\x1cy")
 def test_a_name_round_trips_unless_rejected(name):
     """A name with whitespace or '#' is rejected; every other one survives
     serialization, where it is written as one token of the ``name:`` line."""
     if "#" in name or any(c.isspace() for c in name):
-        with pytest.raises(StructureError, match="^invalid name "):
+        with pytest.raises(StructureError) as err:
             build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
+        assert str(err.value) == f"invalid name {name!r}"
         return
     alg = build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
     assert parse_algebra(serialize_algebra(alg)) == alg
-
-
-@pytest.mark.parametrize("name", ["x#y", "two words", "tab\tname", "#", "x\x1cy"])
-def test_a_name_the_file_format_cannot_carry_is_rejected(name):
-    with pytest.raises(StructureError) as err:
-        build_algebra(["a", "1"], order_pairs=[(0, 1)], name=name)
-    assert str(err.value) == f"invalid name {name!r}"
 
 
 @given(st.sampled_from(JSL), st.randoms(use_true_random=False))
