@@ -5,6 +5,11 @@ preserves (Mal'cev), so the algebra is read once, as its distinct translations.
 An equivalence is kept as class bitmasks.  Only the total signatures (join,
 arrow, one ternary operation) are analysed; the partial-operation classes are
 rejected, since a compatible-partition notion for them is a different theory.
+
+The 3-permutability and distributivity verdicts are decided first by the
+paper's term schemes (a) and (b), pointwise in O(n^2).  Con is scanned for
+a verdict only when its scheme fails, as it may on a total algebra outside
+the variety whose Con is 3-permutable or distributive all the same.
 """
 
 from __future__ import annotations
@@ -263,26 +268,41 @@ def _first_non_distributive(lat: ConLattice) -> tuple[int, int, int] | None:
     return None
 
 
+def _schemes_hold(alg: Algebra) -> tuple[bool, bool]:
+    """Whether term schemes (a) and (b) hold on every pair, each on its own
+    and with the ternary table as it is: no divisibility row is needed."""
+    tv = _ternary(alg).values
+    return tuple(evaluate(alg, (law,), tv=tv).ok for law in TERM_SCHEMES[:2])
+
+
 def maltsev_report(alg: Algebra, lattice: ConLattice | None = None) -> MaltsevReport:
     """3-permutability, distributivity of the congruence lattice, and weak
     regularity (the class of the top element determines the congruence).
 
-    Each verdict is read off the integer tables of the lattice: relational
+    The term schemes (a) and (b) of `term_witness_check` decide first, in
+    O(n^2).  Their identities have two variables, so holding on every pair
+    they hold in the algebra, and the classical arguments need nothing more:
+    by Hagemann-Mitschke (a) makes Con 3-permutable, since
+    a beta c alpha d beta b gives a alpha t1(a,c,d) beta t2(c,d,b) alpha b,
+    and by Jonsson (b) makes Con distributive.  Only when a scheme fails is
+    its verdict read off the integer tables of the lattice: relational
     products of class bitmasks for 3-permutability (O(|Con|^2) pairs), the
-    join and meet tables for distributivity (O(|Con|^3) triples), and the
-    class of the top for weak regularity (O(|Con|)).  The witness names the
-    first failure in index order.
+    join and meet tables for distributivity (O(|Con|^3) triples).  Weak
+    regularity is always read off the class of the top (O(|Con|)), since
+    scheme (c) is a quasi-identity, which quotients need not keep.  The
+    witness names the first failure in index order.
     """
     lat = lattice if lattice is not None else congruence_lattice(alg)
     cs = lat.congruences
+    permutes, distributes = _schemes_hold(alg)
     witness = ""
 
-    pair = _first_non_3_permuting(lat)
+    pair = None if permutes else _first_non_3_permuting(lat)
     if pair is not None:
         p, q = pair
         witness = f"3-permutability fails for {cs[p].class_of} and {cs[q].class_of}"
 
-    triple = _first_non_distributive(lat)
+    triple = None if distributes else _first_non_distributive(lat)
     if triple is not None and not witness:
         a, b, c = triple
         witness = (f"distributivity fails for {cs[a].class_of}, "

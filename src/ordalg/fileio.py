@@ -25,7 +25,9 @@ The format is UTF-8 text; ``#`` starts a comment.  A file holds one algebra:
 The ``op`` headers and their order come from the slot table `core.OPS`:
 ``op <name>:`` for a total slot, ``op <name> partial:`` for a partial one.
 Row i, column j of a binary block is op(e_i, e_j); a ternary block is n
-blocks of n such rows, block k fixing the third argument.
+blocks of n such rows, block k fixing the third argument.  The ``name:``
+and ``elements:`` lines, the ``order:`` block and each ``op`` block come at
+most once, and ``end`` stands alone, with nothing after it.
 Lines are those of `str.splitlines` and tokens are runs of non-whitespace,
 so a label or name may contain neither whitespace nor ``#``.  A malformed
 file raises `ParseError`, reading ``line L, column C: message`` where the
@@ -49,6 +51,8 @@ _TOKEN = re.compile(r"\S+")
 _HEADERS = {name: f"op {name}{'' if total else ' partial'}:"
             for name, (_, total) in OPS.items()}
 _SLOT_OF_HEADER = {header: name for name, header in _HEADERS.items()}
+# the heads that may come once, and what a second one is called
+_ONCE = {"name:": "line", "elements:": "line", "order:": "block"}
 
 
 def _values(rows: list[list[int | None]], n: int, arity: int):
@@ -87,7 +91,7 @@ def parse_algebra(text: str) -> Algebra:
     labels: list[str] | None = None
     index: dict[str, int] = {}
     order_pairs: list[tuple[int, int]] = []
-    have_order = False
+    seen: set[str] = set()  # the heads of `_ONCE` read so far
     blocks: dict[str, list[list[int | None]]] = {}
 
     pos = 1
@@ -97,16 +101,20 @@ def parse_algebra(text: str) -> Algebra:
         toks = line[2]
         head = toks[0]
         if head == "end":
+            if len(toks) > 1:
+                raise _error("text after 'end'", line, 1)
             break
         if labels is None and head in ("order:", "op"):
             raise _error("'elements:' must come first", line)
+        if head in _ONCE:
+            if head in seen:
+                raise _error(f"duplicate {head} {_ONCE[head]}", line)
+            seen.add(head)
         if head == "name:":
             if len(toks) != 2:
                 raise _error("name: takes exactly one token", line)
             name = toks[1]
         elif head == "elements:":
-            if labels is not None:
-                raise _error("duplicate elements: line", line)
             if len(toks) < 2:
                 raise _error("elements: needs at least one label", line)
             labels = []
@@ -118,7 +126,6 @@ def parse_algebra(text: str) -> Algebra:
                 index[tok] = len(labels)
                 labels.append(tok)
         elif head == "order:":
-            have_order = True
             while pos < len(lines) and len(lines[pos][2]) == 3 and lines[pos][2][1] == "<":
                 rel = lines[pos]
                 pos += 1
@@ -166,7 +173,7 @@ def parse_algebra(text: str) -> Algebra:
     tables = {f"{kind}_values": _values(rows, len(labels), OPS[kind][0])
               for kind, rows in blocks.items()}
     try:
-        return build_algebra(labels, order_pairs=order_pairs if have_order else None,
+        return build_algebra(labels, order_pairs=order_pairs if "order:" in seen else None,
                              name=name, **tables)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc

@@ -115,11 +115,17 @@ def _edited_models():
             rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
             yield dataclasses.replace(alg, imp=BinTable.from_rows(rows, total=True))
         else:
-            name = "r" if alg.r is not None else "q"
-            vals = [[list(row) for row in plane] for plane in getattr(alg, name).values]
-            vals[i][j][k] = rng.choice([v for v in range(n) if v != vals[i][j][k]])
-            yield dataclasses.replace(alg, **{name: TernTable(
-                tuple(tuple(tuple(row) for row in plane) for plane in vals))})
+            old = congruence._ternary(alg).values[i][j][k]
+            yield _edit_ternary(alg, i, j, k, rng.choice([v for v in range(n) if v != old]))
+
+
+def _edit_ternary(alg, i, j, k, v):
+    """The algebra with entry (i, j, k) of its r or q table set to v."""
+    name = "r" if alg.r is not None else "q"
+    vals = [[list(row) for row in plane] for plane in getattr(alg, name).values]
+    vals[i][j][k] = v
+    return dataclasses.replace(alg, **{name: TernTable(
+        tuple(tuple(tuple(row) for row in plane) for plane in vals))})
 
 
 def test_lattice_matches_oracle_outside_the_variety():
@@ -262,6 +268,57 @@ def test_maltsev_matches_oracle_on_failing_family():
     assert verdicts["jsl_4_2"] == (False, False, False)
     for i in range(3):
         assert any(not v[i] for v in verdicts.values())
+
+
+def test_schemes_and_scans_agree_on_the_variety():
+    """Schemes (a) and (b) hold on every ialg and ralg model up to size 7,
+    and the scans of Con they stand in for find no failure there either."""
+    for tag in (ClassTag.IALG, ClassTag.RALG):
+        for n in range(1, 8):
+            for alg in enumerate_models(SearchSpec(tag, n)):
+                assert congruence._schemes_hold(alg) == (True, True), alg.name
+                lat = congruence_lattice(alg)
+                assert congruence._first_non_3_permuting(lat) is None, alg.name
+                assert congruence._first_non_distributive(lat) is None, alg.name
+
+
+def _ternary_edits():
+    """Every single-cell edit of the r or q table of the ialg and ralg
+    models of sizes 1-3."""
+    for tag in (ClassTag.IALG, ClassTag.RALG):
+        for n in range(1, 4):
+            for alg in enumerate_models(SearchSpec(tag, n)):
+                tern = congruence._ternary(alg).values
+                for i, j, k in itertools.product(range(n), repeat=3):
+                    for v in range(n):
+                        if v != tern[i][j][k]:
+                            yield _edit_ternary(alg, i, j, k, v)
+
+
+def test_schemes_agree_with_the_scans_outside_the_variety():
+    """Where a scheme holds its scan finds no failure, and where it fails
+    the scan still finds none on some algebras: the shortcut is sound, and
+    the scans cannot be dropped."""
+    held, rescued = [0, 0], [0, 0]
+    for alg in itertools.chain(_trivial_r_family(), _ternary_edits()):
+        lat = congruence_lattice(alg)
+        scans = (congruence._first_non_3_permuting(lat),
+                 congruence._first_non_distributive(lat))
+        for i, (holds, found) in enumerate(zip(congruence._schemes_hold(alg), scans)):
+            if holds:
+                assert found is None, alg.name
+            held[i] += holds
+            rescued[i] += not holds and found is None
+    assert min(held) > 0 and min(rescued) > 0
+
+
+def test_the_scans_decide_where_the_schemes_fail():
+    # the two-element chain with r(x,y,z) = x fails both schemes, yet its
+    # Con is a two-element chain: 3-permutable and distributive
+    alg = next(alg for alg in _trivial_r_family() if alg.name == "jsl_2_0")
+    assert congruence._schemes_hold(alg) == (False, False)
+    rep = maltsev_report(alg)
+    assert rep.three_permutable and rep.con_distributive
 
 
 def test_term_witness_check(ia1, ia2):

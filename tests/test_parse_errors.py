@@ -41,6 +41,10 @@ CASES = [
      "line 2, column 2: name: takes exactly one token"),
     ("duplicate elements line", HEAD + "  elements: a 1\nend\n",
      "line 3, column 3: duplicate elements: line"),
+    ("duplicate name line", "algebra\nname: x\nelements: a\n  name: y\nend\n",
+     "line 4, column 3: duplicate name: line"),
+    ("duplicate order block", HEAD + "order:\n  a < 1\norder:\n  b < 1\nend\n",
+     "line 5, column 1: duplicate order: block"),
     ("elements without labels", "algebra\nelements:   # none\nend\n",
      "line 2, column 1: elements: needs at least one label"),
     ("reserved label", "algebra\nelements: a - 1\nend\n",
@@ -96,7 +100,7 @@ CASES = [
     ("text after end", HEAD + JOIN + "end\n\n  more text\n",
      "line 9, column 3: text after 'end'"),
     ("end with a second token", HEAD + "end here\nend\n",
-     "line 4, column 1: text after 'end'"),
+     "line 3, column 5: text after 'end'"),
     ("structure error", "algebra\nelements: a b\nend\n",
      "no unique top"),
     ("order cycle", HEAD + "order:\n  a < b\n  b < a\nend\n",
