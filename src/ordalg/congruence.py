@@ -111,21 +111,22 @@ def _ternary(alg: Algebra) -> TernTable:
 
 def _translations(alg: Algebra) -> list[tuple[int, ...]]:
     """The distinct basic translations x -> f(..., x, ...) of join, arrow
-    and the ternary table, each as an n-tuple, in sorted order.  Constant
-    maps and the identity identify nothing and are left out.  Rejects
-    partial tables."""
+    and every ternary table present (r, q or both), each as an n-tuple, in
+    sorted order.  Constant maps and the identity identify nothing and are
+    left out.  Rejects partial tables."""
     if alg.meet is not None or alg.prod is not None:
         raise ValueError("congruence analysis requires total operations only "
                          "(partial meet/product present)")
-    tern = _ternary(alg).values
+    _ternary(alg)  # an arrow and at least one ternary table
     maps: set[tuple[int, ...]] = set()
     for tbl in (alg.join.values, alg.imp.values):
         maps.update(tbl)  # x -> f(c, x)
         maps.update(zip(*tbl))  # x -> f(x, c)
-    for i, plane in enumerate(tern):
-        maps.update(plane)  # x -> t(i, j, x)
-        maps.update(zip(*plane))  # x -> t(i, x, k)
-        maps.update(zip(*(t[i] for t in tern)))  # x -> t(x, i, k)
+    for tern in (t.values for t in (alg.r, alg.q) if t is not None):
+        for i, plane in enumerate(tern):
+            maps.update(plane)  # x -> t(i, j, x)
+            maps.update(zip(*plane))  # x -> t(i, x, k)
+            maps.update(zip(*(t[i] for t in tern)))  # x -> t(x, i, k)
     return sorted(m for m in maps - {tuple(range(alg.n))} if len(set(m)) > 1)
 
 

@@ -250,10 +250,10 @@ def all_partitions(n):
 
 
 def is_compatible(part, alg):
-    """Partition compatible with join, arrow and the ternary operation."""
+    """Partition compatible with join, arrow and every ternary operation
+    present (r, q or both)."""
     n = alg.n
     rel = part.relates
-    tern = alg.r if alg.r is not None else alg.q
     for tbl in (alg.join.values, alg.imp.values):
         for a in range(n):
             for b in range(n):
@@ -262,19 +262,19 @@ def is_compatible(part, alg):
                 for c in range(n):
                     if not rel(tbl[a][c], tbl[b][c]) or not rel(tbl[c][a], tbl[c][b]):
                         return False
-    tv = tern.values
-    for a in range(n):
-        for b in range(n):
-            if not rel(a, b):
-                continue
-            for c in range(n):
-                for d in range(n):
-                    if not rel(tv[a][c][d], tv[b][c][d]):
-                        return False
-                    if not rel(tv[c][a][d], tv[c][b][d]):
-                        return False
-                    if not rel(tv[c][d][a], tv[c][d][b]):
-                        return False
+    for tv in (t.values for t in (alg.r, alg.q) if t is not None):
+        for a in range(n):
+            for b in range(n):
+                if not rel(a, b):
+                    continue
+                for c in range(n):
+                    for d in range(n):
+                        if not rel(tv[a][c][d], tv[b][c][d]):
+                            return False
+                        if not rel(tv[c][a][d], tv[c][b][d]):
+                            return False
+                        if not rel(tv[c][d][a], tv[c][d][b]):
+                            return False
     return True
 
 

@@ -156,13 +156,13 @@ def test_principal_matches_oracle_outside_the_variety():
 
 
 def _brute_translations(alg):
-    """Every map x -> f(..., x, ...) of join, arrow and the ternary table,
+    """Every map x -> f(..., x, ...) of join, arrow and each ternary table,
     the other arguments fixed, minus the constant maps and the identity."""
     n = alg.n
     join, imp = alg.join.values, alg.imp.values
-    tern = (alg.r if alg.r is not None else alg.q).values
-    ops = [(2, lambda x, y: join[x][y]), (2, lambda x, y: imp[x][y]),
-           (3, lambda x, y, z: tern[x][y][z])]
+    ops = [(2, lambda x, y: join[x][y]), (2, lambda x, y: imp[x][y])]
+    ops += [(3, lambda x, y, z, tv=t.values: tv[x][y][z])
+            for t in (alg.r, alg.q) if t is not None]
     maps = set()
     for arity, f in ops:
         for pos in range(arity):
@@ -171,8 +171,30 @@ def _brute_translations(alg):
     return {m for m in maps if len(set(m)) > 1 and m != tuple(range(n))}
 
 
+def _with_swapping_q():
+    """ialg_3_0 with a q table beside its r: q(x,y,z) = x at z = 1, and x
+    with a and b swapped otherwise."""
+    alg = next(iter(enumerate_models(SearchSpec(ClassTag.IALG, 3))))
+    a, b, top = idx(alg, "a", "b", "1")
+    swap = {a: b, b: a, top: top}
+    q = TernTable(tuple(tuple(tuple(x if z == top else swap[x] for z in range(3))
+                              for _ in range(3)) for x in range(3)))
+    return dataclasses.replace(alg, q=q)
+
+
+def test_con_preserves_q_beside_r():
+    alg = _with_swapping_q()
+    assert alg.name == "ialg_3_0" and alg.r is not None
+    a, top = idx(alg, "a", "1")
+    # q(a,a,a) = b and q(1,a,a) = 1: relating a with 1 relates b with 1
+    assert principal_congruence(alg, a, top) == Partition.single_class(alg.n)
+    lat = congruence_lattice(alg)
+    assert [p.notation(alg.labels) for p in lat.congruences] == ["{a,b,1}", "{a}{b}{1}"]
+    assert lat.congruences == tuple(sorted(oracle_congruences(alg)))
+
+
 def test_translations_match_brute_force(ia1, ia2, two_chain, fig2_rrs):
-    algs = [two_chain, ia1, ia2, ralgebra_from_rrs(fig2_rrs)]
+    algs = [two_chain, ia1, ia2, ralgebra_from_rrs(fig2_rrs), _with_swapping_q()]
     algs += [alg for alg in _trivial_r_family() if alg.n <= 4]
     algs += itertools.islice(_edited_models(), PRINCIPAL_SAMPLE)
     for alg in algs:
