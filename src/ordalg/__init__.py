@@ -13,10 +13,9 @@ from .sectioned import (SectionReport, SectionShape, pseudocomplement_in_section
                         section_report, section_shape_report, validate_sectioned)
 from .implication import (NcisAlgebra, check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
-from .residuated import (BridgeError, RrsAlgebra, SrsAlgebra, check_divisible,
+from .residuated import (BridgeError, RrsAlgebra, check_divisible,
                          check_rrs_properties, derive_residual_imp,
-                         has_meets_on_bounded_pairs, ncis_rrs_bridge,
-                         rrs_from_srs, srs_from_rrs, validate_rrs,
+                         has_meets_on_bounded_pairs, ncis_rrs_bridge, validate_rrs,
                          validate_rrs_identities, validate_srs)
 from .varieties import (IAlgebra, RAlgebra, ialgebra_from_ncis,
                         ncis_from_ialgebra, ralgebra_from_rrs,

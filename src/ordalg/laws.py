@@ -34,7 +34,7 @@ and, passed by the validators that need them:
     pc       the sectional pseudocomplements, ``Algebra.pc``
     unmet    the bounded pairs without a glb (sectioned (a))
     tv       the ternary table the term schemes read: r, else q
-    secs, sp sections [b, 1] and the per-section products (srs only)
+    secs     the sections [b, 1], sorted (srs only)
 
 ``le``, ``dn`` and ``up`` are the algebra's cached order tables; `evaluate`
 builds them only when a row names them among its parameters.
@@ -362,54 +362,45 @@ RRS_PROPERTIES = (
 # sectionally residuated semilattices (`validate_srs`)
 
 
-def _section_monoids(ix, top, secs, sp, **_):
-    """Per base b: the product of [b, 1] is defined exactly on the section,
-    closed and commutative there, with unit top, and associative."""
-    return (hit for b, s in enumerate(secs) for t in [sp[b]]
-            for s_set in [frozenset(s)] for hit in chain(
-                (((b, x, y), "defined" if t[x][y] is not None else "-",
-                  "section" if x in s_set and y in s_set else "outside",
-                  "", "monoid-domain")
-                 for x, y in ix
-                 if (t[x][y] is not None) != (x in s_set and y in s_set)),
-                (((b, x, y), t[x][y], b, "", "monoid-closure")
-                 if t[x][y] not in s_set else
-                 ((b, x, y), t[x][y], t[y][x], "", "monoid-commutative")
+def _section_monoids(ix, top, up, secs, pv, **_):
+    """Per base b: the product is defined on every pair of [b, 1], closed
+    and commutative there, with unit top, and associative."""
+    return (hit for b, s in enumerate(secs) for s_set in [up[b]] for hit in chain(
+                (((b, x, y), "-", "section", "", "monoid-domain")
+                 for x in s for y in s if pv[x][y] is None),
+                (((b, x, y), pv[x][y], b, "", "monoid-closure")
+                 if pv[x][y] not in s_set else
+                 ((b, x, y), pv[x][y], pv[y][x], "", "monoid-commutative")
                  for x in s for y in s
-                 if t[x][y] not in s_set or t[x][y] != t[y][x]),
-                (((b, x), t[x][top], x, "", "monoid-unit") for x in s if t[x][top] != x),
+                 if pv[x][y] not in s_set or pv[x][y] != pv[y][x]),
+                (((b, x), pv[x][top], x, "", "monoid-unit") for x in s if pv[x][top] != x),
                 (((b, x, y, z), l, r, "", "monoid-associative")
                  for x in s for y in s for z in s
-                 for l in [t[t[x][y]][z]] for r in [t[x][t[y][z]]] if l != r)))
+                 for l in [pv[pv[x][y]][z]] for r in [pv[x][pv[y][z]]] if l != r)))
 
 
 SRS_LAWS = (
-    # the section tables keep the product only inside sections, so a value
-    # stored for a pair with no common lower bound is checked here or never
+    # the section products are the restrictions of the one product, read
+    # only inside sections, so a value stored for a pair with no common
+    # lower bound is checked here or never
     Law("domain", 2, "product defined on a pair that lies in no common section",
-        lambda ix, pv, dn, **_: iter(()) if pv is None else (
+        lambda ix, pv, dn, **_: (
             ((x, y), pv[x][y], "-") for x, y in ix
             if pv[x][y] is not None and not dn[x] & dn[y])),
     # [b, 1] is a commutative monoid with unit 1 under its product
     Law("monoid", 2, "", _section_monoids),
-    # z <= u: the products of [z, 1] and [u, 1] agree on [u, 1]
-    Law("(i)", 4, "compatibility across sections",
-        lambda ix, secs, sp, **_: (
-            ((z, u, x, y), sp[z][x][y], sp[u][x][y])
-            for z, s in enumerate(secs) for u in s for x in secs[u] for y in secs[u]
-            if sp[z][x][y] != sp[u][x][y])),
     # x <= y in [u, 1] implies x.z <= y.z there
     Law("(ii)", 4, LE,
-        lambda ix, le, secs, sp, **_: (
-            ((u, x, y, z), t[x][z], t[y][z])
-            for u, s in enumerate(secs) for t in [sp[u]]
+        lambda ix, le, secs, pv, **_: (
+            ((u, x, y, z), pv[x][z], pv[y][z])
+            for u, s in enumerate(secs)
             for x in s for y in s if le[x][y]
-            for z in s if not le[t[x][z]][t[y][z]])),
+            for z in s if not le[pv[x][z]][pv[y][z]])),
     # (x v z) ._z (y v z) <= z  iff  x v z <= y->z
     Law("(iii)", 3, "sectional adjointness",
-        lambda ix, le, jv, iv, sp, **_: (
+        lambda ix, le, jv, iv, pv, **_: (
             ((x, y, z), "true" if left else "false", "false" if left else "true")
-            for x, y, z in ix for p in [sp[z][jv[x][z]][jv[y][z]]]
+            for x, y, z in ix for p in [pv[jv[x][z]][jv[y][z]]]
             for left in [p is not None and le[p][z]]
             if left != le[jv[x][z]][iv[y][z]])),
     Law("(iv)", 2, "", _arrow_absorbs),

@@ -1,19 +1,19 @@
 """Residuated structure on join-semilattices.
 
-Two presentations of the same data: one partial product on bounded pairs
-with a total arrow (relative adjointness), or a family of commutative
-monoids, one per section, compatible across sections (sectional
-adjointness).  The conversions between them restrict and glue the product;
-the bridge functions connect the divisible case with the implication
-semilattices of `ordalg.implication`.
+One partial product on bounded pairs with a total arrow, read two ways:
+relatively residuated (`validate_rrs`, adjointness on the whole algebra) or
+sectionally residuated (`validate_srs`, each section [b, 1] a commutative
+monoid under the restriction of the product, with sectional adjointness).
+In the finite case a compatible family of section products is the set of
+restrictions of one product, so both read the same tables.  The bridge
+functions connect the divisible case with the implication semilattices of
+`ordalg.implication`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   common_lower_bounds, ensure_meet, leq, require_tables, section)
+                   ensure_meet, leq, require_tables, section)
 from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
                    evaluate)
@@ -27,19 +27,6 @@ class BridgeError(StructureError):
     def __init__(self, report: Report):
         self.report = report
         super().__init__(report.fail_line())
-
-
-@dataclass(frozen=True)
-class SrsAlgebra:
-    """Join-semilattice with one product table per section.
-
-    ``section_prod[b]`` is an n x n partial table defined exactly on pairs
-    from [b, 1]; together with the arrow of ``alg`` it forms the sectional
-    presentation.
-    """
-
-    alg: Algebra
-    section_prod: tuple[BinTable, ...]
 
 
 def _check_adjointness(alg: Algebra) -> Report:
@@ -99,66 +86,15 @@ def check_rrs_properties(alg: Algebra) -> Report:
                     gv=alg.glb.values)
 
 
-# ---------------------------------------------------------------------------
-# sectional presentation
-
-def srs_from_rrs(alg: Algebra) -> SrsAlgebra:
-    """Restrict the product to each section [b, 1]."""
+def validate_srs(alg: Algebra) -> Report:
+    """Sectional laws on the restrictions of the product to each section
+    [b, 1]: the product is defined only on pairs that share a section
+    (domain), each section a commutative monoid with unit top,
+    monotonicity (ii), sectional adjointness (iii), and the arrow
+    absorption (iv)."""
     require_tables(alg, "imp", "prod")
-    n = alg.n
-    tables = []
-    for b in range(n):
-        sec = set(section(alg, b))
-        rows = []
-        for i in range(n):
-            rows.append(tuple(alg.prod.values[i][j] if i in sec and j in sec else None
-                              for j in range(n)))
-        tables.append(BinTable(tuple(rows), total=False))
-    return SrsAlgebra(alg.replace(class_tag=ClassTag.SRS), tuple(tables))
-
-
-def rrs_from_srs(srs: SrsAlgebra) -> Algebra:
-    """Glue the section products into one partial product.
-
-    Raises "incompatible section family" when two bases disagree about the
-    same pair, which a family violating the compatibility law does.
-    """
-    alg = srs.alg
-    n = alg.n
-    rows: list[list[int | None]] = []
-    for x in range(n):
-        row: list[int | None] = []
-        for y in range(n):
-            seen: dict[int, int] = {}
-            for b in common_lower_bounds(alg, x, y):
-                v = srs.section_prod[b].values[x][y]
-                if v is not None:
-                    seen[v] = b
-            if not seen:
-                row.append(None)
-            elif len(seen) > 1:
-                vals = sorted(seen)
-                raise StructureError(
-                    f"incompatible section family at ({alg.label(x)},{alg.label(y)}): "
-                    f"base {alg.label(seen[vals[0]])} gives {alg.label(vals[0])}, "
-                    f"base {alg.label(seen[vals[1]])} gives {alg.label(vals[1])}")
-            else:
-                row.append(next(iter(seen)))
-        rows.append(row)
-    return alg.replace(prod=BinTable.from_rows(rows, total=False),
-                       class_tag=ClassTag.RRS)
-
-
-def validate_srs(srs: SrsAlgebra) -> Report:
-    """Sectional laws: the stored product (when ``alg`` carries one) is
-    defined only on pairs that share a section (domain), each section a
-    commutative monoid with unit top, compatibility (i), monotonicity (ii),
-    sectional adjointness (iii), and the arrow absorption (iv)."""
-    alg = srs.alg
-    require_tables(alg, "imp")
     return evaluate(alg, SRS_LAWS, "sectional residuation laws hold",
-                    secs=tuple(section(alg, b) for b in range(alg.n)),
-                    sp=tuple(t.values for t in srs.section_prod))
+                    secs=tuple(section(alg, b) for b in range(alg.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Uni
                    build_algebra, default_labels, ensure_meet, order_from_join,
                    relabel)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
-from .residuated import (check_divisible, check_rrs_properties, srs_from_rrs,
-                         validate_rrs, validate_srs)
+from .residuated import (check_divisible, check_rrs_properties, validate_rrs,
+                         validate_srs)
 from .sectioned import section_shape_report, validate_sectioned
 from .varieties import (ialgebra_from_ncis, ralgebra_from_rrs,
                         validate_ialgebra, validate_ralgebra)
@@ -312,10 +312,9 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
                          for a in _models(ClassTag.NCIS, n))]
 
     elif tag == ClassTag.SRS:
-        out = []
-        for alg in _models(ClassTag.RRS, n):
-            srs = alg.replace(class_tag=ClassTag.SRS)
-            out.append(_gate(srs, validate_srs(srs_from_rrs(srs))))
+        out = [_gate(m, validate_srs(m))
+               for m in (a.replace(class_tag=ClassTag.SRS)
+                         for a in _models(ClassTag.RRS, n))]
 
     elif tag == ClassTag.IALG:
         out = [_gate(m, validate_ialgebra(m))

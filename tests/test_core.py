@@ -15,7 +15,7 @@ from ordalg import (Algebra, BinTable, ClassTag, ParseError, SearchSpec,
                     serialize_algebra,
                     term_witness_check, validate_ialgebra, validate_join_semilattice,
                     validate_ncis, validate_ralgebra, validate_rrs,
-                    validate_sectioned)
+                    validate_sectioned, validate_srs)
 from ordalg import core
 
 
@@ -293,8 +293,8 @@ def test_parsed_algebra_keeps_the_glb_that_checked_its_meet(monkeypatch, tag, va
 
 @pytest.mark.parametrize("call", [
     validate_ncis, check_ncis_properties, derive_sections, validate_rrs,
-    validate_ialgebra, validate_ralgebra, ialgebra_from_ncis, term_witness_check,
-    lambda a: project_to_class(a, ClassTag.RRS),
+    validate_srs, validate_ialgebra, validate_ralgebra, ialgebra_from_ncis,
+    term_witness_check, lambda a: project_to_class(a, ClassTag.RRS),
     lambda a: ncis_rrs_bridge(a, "to_rrs")])
 def test_a_missing_table_has_one_message(fig1_order, call):
     with pytest.raises(StructureError, match=r"^this operation requires an imp table$"):
@@ -304,6 +304,8 @@ def test_a_missing_table_has_one_message(fig1_order, call):
 def test_the_missing_table_message_names_the_table(fig1, fig1_order):
     with pytest.raises(StructureError, match=r"^this operation requires a prod table$"):
         derive_residual_imp(fig1_order)
+    with pytest.raises(StructureError, match=r"^this operation requires a prod table$"):
+        validate_srs(fig1)
     with pytest.raises(StructureError, match=r"^this operation requires an r table$"):
         validate_ialgebra(fig1)
     with pytest.raises(StructureError, match=r"^this operation requires a q table$"):

@@ -3,10 +3,9 @@ import dataclasses
 import pytest
 
 from conftest import idx
-from ordalg import (BinTable, BridgeError, ClassTag, SrsAlgebra, StructureError,
-                    build_algebra, check_divisible, check_rrs_properties,
-                    derive_residual_imp, has_meets_on_bounded_pairs,
-                    ncis_rrs_bridge, parse_algebra, rrs_from_srs, srs_from_rrs,
+from ordalg import (BinTable, BridgeError, ClassTag, build_algebra,
+                    check_divisible, check_rrs_properties, derive_residual_imp,
+                    has_meets_on_bounded_pairs, ncis_rrs_bridge, parse_algebra,
                     validate_rrs, validate_rrs_identities, validate_srs)
 
 
@@ -92,57 +91,18 @@ def test_rrs_property_instances(fig2_rrs):
     assert iv[iv[iv[d][z]][z]][z] == iv[d][z] == z     # (viii) instance at (d, 0)
 
 
-def test_srs_restriction(fig1_rrs, fig2_rrs):
-    srs = srs_from_rrs(fig1_rrs)
-    a, b = idx(fig1_rrs, "a", "b")
-    assert srs.section_prod[a].values[b][b] == b
-    top = fig1_rrs.top
-    assert srs.section_prod[top].values[top][top] == top
-    assert sum(v is not None for row in srs.section_prod[top].values
-               for v in row) == 1
-    z = idx(fig2_rrs, "0")
-    srs2 = srs_from_rrs(fig2_rrs)
-    defined = [(i, j) for i in range(fig2_rrs.n) for j in range(fig2_rrs.n)
-               if srs2.section_prod[z].values[i][j] is not None]
-    assert len(defined) == 25  # the five-element section [0,1] squared
-
-
 def test_validate_srs_passes(fig1_rrs, fig2_rrs):
-    assert validate_srs(srs_from_rrs(fig1_rrs)).ok
-    assert validate_srs(srs_from_rrs(fig2_rrs)).ok
-
-
-def test_rrs_srs_roundtrip(fig1_rrs, fig2_rrs):
-    for alg in (fig1_rrs, fig2_rrs):
-        back = rrs_from_srs(srs_from_rrs(alg))
-        assert back.prod.values == alg.prod.values
-        srs = srs_from_rrs(alg)
-        again = srs_from_rrs(rrs_from_srs(srs))
-        assert again.section_prod == srs.section_prod
-
-
-def test_incompatible_section_family(fig2_rrs):
-    srs = srs_from_rrs(fig2_rrs)
-    z, b = idx(fig2_rrs, "0", "b")
-    tables = list(srs.section_prod)
-    rows = [list(r) for r in tables[z].values]
-    rows[b][b] = z  # contradicts b . b = b seen from base b
-    tables[z] = BinTable.from_rows(rows, total=False)
-    corrupt = SrsAlgebra(srs.alg, tuple(tables))
-    with pytest.raises(StructureError, match="incompatible section family"):
-        rrs_from_srs(corrupt)
+    assert validate_srs(fig1_rrs).ok
+    assert validate_srs(fig2_rrs).ok
 
 
 def test_validate_srs_non_associative_family(fig2_rrs):
-    srs = srs_from_rrs(fig2_rrs)
-    z, a, b, c = idx(fig2_rrs, "0", "a", "b", "c")
-    tables = list(srs.section_prod)
-    rows = [list(r) for r in tables[z].values]
-    rows[a][b] = rows[b][a] = c  # was 0; breaks associativity in [0,1]
-    tables[z] = BinTable.from_rows(rows, total=False)
-    rep = validate_srs(SrsAlgebra(srs.alg, tuple(tables)))
-    assert not rep.ok
-    assert rep.axiom in ("monoid-associative", "(i)", "(ii)", "(iii)")
+    a, b, c = idx(fig2_rrs, "a", "b", "c")
+    pv = [list(row) for row in fig2_rrs.prod.values]
+    pv[a][b] = pv[b][a] = c  # was 0; breaks associativity in [0,1]
+    bad = dataclasses.replace(fig2_rrs, prod=BinTable.from_rows(pv, total=False))
+    rep = validate_srs(bad)
+    assert rep.fail_line() == "FAIL axiom=monoid-associative witness=(0,a,a,b) lhs=c rhs=a"
 
 
 def test_validate_srs_adjointness_failure(fig2_rrs):
@@ -150,7 +110,7 @@ def test_validate_srs_adjointness_failure(fig2_rrs):
     iv = [list(row) for row in fig2_rrs.imp.values]
     iv[a][z] = fig2_rrs.top  # a->0 lifted from b to 1
     bad = dataclasses.replace(fig2_rrs, imp=BinTable.from_rows(iv, total=True))
-    rep = validate_srs(srs_from_rrs(bad))
+    rep = validate_srs(bad)
     assert not rep.ok
     assert rep.axiom == "(iii)"
 
@@ -160,7 +120,7 @@ def test_validate_srs_product_outside_sections(fig1_rrs):
     pv = [list(row) for row in fig1_rrs.prod.values]
     pv[b][c] = fig1_rrs.top
     bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
-    rep = validate_srs(srs_from_rrs(bad))
+    rep = validate_srs(bad)
     assert rep.fail_line() == "FAIL axiom=domain witness=(b,c) lhs=1 rhs=-"
 
 
