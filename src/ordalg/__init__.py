@@ -11,14 +11,13 @@ from .core import (Algebra, BinTable, ClassTag, OrdalgError, ParseError,
 from .fileio import parse_algebra, serialize_algebra
 from .sectioned import (SectionReport, SectionShape, pseudocomplement_in_section,
                         section_report, section_shape_report, validate_sectioned)
-from .implication import (NcisAlgebra, check_ncis_properties, derive_implication,
+from .implication import (check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
-from .residuated import (BridgeError, RrsAlgebra, check_divisible,
-                         check_rrs_properties, derive_residual_imp,
-                         has_meets_on_bounded_pairs, ncis_rrs_bridge, validate_rrs,
-                         validate_rrs_identities, validate_srs)
-from .varieties import (IAlgebra, RAlgebra, ialgebra_from_ncis,
-                        ncis_from_ialgebra, ralgebra_from_rrs,
+from .residuated import (BridgeError, check_divisible, check_rrs_properties,
+                         derive_residual_imp, has_meets_on_bounded_pairs,
+                         ncis_rrs_bridge, validate_rrs, validate_rrs_identities,
+                         validate_srs)
+from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra, ralgebra_from_rrs,
                         rrs_from_ralgebra, validate_ialgebra, validate_ralgebra)
 from .congruence import (ConLattice, MaltsevReport, Partition,
                          congruence_lattice, maltsev_report,

@@ -6,6 +6,11 @@ An equivalence is kept as class bitmasks.  Only the total signatures (join,
 arrow, one ternary operation) are analysed; the partial-operation classes are
 rejected, since a compatible-partition notion for them is a different theory.
 
+Con is generated by the n-1 congruences Theta(x, 1) wherever the
+weak-regularity chain (d) holds pointwise, as it does on every ialg and
+ralg model up to size 8 (the paper's last theorem says the variety is
+weakly regular), and by all n(n-1)/2 principal congruences elsewhere.
+
 The 3-permutability and distributivity verdicts are decided first by the
 paper's term schemes (a) and (b), pointwise in O(n^2).  Con is scanned for
 a verdict only when its scheme fails, as it may on a total algebra outside
@@ -19,7 +24,7 @@ from functools import cached_property, total_ordering
 from itertools import combinations
 
 from .core import Algebra, Report, StructureError, TernTable, require_tables
-from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, evaluate
+from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, WEAK_REGULARITY_CHAIN, evaluate
 
 
 def _merge(cls: list[int], u: int, v: int) -> bool:
@@ -200,13 +205,33 @@ class ConLattice:
         return tuple(tuple(by_up[ua & ub] for ub in ups) for ua in ups)
 
 
+def _chain_holds(alg: Algebra) -> bool:
+    """Whether the weak-regularity chain (d) holds on every pair, with the
+    ternary table as it is."""
+    return evaluate(alg, WEAK_REGULARITY_CHAIN, tv=_ternary(alg).values).ok
+
+
 def congruence_lattice(alg: Algebra) -> ConLattice:
     """All congruences, as the joins of principal ones: the identity, closed
     under join with each principal congruence in one pass apiece.  Reading
-    the translations checks the signature, even of a one-element algebra."""
+    the translations checks the signature, even of a one-element algebra.
+
+    Where the weak-regularity chain (d) of `laws.WEAK_REGULARITY_CHAIN`
+    holds, with t the ternary table (r, else q), the generators are the n-1
+    congruences Theta(x, 1) alone.  For a congruence theta, x theta y gives
+    x->y theta y->y = 1, and x->y theta 1 theta y->x gives
+    x = s1(x,y,x->y,y->x) theta s1(x,y,1,1) = s2(x,y,x->y,y->x) theta
+    s2(x,y,1,1) = y.  So theta is fixed by its class of 1, and is the join
+    of the Theta(c, 1) with c theta 1.  Elsewhere all n(n-1)/2 pairs are
+    closed.
+    """
     maps = _translations(alg)
     n = alg.n
-    principal = {_principal(maps, n, a, b) for a, b in combinations(range(n), 2)}
+    if _chain_holds(alg):
+        pairs = ((a, alg.top) for a in range(n) if a != alg.top)
+    else:
+        pairs = combinations(range(n), 2)
+    principal = {_principal(maps, n, a, b) for a, b in pairs}
     found = {Partition.identity(n)}
     for q in principal:
         found |= {p.join_with(q) for p in found}

@@ -14,8 +14,6 @@ from .core import (Algebra, BinTable, ClassTag, Report, StructureError, ensure_m
                    require_tables)
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 
-NcisAlgebra = Algebra  # alias: an Algebra with total imp, partial meet, tag "ncis"
-
 
 def derive_implication(alg: Algebra) -> Algebra:
     """The arrow table from sectional pseudocomplements (requires a

@@ -568,3 +568,22 @@ TERM_SCHEMES = (
             for x, y in ix for both in [iv[x][y] == top and iv[y][x] == top]
             if both != (x == y))),
 )
+
+# ---------------------------------------------------------------------------
+# the weak-regularity chain `congruence_lattice` reads; not a row of
+# `TERM_SCHEMES`, so `term_witness_check` reports schemes (a)-(c) only:
+# s1(x,y,u,v) = t(y,v,x), s2(x,y,u,v) = t(x,u->y,y) with x = s1(x,y,x->y,y->x),
+# s1(x,y,1,1) = s2(x,y,x->y,y->x), s2(x,y,1,1) = y; ``tv`` as above
+
+WEAK_REGULARITY_CHAIN = (
+    Law("(d)", 2, "",
+        lambda ix, top, iv, tv, **_: (
+            ((x, y), a, x, "t(y,y->x,x) = x fails") if a != x else
+            ((x, y), b, c, "t(y,1,x) = t(x,(x->y)->y,y) fails") if b != c else
+            ((x, y), d, y, "t(x,1->y,y) = y fails") if d != y else
+            ((x, y), e, top, "x->x = 1 fails")
+            for x, y in ix for a in [tv[y][iv[y][x]][x]] for b in [tv[y][top][x]]
+            for c in [tv[x][iv[iv[x][y]][y]][y]] for d in [tv[x][iv[top][y]][y]]
+            for e in [iv[x][x]]
+            if a != x or b != c or d != y or e != top)),
+)

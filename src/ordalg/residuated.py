@@ -18,8 +18,6 @@ from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
                    evaluate)
 
-RrsAlgebra = Algebra  # alias: Algebra with total imp and partial prod, tag "rrs"
-
 
 class BridgeError(StructureError):
     """A bridge precondition failed; carries the failing report."""

@@ -15,9 +15,6 @@ from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
 from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
                    evaluate)
 
-IAlgebra = Algebra  # alias: total imp and total r, tag "ialg"
-RAlgebra = Algebra  # alias: total imp and total q, tag "ralg"
-
 
 def ialgebra_from_ncis(alg: Algebra) -> Algebra:
     """Total ternary meet-of-joins table from the partial meet."""

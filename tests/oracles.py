@@ -355,3 +355,17 @@ def oracle_maltsev(alg, congruences):
         seen[blk] = p
 
     return three_perm, distributive, weakly_regular, witness
+
+
+def oracle_chain_holds(alg):
+    """The four identities of the weak-regularity chain, read off the tables
+    with t the ternary table (r, else q): t(y, y->x, x) = x,
+    t(y, 1, x) = t(x, (x->y)->y, y), t(x, 1->y, y) = y and x->x = 1."""
+    imp = alg.imp.values
+    t = (alg.r if alg.r is not None else alg.q).values
+    one = alg.top
+    return all(t[y][imp[y][x]][x] == x
+               and t[y][one][x] == t[x][imp[imp[x][y]][y]][y]
+               and t[x][imp[one][y]][y] == y
+               and imp[x][x] == one
+               for x, y in product(range(alg.n), repeat=2))

@@ -6,13 +6,18 @@ rrs laws ask for every common lower bound to lie below x.y and for x.y to
 lie below x and y, so every rrs product is the partial meet; the rrs corpus
 is therefore the ncis corpus with the meet moved to the product, and every
 rrs model is divisible.
+
+Every ialg and ralg model keeps the weak-regularity chain, so
+`congruence_lattice` generates Con from the n-1 congruences Theta(x, 1)
+there, never from all pairs.
 """
 
 import dataclasses
 
-from oracles import oracle_glb
-from ordalg import (ClassTag, SearchSpec, common_lower_bounds, derive_residual_imp,
-                    enumerate_models, find_counterexample, partial_meet)
+from oracles import oracle_chain_holds, oracle_glb
+from ordalg import (ClassTag, SearchSpec, common_lower_bounds, congruence,
+                    derive_residual_imp, enumerate_models, find_counterexample,
+                    partial_meet)
 from ordalg.search import _models
 
 
@@ -58,3 +63,13 @@ def test_rrs_corpus_equals_the_residuals_of_every_jsl_meet_up_to_size_6():
 def test_no_rrs_model_up_to_size_5_is_not_divisible():
     spec = SearchSpec(ClassTag.RRS, 5, upto=True, violate="divisible")
     assert find_counterexample(spec) is None
+
+
+def test_every_ialg_and_ralg_model_keeps_the_weak_regularity_chain_up_to_size_7():
+    models = 0
+    for tag in (ClassTag.IALG, ClassTag.RALG):
+        for alg in _upto(tag, 7):
+            assert oracle_chain_holds(alg), alg.name
+            assert congruence._chain_holds(alg), alg.name
+            models += 1
+    assert models == 2 * 233
