@@ -14,9 +14,8 @@ from .sectioned import (SectionReport, SectionShape, pseudocomplement_in_section
 from .implication import (check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
-                         derive_residual_imp, has_meets_on_bounded_pairs,
-                         ncis_rrs_bridge, validate_rrs, validate_rrs_identities,
-                         validate_srs)
+                         derive_residual_imp, ncis_rrs_bridge, validate_rrs,
+                         validate_rrs_identities, validate_srs)
 from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra, ralgebra_from_rrs,
                         rrs_from_ralgebra, validate_ialgebra, validate_ralgebra)
 from .congruence import (ConLattice, MaltsevReport, Partition,
@@ -24,6 +23,6 @@ from .congruence import (ConLattice, MaltsevReport, Partition,
                          principal_congruence, term_witness_check)
 from .search import (DEFAULT_MAX_SIZE, PROPERTIES, SearchSpec, canonical_form,
                      canonical_key, count_models, enumerate_models,
-                     find_counterexample, isomorphic, size_cap)
+                     find_counterexample, size_cap)
 
 __version__ = "0.1.0"

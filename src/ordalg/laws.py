@@ -39,14 +39,28 @@ and, passed by the validators that need them:
 ``le``, ``dn`` and ``up`` are the algebra's cached order tables; `evaluate`
 builds them only when a row names them among its parameters.
 
-To add a law, append a row to its validator's tuple at the place where it
-is to be checked.  The scan is one generator expression that reads both
-sides from the tables and applies the relation inside the generator, so
-that no tuple costs a Python call; ``for v in [expr]`` binds a value.
+Most rows are term text, e.g. ``term_law("(2')", "x y", "r(x, x->y, y) =
+y")``: the variables in the order the row's tuples bind them, then checks
+``lhs = rhs`` or ``lhs <= rhs``.  Loosest first, ``->`` (``iv``, grouping to
+the right), ``v`` (``jv``), ``^`` (``gv``) and ``.`` (``pv``) combine
+variables (single letters other than r, q, t and v), ``1`` (the top),
+parenthesised terms, and ``r``, ``q`` and ``t`` (``tv``) of three terms.  On
+each tuple the first failing check yields (witness, lhs, rhs, note), with
+the check's own note, else the row's ``note=``, else `LE` for ``<=`` and
+``""`` for ``=``.  ``^`` and ``.`` may only be the outermost operation of a
+side of an ``=``, where an undefined value differs from every element and
+prints as ``-``.  A row is compiled on its first `evaluate`, binding each
+repeated subterm once per tuple.  A rule of another shape (an iff, a
+premise, a scan over sections, an undefined value inside a term) is a
+hand-written generator expression that applies the relation inside the
+generator, so that no tuple costs a Python call; ``for v in [expr]`` binds
+a value.  Add a law as a row of its validator's tuple, in checking order.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -88,10 +102,13 @@ class Report:
 
 
 class Law(NamedTuple):
+    """A row: a hand-written ``scan``, or the ``terms`` of `term_law`."""
+
     label: str
     arity: int
     note: str
-    scan: Callable[..., Iterator[tuple]]
+    scan: Callable[..., Iterator[tuple]] | None = None
+    terms: tuple = ()
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +135,12 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
                   mv=_values(alg.meet), iv=_values(alg.imp), pv=_values(alg.prod),
                   rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
-        code = law.scan.__code__
+        scan = law.scan or _compiled(law.terms)
+        code = scan.__code__
         for name in code.co_varnames[1:code.co_argcount]:
             if name not in tables:
                 tables[name] = getattr(alg, _ORDER_TABLES[name])
-        hit = next(iter(law.scan(index_tuples(alg.n, law.arity), **tables)), None)
+        hit = next(iter(scan(index_tuples(alg.n, law.arity), **tables)), None)
         if hit is not None:
             witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]
             lab = alg.labels
@@ -135,20 +153,126 @@ LE = "expected lhs <= rhs"
 UNDEF_MEET = "meet undefined where the axiom needs it"
 
 # ---------------------------------------------------------------------------
+# the term compiler
+
+_OPS = ("->", "v", "^", ".")  # loosest first; "->" groups to the right
+_TABLE_OF = {"->": "iv", "v": "jv", "^": "gv", ".": "pv", "r": "rv", "q": "qv", "t": "tv"}
+_TOKENS = {"<=", "=", "(", ")", ",", "1", *_TABLE_OF}
+
+
+def term_law(label: str, variables: str, *checks: str | tuple[str, str],
+             note: str | None = None) -> Law:
+    """A row from term text; nothing is parsed before its first `evaluate`."""
+    notes = tuple((c, note if note is not None else LE if "<=" in c else "")
+                  if isinstance(c, str) else c for c in checks)
+    return Law(label, len(variables.split()), notes[0][1], terms=(variables, notes))
+
+
+def _parse(text: str, names: tuple[str, ...]) -> tuple:
+    """(lhs, relation, rhs); a term is a variable, "top" or (table, arg, ...)."""
+    def fail(why: str):
+        raise ValueError(f"law text {text!r}: {why}")
+
+    tokens = re.findall(r"->|<=|\w+|\S", text) + [""]
+    unknown = [tok for tok in tokens[:-1] if tok not in _TOKENS and tok not in names]
+    if unknown:
+        fail(f"unknown token {unknown[0]!r}")
+    pos = 0
+
+    def take(*want: str) -> str:
+        nonlocal pos
+        if want and tokens[pos] not in want:
+            fail(f"expected {' or '.join(want)}, found {tokens[pos] or 'the end'}")
+        pos += 1
+        return tokens[pos - 1]
+
+    def term(level: int = 0):
+        if level == len(_OPS):
+            return atom()
+        op, left = _OPS[level], term(level + 1)
+        while tokens[pos] == op:
+            take()
+            left = (_TABLE_OF[op], left, term(level if op == "->" else level + 1))
+        return left
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = term()
+            take(")")
+            return inner
+        if tok in ("r", "q", "t"):
+            take("(")
+            args = [term()]
+            while take(",", ")") == ",":
+                args.append(term())
+            if len(args) != 3:
+                fail(f"{tok} takes 3 arguments, not {len(args)}")
+            return (_TABLE_OF[tok], *args)
+        if tok in names or tok == "1":
+            return "top" if tok == "1" else tok
+        fail(f"unexpected {tok or 'end'}")
+
+    lhs, rel, rhs = term(), take("=", "<="), term()
+    if tokens[pos]:
+        fail(f"trailing text from {tokens[pos]!r}")
+    return lhs, rel, rhs
+
+
+def _subterms(term) -> Iterator[tuple]:
+    if isinstance(term, tuple):
+        yield term
+        for arg in term[1:]:
+            yield from _subterms(arg)
+
+
+@lru_cache(maxsize=None)
+def _compiled(terms: tuple) -> Callable[..., Iterator[tuple]]:
+    """The scan of a `term_law` row, built on the row's first `evaluate`."""
+    variables, checks = terms
+    names = tuple(variables.split())
+    if len(set(names)) < len(names) or not re.fullmatch(r"[a-psuw-z]( [a-psuw-z])*", variables):
+        raise ValueError(f"law variables {variables!r}: need distinct letters, not r q t v")
+    parsed = [_parse(text, names) for text, _ in checks]
+    for (text, _), (lhs, rel, rhs) in zip(checks, parsed):
+        inner = [lhs, rhs] if rel == "<=" else [
+            a for side in (lhs, rhs) if isinstance(side, tuple) for a in side[1:]]
+        if any(t[0] in ("gv", "pv") for side in inner for t in _subterms(side)):
+            raise ValueError(f"law text {text!r}: '.' and '^' may only be the outermost "
+                             "operation of a side of '='")
+    # a compound term that recurs is bound where it is first computed
+    uses = Counter(t for lhs, _, rhs in parsed for t in chain(_subterms(lhs), _subterms(rhs)))
+    bound: dict[tuple, str] = {}
+
+    def code(term) -> str:
+        if term in bound or not isinstance(term, tuple):
+            return bound.get(term, term)
+        expr = term[0] + "".join(f"[{code(arg)}]" for arg in term[1:])
+        if uses[term] < 2:
+            return expr
+        bound[term] = f"s{len(bound)}"
+        return f"({bound[term]} := {expr})"
+
+    witness = f"({', '.join(names)},)"
+    body = f"    for {witness} in ix:\n"
+    for i, (lhs, rel, rhs) in enumerate(parsed):
+        left, right = code(lhs), code(rhs)
+        test = f"{left} != {right}" if rel == "=" else f"not le[{left}][{right}]"
+        body += (f"        {'elif' if i else 'if'} {test}:\n"
+                 f"            yield {witness}, {code(lhs)}, {code(rhs)}, notes[{i}]\n")
+    params = ", ".join(sorted(set(re.findall(r"\b(?:[a-z]v|le|top)\b", body))))
+    exec(f"def scan(ix, {params}, **_):\n{body}", namespace := {"notes": [n for _, n in checks]})
+    return namespace["scan"]
+
+
+# ---------------------------------------------------------------------------
 # join-semilattices with top (`validate_join_semilattice`, and the first
 # rows of the total presentations)
 
 JOIN_LAWS = (
-    Law("join-idempotent", 1, "",
-        lambda ix, jv, **_: (((x,), jv[x][x], x) for (x,) in ix if jv[x][x] != x)),
-    Law("join-commutative", 2, "",
-        lambda ix, jv, **_: (((x, y), jv[x][y], jv[y][x])
-                             for x, y in ix if jv[x][y] != jv[y][x])),
-    # x v (y v z) = (x v y) v z
-    Law("join-associative", 3, "",
-        lambda ix, jv, **_: (((x, y, z), l, r) for x, y, z in ix
-                             for l in [jv[x][jv[y][z]]] for r in [jv[jv[x][y]][z]]
-                             if l != r)),
+    term_law("join-idempotent", "x", "x v x = x"),
+    term_law("join-commutative", "x y", "x v y = y v x"),
+    term_law("join-associative", "x y z", "x v (y v z) = (x v y) v z"),
     # x v y is the least upper bound of x and y in the stored order, and
     # x <= y there exactly when x v y = y; per pair, the first check failing
     Law("join-order", 2, "",
@@ -158,9 +282,7 @@ JOIN_LAWS = (
             ((x, y), j, y, "order and join table disagree")
             for x, y in ix for j in [jv[x][y]] for lower in [(up[x] & up[y]) - up[j]]
             if not (lq[x][j] and lq[y][j]) or lower or lq[x][y] != (j == y))),
-    Law("top-absorbing", 1, "",
-        lambda ix, top, jv, **_: (((x,), jv[x][top], top)
-                                  for (x,) in ix if jv[x][top] != top)),
+    term_law("top-absorbing", "x", "x v 1 = 1"),
 )
 
 # ---------------------------------------------------------------------------
@@ -182,16 +304,7 @@ SECTIONED_LAWS = (
 )
 
 # ---------------------------------------------------------------------------
-# scans shared by several validators
-
-
-def _below_arrow(ix, le, iv, **_):  # y <= x->y
-    return (((x, y), y, iv[x][y]) for x, y in ix if not le[y][iv[x][y]])
-
-
-def _arrow_absorbs(ix, jv, iv, **_):  # (x v y)->y = x->y
-    return (((x, y), iv[jv[x][y]][y], iv[x][y])
-            for x, y in ix if iv[jv[x][y]][y] != iv[x][y])
+# implication semilattices (`validate_ncis`, `check_ncis_properties`)
 
 
 def _arrow_is_order(ix, top, le, iv, **_):  # x <= y iff x->y = 1
@@ -204,36 +317,19 @@ def _arrow_antitone(ix, le, iv, **_):  # x <= y implies y->z <= x->z
             for x, y, z in ix if le[x][y] and not le[iv[y][z]][iv[x][z]])
 
 
-def _below_double_arrow(ix, le, iv, **_):  # x <= (x->y)->y
-    return (((x, y), x, iv[iv[x][y]][y])
-            for x, y in ix if not le[x][iv[iv[x][y]][y]])
-
-
-def _triple_arrow(ix, iv, **_):  # ((x->y)->y)->y = x->y
-    return (((x, y), v, iv[x][y])
-            for x, y in ix for v in [iv[iv[iv[x][y]][y]][y]] if v != iv[x][y])
-
-
-def _below_arrow_back(ix, le, iv, **_):  # x <= y->x
-    return (((x, y), x, iv[y][x]) for x, y in ix if not le[x][iv[y][x]])
-
-
-# ---------------------------------------------------------------------------
-# implication semilattices (`validate_ncis`, `check_ncis_properties`)
-
 NCIS_AXIOMS = (
     # stored meet = greatest lower bound, defined exactly on bounded pairs
     Law("domain", 2, "meet table must equal the greatest lower bound "
                      "exactly on bounded pairs",
         lambda ix, mv, gv, **_: iter(()) if mv is None else (
             ((x, y), mv[x][y], gv[x][y]) for x, y in ix if mv[x][y] != gv[x][y])),
-    Law("(1)", 2, LE, _below_arrow),
+    term_law("(1)", "x y", "y <= x -> y"),
     # (x v y) ^ (x->y) = y
     Law("(2)", 2, "",
         lambda ix, jv, iv, gv, **_: (
             ((x, y), m, y, "" if m is not None else UNDEF_MEET)
             for x, y in ix for m in [gv[jv[x][y]][iv[x][y]]] if m != y)),
-    Law("(3)", 2, "", _arrow_absorbs),
+    term_law("(3)", "x y", "(x v y) -> y = x -> y"),
     # y <= (x v z) -> ((x v z) ^ (y v z))
     Law("(4)", 3, LE,
         lambda ix, le, jv, iv, gv, **_: (
@@ -245,12 +341,9 @@ NCIS_AXIOMS = (
 NCIS_PROPERTIES = (
     Law("(5)", 2, "", _arrow_is_order),
     Law("(6)", 3, LE, _arrow_antitone),
-    Law("(7)", 2, LE, _below_double_arrow),
-    Law("(8)", 2, "", _triple_arrow),
-    # 1->x = x
-    Law("(9)", 1, "",
-        lambda ix, top, iv, **_: (((x,), iv[top][x], x)
-                                  for (x,) in ix if iv[top][x] != x)),
+    term_law("(7)", "x y", "x <= (x -> y) -> y"),
+    term_law("(8)", "x y", "((x -> y) -> y) -> y = x -> y"),
+    term_law("(9)", "x", "1 -> x = x"),
 )
 
 # ---------------------------------------------------------------------------
@@ -275,11 +368,7 @@ RRS_BASE = (
             else ((x, y), p, y, "product not below right argument")
             for x, y in ix for p in [pv[x][y]]
             if p is not None and not (le[p][x] and le[p][y]))),
-    # x.1 = 1.x = x
-    Law("(11)", 1, "",
-        lambda ix, top, pv, **_: (
-            ((x,), pv[x][top] if pv[x][top] != x else pv[top][x], x)
-            for (x,) in ix if pv[x][top] != x or pv[top][x] != x)),
+    term_law("(11)", "x", "x . 1 = x", "1 . x = x"),
     # x.y = y.x
     Law("(12)", 2, "",
         lambda ix, pv, **_: (((x, y), pv[x][y], pv[y][x]) for x, y in ix
@@ -295,7 +384,7 @@ RRS_BASE = (
             ((x, y, z), pv[x][z], pv[y][z]) for x, y, z in ix
             if le[x][y] and pv[x][z] is not None
             and (pv[y][z] is None or not le[pv[x][z]][pv[y][z]]))),
-    Law("(16)", 2, "", _arrow_absorbs),
+    term_law("(16)", "x y", "(x v y) -> y = x -> y"),
 )
 
 # (x v z).(y v z) <= z  iff  x v z <= y->z, one label per failing direction
@@ -317,7 +406,7 @@ RRS_IDENTITIES = (
         lambda ix, le, jv, iv, pv, **_: (
             ((x, y, z), u, w) for x, y, z in ix for u in [jv[x][z]]
             for w in [iv[y][jv[pv[u][jv[y][z]]][z]]] if not le[u][w])),
-    Law("(18)", 2, LE, _below_arrow_back),
+    term_law("(18)", "x y", "x <= y -> x"),
     # (x v y).(x->y) <= y
     Law("(19)", 2, LE,
         lambda ix, le, jv, iv, pv, **_: (
@@ -325,12 +414,7 @@ RRS_IDENTITIES = (
             if p is None or not le[p][y])),
 )
 
-DIVISIBLE = (
-    # (x v y).(x->y) = y
-    Law("divisible", 2, "",
-        lambda ix, jv, iv, pv, **_: (
-            ((x, y), p, y) for x, y in ix for p in [pv[jv[x][y]][iv[x][y]]] if p != y)),
-)
+DIVISIBLE = (term_law("divisible", "x y", "(x v y) . (x -> y) = y"),)
 
 RRS_PROPERTIES = (
     Law("(i)", 2, "", _arrow_is_order),
@@ -343,7 +427,7 @@ RRS_PROPERTIES = (
         lambda ix, le, pv, gv, **_: (
             ((x, y), p, m) for x, y in ix for p in [pv[x][y]] for m in [gv[x][y]]
             if m is not None and (p is None or not le[p][m]))),
-    Law("(iv)", 2, LE, _below_arrow_back),
+    term_law("(iv)", "x y", "x <= y -> x"),
     # x.(x->y) <= (x v y).(x->y) <= y; the first only where x.(x->y) is defined
     Law("(v)", 2, LE,
         lambda ix, le, jv, iv, pv, **_: (
@@ -353,9 +437,9 @@ RRS_PROPERTIES = (
             for outer in [pv[jv[x][y]][w]] for inner in [pv[x][w]]
             if outer is None or not le[outer][y]
             or (inner is not None and not le[inner][outer]))),
-    Law("(vi)", 2, LE, _below_double_arrow),
+    term_law("(vi)", "x y", "x <= (x -> y) -> y"),
     Law("(vii)", 3, LE, _arrow_antitone),
-    Law("(viii)", 2, "", _triple_arrow),
+    term_law("(viii)", "x y", "((x -> y) -> y) -> y = x -> y"),
 )
 
 # ---------------------------------------------------------------------------
@@ -403,17 +487,13 @@ SRS_LAWS = (
             for x, y, z in ix for p in [pv[jv[x][z]][jv[y][z]]]
             for left in [p is not None and le[p][z]]
             if left != le[jv[x][z]][iv[y][z]])),
-    Law("(iv)", 2, "", _arrow_absorbs),
+    term_law("(iv)", "x y", "(x v y) -> y = x -> y"),
 )
 
 # ---------------------------------------------------------------------------
 # bridge between implication semilattices and divisible residuation
 
-PROD_IDEMPOTENT = (
-    # x.x = x
-    Law("(i)", 1, "",
-        lambda ix, pv, **_: (((x,), p, x) for (x,) in ix for p in [pv[x][x]] if p != x)),
-)
+PROD_IDEMPOTENT = (term_law("(i)", "x", "x . x = x"),)
 
 PROD_ARROW_BOUND = (
     # y <= (x v z) -> ((x v z) . (y v z))
@@ -424,143 +504,67 @@ PROD_ARROW_BOUND = (
             if p is None or not le[y][iv[u][p]])),
 )
 
-PROD_MEET = (
-    # x.y = x ^ y, both undefined exactly on unbounded pairs
-    Law("prod-meet", 2, "product must coincide with the greatest lower bound",
-        lambda ix, pv, gv, **_: (
-            ((x, y), pv[x][y], gv[x][y]) for x, y in ix if pv[x][y] != gv[x][y])),
-)
+# both sides undefined exactly on unbounded pairs
+PROD_MEET = (term_law("prod-meet", "x y", "x . y = x ^ y",
+                      note="product must coincide with the greatest lower bound"),)
 
 # ---------------------------------------------------------------------------
 # total presentations (`validate_ialgebra`, `validate_ralgebra`)
 
 IALG_IDENTITIES = (
-    Law("(1')", 2, LE, _below_arrow),
-    # r(x, x->y, y) = y
-    Law("(2')", 2, "",
-        lambda ix, iv, rv, **_: (((x, y), v, y) for x, y in ix
-                                 for v in [rv[x][iv[x][y]][y]] if v != y)),
-    Law("(3')", 2, "", _arrow_absorbs),
-    # y <= (x v z) -> r(x,y,z)
-    Law("(4')", 3, LE,
-        lambda ix, le, jv, iv, rv, **_: (
-            ((x, y, z), y, w) for x, y, z in ix
-            for w in [iv[jv[x][z]][rv[x][y][z]]] if not le[y][w])),
-    # r(x,y,z) <= x v z
-    Law("(5')", 3, LE,
-        lambda ix, le, jv, rv, **_: (((x, y, z), rv[x][y][z], jv[x][z])
-                                     for x, y, z in ix if not le[rv[x][y][z]][jv[x][z]])),
-    # r(x,y,z) <= y v z
-    Law("(6')", 3, LE,
-        lambda ix, le, jv, rv, **_: (((x, y, z), rv[x][y][z], jv[y][z])
-                                     for x, y, z in ix if not le[rv[x][y][z]][jv[y][z]])),
-    # r(x, x v y, z) = x v z
-    Law("(7')", 3, "",
-        lambda ix, jv, rv, **_: (((x, y, z), rv[x][jv[x][y]][z], jv[x][z])
-                                 for x, y, z in ix if rv[x][jv[x][y]][z] != jv[x][z])),
-    # r(x,y,z) = r(x v z, y v z, z)
-    Law("(8')", 3, "",
-        lambda ix, jv, rv, **_: (
-            ((x, y, z), rv[x][y][z], v) for x, y, z in ix
-            for v in [rv[jv[x][z]][jv[y][z]][z]] if rv[x][y][z] != v)),
-    # z <= r(x,y,z)
-    Law("(9')", 3, LE,
-        lambda ix, le, rv, **_: (((x, y, z), z, rv[x][y][z])
-                                 for x, y, z in ix if not le[z][rv[x][y][z]])),
-    # r(u, r(x,y,z), z) = r(r(u,x,z), r(u,y,z), z)
-    Law("(10')", 4, "",
-        lambda ix, rv, **_: (
-            ((u, x, y, z), l, r) for u, x, y, z in ix for l in [rv[u][rv[x][y][z]][z]]
-            for r in [rv[rv[u][x][z]][rv[u][y][z]][z]] if l != r)),
+    term_law("(1')", "x y", "y <= x -> y"),
+    term_law("(2')", "x y", "r(x, x->y, y) = y"),
+    term_law("(3')", "x y", "(x v y) -> y = x -> y"),
+    term_law("(4')", "x y z", "y <= (x v z) -> r(x, y, z)"),
+    term_law("(5')", "x y z", "r(x, y, z) <= x v z"),
+    term_law("(6')", "x y z", "r(x, y, z) <= y v z"),
+    term_law("(7')", "x y z", "r(x, x v y, z) = x v z"),
+    term_law("(8')", "x y z", "r(x, y, z) = r(x v z, y v z, z)"),
+    term_law("(9')", "x y z", "z <= r(x, y, z)"),
+    term_law("(10')", "u x y z", "r(u, r(x, y, z), z) = r(r(u, x, z), r(u, y, z), z)"),
 )
 
 RALG_IDENTITIES = (
-    # z <= q(x,y,z)
-    Law("(20)", 3, LE,
-        lambda ix, le, qv, **_: (((x, y, z), z, qv[x][y][z])
-                                 for x, y, z in ix if not le[z][qv[x][y][z]])),
-    # q(z v u v x, z v u v y, z) = q(z v u v x, z v u v y, z v u)
-    Law("(21)", 4, "",
-        lambda ix, jv, qv, **_: (
-            ((z, u, x, y), qv[a][b][z], qv[a][b][zu]) for z, u, x, y in ix
-            for zu in [jv[z][u]] for a in [jv[zu][x]] for b in [jv[zu][y]]
-            if qv[a][b][z] != qv[a][b][zu])),
-    # q(x,1,x) = q(1,x,x) = x
-    Law("(22)", 1, "",
-        lambda ix, top, qv, **_: (
-            ((x,), qv[x][top][x] if qv[x][top][x] != x else qv[top][x][x], x)
-            for (x,) in ix if qv[x][top][x] != x or qv[top][x][x] != x)),
-    # q(x,y,z) = q(y,x,z)
-    Law("(23)", 3, "",
-        lambda ix, qv, **_: (((x, y, z), qv[x][y][z], qv[y][x][z])
-                             for x, y, z in ix if qv[x][y][z] != qv[y][x][z])),
-    # q(q(x,y,u), z, u) = q(x, q(y,z,u), u)
-    Law("(24)", 4, "",
-        lambda ix, qv, **_: (
-            ((x, y, z, u), l, r) for x, y, z, u in ix for l in [qv[qv[x][y][u]][z][u]]
-            for r in [qv[x][qv[y][z][u]][u]] if l != r)),
-    # q(x,z,u) <= q(x v y, z, u)
-    Law("(25)", 4, LE,
-        lambda ix, le, jv, qv, **_: (
-            ((x, y, z, u), qv[x][z][u], qv[jv[x][y]][z][u])
-            for x, y, z, u in ix if not le[qv[x][z][u]][qv[jv[x][y]][z][u]])),
-    # x v z <= y -> (q(x,y,z) v z)
-    Law("(26)", 3, LE,
-        lambda ix, le, jv, iv, qv, **_: (
-            ((x, y, z), jv[x][z], w) for x, y, z in ix
-            for w in [iv[y][jv[qv[x][y][z]][z]]] if not le[jv[x][z]][w])),
-    Law("(27)", 2, LE, _below_arrow_back),
-    # q(x, x->y, y) <= y
-    Law("(28)", 2, LE,
-        lambda ix, le, iv, qv, **_: (((x, y), v, y) for x, y in ix
-                                     for v in [qv[x][iv[x][y]][y]] if not le[v][y])),
-    # q(x,y,z) = q(x v z, y v z, z)
-    Law("(29)", 3, "",
-        lambda ix, jv, qv, **_: (
-            ((x, y, z), qv[x][y][z], v) for x, y, z in ix
-            for v in [qv[jv[x][z]][jv[y][z]][z]] if qv[x][y][z] != v)),
-    Law("(30)", 2, "", _arrow_absorbs),
+    term_law("(20)", "x y z", "z <= q(x, y, z)"),
+    term_law("(21)", "z u x y",
+             "q(z v u v x, z v u v y, z) = q(z v u v x, z v u v y, z v u)"),
+    term_law("(22)", "x", "q(x, 1, x) = x", "q(1, x, x) = x"),
+    term_law("(23)", "x y z", "q(x, y, z) = q(y, x, z)"),
+    term_law("(24)", "x y z u", "q(q(x, y, u), z, u) = q(x, q(y, z, u), u)"),
+    term_law("(25)", "x y z u", "q(x, z, u) <= q(x v y, z, u)"),
+    term_law("(26)", "x y z", "x v z <= y -> (q(x, y, z) v z)"),
+    term_law("(27)", "x y", "x <= y -> x"),
+    term_law("(28)", "x y", "q(x, x->y, y) <= y"),
+    term_law("(29)", "x y z", "q(x, y, z) = q(x v z, y v z, z)"),
+    term_law("(30)", "x y", "(x v y) -> y = x -> y"),
 )
 
-def _q_divisible(ix, iv, qv, **_):  # q(x, x->y, y) = y
-    return (((x, y), v, y) for x, y in ix for v in [qv[x][iv[x][y]][y]] if v != y)
-
-
-RALG_SUBVARIETY = (Law("subvariety", 2, "", _q_divisible),)
+RALG_SUBVARIETY = (term_law("subvariety", "x y", "q(x, x->y, y) = y"),)
 
 # ---------------------------------------------------------------------------
-# term schemes behind the congruence verdicts (`term_witness_check`); ``tv``
+# term schemes behind the congruence verdicts (`term_witness_check`); ``t``
 # is r, or q on a ternary-product algebra, whose rows start with
 # `TERM_Q_DIVISIBLE`
 
 TERM_Q_DIVISIBLE = (
-    Law("(a)", 2, "scheme (a) requires the subvariety identity q(x,x->y,y)=y",
-        _q_divisible),
+    term_law("(a)", "x y", "q(x, x->y, y) = y",
+             note="scheme (a) requires the subvariety identity q(x,x->y,y)=y"),
 )
 
 TERM_SCHEMES = (
-    # (a) 3-permutability: t1(x,y,z) = r(z, y->x, x), t2(x,y,z) = r(x, y->z, z)
-    Law("(a)", 2, "",
-        lambda ix, iv, tv, **_: (
-            ((x, y), a, x, "t1(x,y,y) = x fails") if a != x else
-            ((x, y), b, c, "t1(x,x,y) = t2(x,y,y) fails") if b != c else
-            ((x, y), d, y, "t2(x,x,y) = y fails")
-            for x, y in ix for a in [tv[y][iv[y][x]][x]] for b in [tv[y][iv[x][x]][x]]
-            for c in [tv[x][iv[y][y]][y]] for d in [tv[x][iv[x][y]][y]]
-            if a != x or b != c or d != y)),
-    # (b) distributivity, a chain t0 = x, t1(x,y,z) = r(z,y,x),
-    #     t2(x,y,z) = r(x, y->z, z), t3 = z
-    Law("(b)", 2, "",
-        lambda ix, iv, tv, **_: (
-            ((x, y), a, x, "t1(x,x,y) = x fails") if a != x else
-            ((x, y), b, c, "t1(x,y,y) = t2(x,y,y) fails") if b != c else
-            ((x, y), d, y, "t2(x,x,y) = y fails") if d != y else
-            ((x, y), e, x, "t1(x,y,x) = x fails") if e != x else
-            ((x, y), f, x, "t2(x,y,x) = x fails")
-            for x, y in ix for a in [tv[y][x][x]] for b in [tv[y][y][x]]
-            for c in [tv[x][iv[y][y]][y]] for d in [tv[x][iv[x][y]][y]]
-            for e in [tv[x][y][x]] for f in [tv[x][iv[y][x]][x]]
-            if a != x or b != c or d != y or e != x or f != x)),
+    # (a) 3-permutability: t1(x,y,z) = t(z, y->x, x), t2(x,y,z) = t(x, y->z, z)
+    term_law("(a)", "x y",
+             ("t(y, y->x, x) = x", "t1(x,y,y) = x fails"),
+             ("t(y, x->x, x) = t(x, y->y, y)", "t1(x,x,y) = t2(x,y,y) fails"),
+             ("t(x, x->y, y) = y", "t2(x,x,y) = y fails")),
+    # (b) distributivity, a chain t0 = x, t1(x,y,z) = t(z,y,x),
+    #     t2(x,y,z) = t(x, y->z, z), t3 = z
+    term_law("(b)", "x y",
+             ("t(y, x, x) = x", "t1(x,x,y) = x fails"),
+             ("t(y, y, x) = t(x, y->y, y)", "t1(x,y,y) = t2(x,y,y) fails"),
+             ("t(x, x->y, y) = y", "t2(x,x,y) = y fails"),
+             ("t(x, y, x) = x", "t1(x,y,x) = x fails"),
+             ("t(x, y->x, x) = x", "t2(x,y,x) = x fails")),
     # (c) weak regularity: x->y = y->x = 1 exactly when x = y
     Law("(c)", 2, "x->y = y->x = 1 must hold exactly when x = y",
         lambda ix, top, iv, **_: (
@@ -573,17 +577,12 @@ TERM_SCHEMES = (
 # the weak-regularity chain `congruence_lattice` reads; not a row of
 # `TERM_SCHEMES`, so `term_witness_check` reports schemes (a)-(c) only:
 # s1(x,y,u,v) = t(y,v,x), s2(x,y,u,v) = t(x,u->y,y) with x = s1(x,y,x->y,y->x),
-# s1(x,y,1,1) = s2(x,y,x->y,y->x), s2(x,y,1,1) = y; ``tv`` as above
+# s1(x,y,1,1) = s2(x,y,x->y,y->x), s2(x,y,1,1) = y
 
 WEAK_REGULARITY_CHAIN = (
-    Law("(d)", 2, "",
-        lambda ix, top, iv, tv, **_: (
-            ((x, y), a, x, "t(y,y->x,x) = x fails") if a != x else
-            ((x, y), b, c, "t(y,1,x) = t(x,(x->y)->y,y) fails") if b != c else
-            ((x, y), d, y, "t(x,1->y,y) = y fails") if d != y else
-            ((x, y), e, top, "x->x = 1 fails")
-            for x, y in ix for a in [tv[y][iv[y][x]][x]] for b in [tv[y][top][x]]
-            for c in [tv[x][iv[iv[x][y]][y]][y]] for d in [tv[x][iv[top][y]][y]]
-            for e in [iv[x][x]]
-            if a != x or b != c or d != y or e != top)),
+    term_law("(d)", "x y",
+             ("t(y, y->x, x) = x", "t(y,y->x,x) = x fails"),
+             ("t(y, 1, x) = t(x, (x->y)->y, y)", "t(y,1,x) = t(x,(x->y)->y,y) fails"),
+             ("t(x, 1->y, y) = y", "t(x,1->y,y) = y fails"),
+             ("x->x = 1", "x->x = 1 fails")),
 )

@@ -107,15 +107,6 @@ def _check_prod_arrow_bound(alg: Algebra) -> Report:
     return evaluate(alg, PROD_ARROW_BOUND)
 
 
-def has_meets_on_bounded_pairs(alg: Algebra) -> bool:
-    """Variant condition (i'): every bounded pair has a greatest lower bound."""
-    try:
-        alg.glb
-    except StructureError:
-        return False
-    return True
-
-
 def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
     """Convert between implication semilattices and divisible residuated ones.
 

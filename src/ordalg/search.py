@@ -168,10 +168,6 @@ def canonical_form(alg: Algebra) -> Algebra:
     return relabel(alg, best_perm, labels=default_labels(alg.n))
 
 
-def isomorphic(a: Algebra, b: Algebra) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 # ---------------------------------------------------------------------------
 # generation of join-semilattices with top
 

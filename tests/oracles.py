@@ -8,6 +8,7 @@ routes.  Slow is fine; these run on universes of at most six elements.
 from itertools import permutations, product
 
 from ordalg.congruence import Partition
+from ordalg.core import TernTable
 
 
 # --- order-theoretic scans -------------------------------------------------
@@ -188,6 +189,36 @@ def perm_iso_tagged(a, b):
         if good:
             return True
     return False
+
+
+def isomorphic(a, b):
+    """Whether some bijection carries the order and every table of algebra
+    ``a`` onto those of ``b`` (the same tables present), by permutation
+    search; undefined cells must go to undefined cells."""
+    n = a.n
+    if b.n != n or [m for m, _ in a.tables()] != [m for m, _ in b.tables()]:
+        return False
+    tables = [(ta.values, tb.values, 3 if isinstance(ta, TernTable) else 2)
+              for (_, ta), (_, tb) in zip(a.tables(), b.tables())]
+    for p in permutations(range(n)):
+        if all(a.leq[i][j] == b.leq[p[i]][p[j]] for i in range(n) for j in range(n)) and all(
+                (None if (v := _cell(va, c)) is None else p[v]) == _cell(vb, [p[i] for i in c])
+                for va, vb, arity in tables for c in product(range(n), repeat=arity)):
+            return True
+    return False
+
+
+def _cell(values, cell):
+    for i in cell:
+        values = values[i]
+    return values
+
+
+def has_meets_on_bounded_pairs(alg):
+    """Whether every pair with a common lower bound has a greatest one."""
+    n, le = alg.n, alg.leq
+    return all(oracle_glb(le, x, y) is not None for x in range(n) for y in range(n)
+               if any(le[z][x] and le[z][y] for z in range(n)))
 
 
 def oracle_least_tables(alg):

@@ -1,12 +1,21 @@
-"""The law table is the one place that turns a violation into a `Report`."""
+"""The law table is the one place that turns a violation into a `Report`,
+and its term compiler reads law text by the grammar of the `laws` module."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import ordalg
+from ordalg import ClassTag, SearchSpec, enumerate_models, laws, serialize_algebra
+from ordalg.laws import IALG_IDENTITIES, JOIN_LAWS
 
 SRC = Path(ordalg.__file__).parent
 REPORT_CALL = re.compile(r"Report\.(failing|passing)\(")
@@ -27,3 +36,97 @@ def test_reports_are_built_only_by_evaluate():
              if REPORT_CALL.search(line)
              and not (path.name == "laws.py" and no in inside)]
     assert stray == []
+
+
+NAMES = ("x", "y", "z", "u")
+
+
+def _side(text: str):
+    return laws._parse(f"{text} = x", NAMES)[0]
+
+
+def test_arrow_is_loosest_and_groups_to_the_right():
+    assert _side("x v y -> z") == _side("(x v y) -> z") != _side("x v (y -> z)")
+    assert _side("x -> y -> z") == _side("x -> (y -> z)") != _side("(x -> y) -> z")
+
+
+def test_product_binds_tighter_than_meet_and_meet_tighter_than_join():
+    assert _side("x v y ^ z . u") == _side("x v (y ^ (z . u))")
+    assert _side("x . y ^ z v u") == _side("((x . y) ^ z) v u")
+    assert _side("x v y v z") == _side("(x v y) v z")
+    assert _side("r(x, 1, y -> z)") == ("rv", "x", "top", ("iv", "y", "z"))
+
+
+@pytest.mark.parametrize("text", [
+    "x + y = z",            # unknown token
+    "x v w = x",            # a variable the row does not bind
+    "(x v y = x",           # unbalanced parenthesis
+    "x v y) = x",
+    "x v y",                # no relation
+    "x = y z",              # trailing text
+    "x = y = z",
+    "r(x, y) = x",          # a ternary table with two arguments
+    "q(x, y, z, u) = x",    # ... or four
+    "t x = x",
+])
+def test_malformed_text_raises_and_names_the_text(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        laws._parse(text, NAMES)
+
+
+@pytest.mark.parametrize("text", [
+    "(x . y) v z = x",      # under another operation
+    "x -> (x ^ y) = x",
+    "r(x . y, y, z) = z",
+    "x . y . z = x",
+    "x ^ (y . z) = x",
+    "x . y <= x",           # under <=
+    "x <= y ^ z",
+])
+def test_a_partial_operation_only_at_the_top_of_an_equation(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        laws._compiled(laws.term_law("bad", "x y z", text).terms)
+
+
+@pytest.mark.parametrize("variables", ["x x", "v", "xy", "x  y", ""])
+def test_bad_variable_lists_raise(variables):
+    with pytest.raises(ValueError, match=re.escape(repr(variables))):
+        laws._compiled(laws.term_law("bad", variables, "x = x").terms)
+
+
+def test_a_failing_check_reports_its_tuple_sides_and_note(fig1_rrs):
+    def run(*checks, **note):
+        return laws.evaluate(fig1_rrs, (laws.term_law("row", "x y", *checks, **note),))
+
+    eq, le = run("x v y = x"), run(("x <= x", "never"), "x v y <= x")
+    assert eq.fail_line() == le.fail_line() == "FAIL axiom=row witness=(a,b) lhs=b rhs=a"
+    assert (eq.note, le.note) == ("", laws.LE)
+    assert run("x v y = x", note="own").note == "own"
+    # an undefined product differs from every element, and from nothing undefined
+    assert run("x . y = x").fail_line() == "FAIL axiom=row witness=(a,c) lhs=- rhs=a"
+    assert run("x . y = y . x").ok
+
+
+def test_import_compiles_no_law_text_and_a_row_compiles_once():
+    script = textwrap.dedent("""
+        import ordalg, ordalg.cli
+        from ordalg import laws, parse_algebra, validate_ialgebra
+        print(laws._compiled.cache_info().misses)
+        alg = parse_algebra(open(0).read())
+        validate_ialgebra(alg)
+        first = laws._compiled.cache_info()
+        validate_ialgebra(alg)
+        validate_ialgebra(alg)
+        again = laws._compiled.cache_info()
+        print(first.misses, again.misses, again.hits - first.hits)
+    """)
+    text = serialize_algebra(next(enumerate_models(SearchSpec(ClassTag.IALG, 3))))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", script], input=text, env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    at_import, first, again, hits = map(int, out)
+    rows = [law for law in JOIN_LAWS + IALG_IDENTITIES if law.terms]
+    assert at_import == 0
+    assert first == len({law.terms for law in rows}) == again
+    assert hits == 2 * len(rows)

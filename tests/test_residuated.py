@@ -3,9 +3,10 @@ import dataclasses
 import pytest
 
 from conftest import idx
+from oracles import has_meets_on_bounded_pairs
 from ordalg import (BinTable, BridgeError, ClassTag, build_algebra,
                     check_divisible, check_rrs_properties, derive_residual_imp,
-                    has_meets_on_bounded_pairs, ncis_rrs_bridge, parse_algebra,
+                    ncis_rrs_bridge, parse_algebra,
                     validate_rrs, validate_rrs_identities, validate_srs)
 
 
@@ -164,8 +165,9 @@ def test_three_chain_table_is_divisible_but_not_idempotent(three_chain_table):
 
 
 def test_has_meets_on_bounded_pairs(fig1_rrs, fig2_rrs):
-    assert has_meets_on_bounded_pairs(fig1_rrs)
-    assert has_meets_on_bounded_pairs(fig2_rrs)
+    for alg in (fig1_rrs, fig2_rrs):
+        assert has_meets_on_bounded_pairs(alg)
+        alg.glb  # raises StructureError where a bounded pair has no glb
 
 
 def test_derive_residual_imp_recovers_arrow(fig1_rrs, fig2_rrs):

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from conftest import idx
-from oracles import (brute_jsl_matrices, count_iso_classes, oracle_arrow_tables,
-                     oracle_is_sectioned, oracle_least_tables, perm_iso_orders)
+from oracles import (brute_jsl_matrices, count_iso_classes, isomorphic,
+                     oracle_arrow_tables, oracle_is_sectioned, oracle_least_tables,
+                     perm_iso_orders)
 from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
                     build_algebra, canonical_form, canonical_key, count_models,
                     default_labels, enumerate_models, find_counterexample,
-                    isomorphic, project_to_class, relabel,
+                    project_to_class, relabel,
                     section_shape_report, validate_ialgebra, validate_ncis,
                     validate_ralgebra, validate_rrs, validate_sectioned,
                     validate_srs, validate_join_semilattice)
