@@ -4,13 +4,11 @@ exhaustive small-model search."""
 
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, ParseError,
                    Report, StructureError, TernTable, UNDEF, UNDEF_TOKEN,
-                   Universe, build_algebra, common_lower_bounds, default_labels,
-                   ensure_meet, first_table_difference, glb_table, join, leq,
-                   lub_table, partial_meet, project_to_class, relabel, section,
-                   validate_join_semilattice)
+                   Universe, build_algebra, default_labels, ensure_meet,
+                   first_table_difference, glb_table, lub_table,
+                   project_to_class, relabel, validate_join_semilattice)
 from .fileio import parse_algebra, serialize_algebra
-from .sectioned import (SectionReport, SectionShape, pseudocomplement_in_section,
-                        section_report, section_shape_report, validate_sectioned)
+from .sectioned import SectionShape, section_shape_report, validate_sectioned
 from .implication import (check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,

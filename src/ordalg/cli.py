@@ -130,8 +130,10 @@ def cmd_derive(args) -> int:
         print(rep.fail_line())
         print(f"input is not a valid {source_name} algebra", file=sys.stderr)
         return 1
+    # the output carries the tables of the map's target class only: an input
+    # of another class may bring tables the map does not read
     derived = mapper(alg)
-    text = serialize_algebra(derived)
+    text = serialize_algebra(project_to_class(derived, derived.class_tag))
     reparsed = parse_algebra(text)
     rep = target_check(reparsed)
     if not rep.ok:

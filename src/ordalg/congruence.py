@@ -207,8 +207,8 @@ class ConLattice:
 
 def _chain_holds(alg: Algebra) -> bool:
     """Whether the weak-regularity chain (d) holds on every pair, with the
-    ternary table as it is."""
-    return evaluate(alg, WEAK_REGULARITY_CHAIN, tv=_ternary(alg).values).ok
+    ternary table as it is; `congruence_lattice` has checked the signature."""
+    return evaluate(alg, WEAK_REGULARITY_CHAIN).ok
 
 
 def congruence_lattice(alg: Algebra) -> ConLattice:
@@ -297,8 +297,8 @@ def _first_non_distributive(lat: ConLattice) -> tuple[int, int, int] | None:
 def _schemes_hold(alg: Algebra) -> tuple[bool, bool]:
     """Whether term schemes (a) and (b) hold on every pair, each on its own
     and with the ternary table as it is: no divisibility row is needed."""
-    tv = _ternary(alg).values
-    return tuple(evaluate(alg, (law,), tv=tv).ok for law in TERM_SCHEMES[:2])
+    _ternary(alg)
+    return tuple(evaluate(alg, (law,)).ok for law in TERM_SCHEMES[:2])
 
 
 def maltsev_report(alg: Algebra, lattice: ConLattice | None = None) -> MaltsevReport:
@@ -363,6 +363,6 @@ def term_witness_check(alg: Algebra) -> Report:
     On a ternary-product algebra, q replaces r and scheme (a) requires the
     divisibility identity q(x, x->y, y) = y.
     """
-    tern = _ternary(alg)
+    _ternary(alg)
     laws = TERM_SCHEMES if alg.r is not None else TERM_Q_DIVISIBLE + TERM_SCHEMES
-    return evaluate(alg, laws, "all term schemes hold pointwise", tv=tern.values)
+    return evaluate(alg, laws, "all term schemes hold pointwise")

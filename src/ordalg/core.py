@@ -381,34 +381,6 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(letters[:n - 1]) + ("1",)
 
 
-# ---------------------------------------------------------------------------
-# basic operations
-
-def leq(alg: Algebra, x: int, y: int) -> bool:
-    """x <= y, read off the join table (x v y = y)."""
-    return alg.join[x][y] == y
-
-
-def join(alg: Algebra, x: int, y: int) -> int:
-    return alg.join[x][y]  # type: ignore[return-value]
-
-
-def common_lower_bounds(alg: Algebra, x: int, y: int) -> frozenset[int]:
-    return alg.downsets[x] & alg.downsets[y]
-
-
-def partial_meet(alg: Algebra, x: int, y: int) -> int | None:
-    """Greatest common lower bound, or UNDEF when the pair is unbounded."""
-    if alg.meet is not None:
-        return alg.meet[x][y]
-    return alg.glb[x][y]
-
-
-def section(alg: Algebra, x: int) -> tuple[int, ...]:
-    """The principal filter [x, 1], sorted by element index."""
-    return tuple(sorted(alg.upsets[x]))
-
-
 def validate_join_semilattice(alg: Algebra) -> Report:
     """Check idempotence, commutativity, associativity, order consistency
     and top absorption of the join table.  First violation in scan order wins.

@@ -27,17 +27,19 @@ The tables a scan may name:
     dn, up   downsets and upsets of the stored order
     jv       join values; iv imp; mv stored meet; pv prod; rv r; qv q
              (``None`` when the algebra has no such table)
-
-and, passed by the validators that need them:
-
-    gv       the partial glb of the stored order
+    gv       the partial glb of the stored order, ``Algebra.glb``
     pc       the sectional pseudocomplements, ``Algebra.pc``
-    unmet    the bounded pairs without a glb (sectioned (a))
+    secs     the sections [b, 1], each sorted: the upsets
     tv       the ternary table the term schemes read: r, else q
-    secs     the sections [b, 1], sorted (srs only)
 
-``le``, ``dn`` and ``up`` are the algebra's cached order tables; `evaluate`
-builds them only when a row names them among its parameters.
+and, passed only by `validate_sectioned`, which alone runs on an order
+whose glb may not exist:
+
+    unmet    the bounded pairs without a glb (sectioned (a))
+
+`evaluate` reads ``le``, ``dn``, ``up``, ``gv``, ``pc``, ``secs`` and ``tv``
+off the algebra, whose cached properties own them, only when a row names
+them among its parameters (`_DERIVED`).
 
 Most rows are term text, e.g. ``term_law("(2')", "x y", "r(x, x->y, y) =
 y")``: the variables in the order the row's tuples bind them, then checks
@@ -124,8 +126,17 @@ def _side(v, labels: tuple[str, ...]) -> str:
     return "-" if v is None else v if isinstance(v, str) else labels[v]
 
 
-# tables read off the order, built on first use by a row that names them
-_ORDER_TABLES = {"le": "join_order", "dn": "downsets", "up": "upsets"}
+# tables derived from the algebra's own, each read from the one place that
+# owns it, on first use by a row that names it
+_DERIVED = {
+    "le": lambda alg: alg.join_order,
+    "dn": lambda alg: alg.downsets,
+    "up": lambda alg: alg.upsets,
+    "gv": lambda alg: alg.glb.values,
+    "pc": lambda alg: alg.pc.values,
+    "secs": lambda alg: tuple(tuple(sorted(up)) for up in alg.upsets),
+    "tv": lambda alg: (alg.r if alg.r is not None else alg.q).values,
+}
 
 
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
@@ -139,7 +150,7 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
         code = scan.__code__
         for name in code.co_varnames[1:code.co_argcount]:
             if name not in tables:
-                tables[name] = getattr(alg, _ORDER_TABLES[name])
+                tables[name] = _DERIVED[name](alg)
         hit = next(iter(scan(index_tuples(alg.n, law.arity), **tables)), None)
         if hit is not None:
             witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]

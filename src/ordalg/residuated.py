@@ -13,7 +13,7 @@ functions connect the divisible case with the implication semilattices of
 from __future__ import annotations
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   ensure_meet, leq, require_tables, section)
+                   ensure_meet, require_tables)
 from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
                    evaluate)
@@ -80,8 +80,7 @@ def check_rrs_properties(alg: Algebra) -> Report:
     defined; the pair need not be bounded.
     """
     require_tables(alg, "imp", "prod")
-    return evaluate(alg, RRS_PROPERTIES, "properties (i)-(viii) hold",
-                    gv=alg.glb.values)
+    return evaluate(alg, RRS_PROPERTIES, "properties (i)-(viii) hold")
 
 
 def validate_srs(alg: Algebra) -> Report:
@@ -91,8 +90,7 @@ def validate_srs(alg: Algebra) -> Report:
     monotonicity (ii), sectional adjointness (iii), and the arrow
     absorption (iv)."""
     require_tables(alg, "imp", "prod")
-    return evaluate(alg, SRS_LAWS, "sectional residuation laws hold",
-                    secs=tuple(section(alg, b) for b in range(alg.n)))
+    return evaluate(alg, SRS_LAWS, "sectional residuation laws hold")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
                     _check_prod_arrow_bound(alg)):
             if not rep.ok:
                 raise BridgeError(rep)
-        rep = evaluate(alg, PROD_MEET, gv=alg.glb.values)
+        rep = evaluate(alg, PROD_MEET)
         if not rep.ok:
             raise BridgeError(rep)
         return alg.replace(meet=alg.prod, prod=None, class_tag=ClassTag.NCIS)
@@ -150,23 +148,23 @@ def derive_residual_imp(alg: Algebra) -> BinTable | None:
     """
     require_tables(alg, "prod")
     n = alg.n
-    jv, pv = alg.join.values, alg.prod.values
+    jv, pv, le = alg.join.values, alg.prod.values, alg.join_order
     rows = [[0] * n for _ in range(n)]
     for y in range(n):
         for z in range(n):
             v = jv[y][z]
-            candidates = [u for u in section(alg, z)
-                          if pv[u][v] is not None and leq(alg, pv[u][v], z)]
+            sec = sorted(alg.upsets[z])
+            candidates = [u for u in sec if pv[u][v] is not None and le[pv[u][v]][z]]
             best = None
             for u in candidates:
-                if all(leq(alg, w, u) for w in candidates):
+                if all(le[w][u] for w in candidates):
                     best = u
                     break
             if best is None:
                 return None
             # principality: everything in [z, best] must be a candidate
             cand = set(candidates)
-            if any(w not in cand for w in section(alg, z) if leq(alg, w, best)):
+            if any(w not in cand for w in sec if le[w][best]):
                 return None
             rows[y][z] = best
     return BinTable.from_rows(rows, total=True)

@@ -33,8 +33,8 @@ from typing import Callable, Iterator
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Universe,
-                   build_algebra, default_labels, ensure_meet, order_from_join,
-                   relabel)
+                   default_labels, ensure_meet, order_from_join, relabel,
+                   validate_join_semilattice)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
 from .residuated import (check_divisible, check_rrs_properties, validate_rrs,
                          validate_srs)
@@ -211,11 +211,6 @@ def _natural_jsl_downmasks(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend((1,), ((0,),))
 
 
-def _leq_from_downmasks(downs: tuple[int, ...]) -> tuple[tuple[bool, ...], ...]:
-    n = len(downs)
-    return tuple(tuple(bool((downs[j] >> i) & 1) for j in range(n)) for i in range(n))
-
-
 def _grouping_form(downs: tuple[int, ...]) -> tuple[int, ...]:
     """Grouping form of a structure given by its downset masks: the least
     relabeled mask tuple over the relabelings that map each cell of equal
@@ -260,13 +255,30 @@ def _grouping_form(downs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(form)
 
 
+def _join_rows(downs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The join table of a naturally labeled structure given by its downset
+    masks.  A labelling is natural when x <= y implies index x <= index y,
+    so the least upper bound, below every upper bound, is the upper bound of
+    least index."""
+    n = len(downs)
+    return tuple(tuple(next(u for u in range(max(x, y), n)
+                            if downs[u] & pair == pair)
+                       for y in range(n) for pair in [1 << x | 1 << y])
+                 for x in range(n))
+
+
+def _jsl(rows: tuple[tuple[int, ...], ...]) -> Algebra:
+    """The jsl with join table ``rows`` on the default labels, top last."""
+    n = len(rows)
+    return Algebra(Universe(default_labels(n), n - 1), order_from_join(rows),
+                   BinTable(rows, total=True))
+
+
 def _jsl_from_key(key: tuple) -> Algebra:
     """The model a jsl `canonical_key` spells out: its flat tables are the
     join table on the default labels, top last."""
     n, _, flat = key
-    rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-    return Algebra(Universe(default_labels(n), n - 1), order_from_join(rows),
-                   BinTable(rows, total=True))
+    return _jsl(tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +297,8 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
         for downs in _natural_jsl_downmasks(n):
             reps.setdefault(_grouping_form(downs), downs)
-        keys = sorted(canonical_key(build_algebra(
-            default_labels(n), leq_matrix=_leq_from_downmasks(downs),
-            class_tag=ClassTag.JSL)) for downs in reps.values())
-        out = [_jsl_from_key(key) for key in keys]
+        keys = sorted(canonical_key(_jsl(_join_rows(downs))) for downs in reps.values())
+        out = [_gate(m, validate_join_semilattice(m)) for m in map(_jsl_from_key, keys)]
 
     elif tag == ClassTag.SECTIONED:
         out = []

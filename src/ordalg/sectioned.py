@@ -18,18 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Algebra, MeetError, Report, leq, partial_meet, section
+from .core import Algebra, MeetError, Report
 from .laws import SECTIONED_LAWS, evaluate
-
-
-@dataclass(frozen=True)
-class SectionReport:
-    """Per-base summary: lattice-ness and the full pseudocomplement map."""
-
-    base: int
-    is_lattice: bool
-    pseudocomplements: tuple[tuple[int, int], ...]  # (y, y^base) pairs
-    failure_witness: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -41,49 +31,25 @@ class SectionShape:
     witness: tuple[int, ...] | None
 
 
-def pseudocomplement_in_section(alg: Algebra, base: int, y: int) -> int | None:
-    """Greatest z in [base, 1] with y ^ z = base, or None if no greatest exists."""
-    if not leq(alg, base, y):
-        raise ValueError(
-            f"base {alg.label(base)} does not lie below {alg.label(y)}")
-    return alg.pc[base][y]
-
-
-def section_report(alg: Algebra, base: int) -> SectionReport:
-    sec = section(alg, base)
-    for x, y in combinations(sec, 2):
-        m = partial_meet(alg, x, y)
-        if m is None or not leq(alg, base, m):
-            return SectionReport(base, False, (), (x, y))
-    pcs = []
-    for y in sec:
-        pc = alg.pc[base][y]
-        if pc is None:
-            return SectionReport(base, True, tuple(pcs), (base, y))
-        pcs.append((y, pc))
-    return SectionReport(base, True, tuple(pcs), None)
-
-
 def validate_sectioned(alg: Algebra) -> Report:
     """PASS iff (a) every bounded pair has a greatest common lower bound and
     (b) every element of every section has a pseudocomplement there."""
+    unmet: tuple[tuple[int, int], ...] = ()
     try:
-        tables = dict(gv=alg.glb.values, pc=alg.pc.values, unmet=())
+        alg.glb  # the rows after (a) read it; (a) reads the pair it fails on
     except MeetError as exc:
-        tables = dict(gv=None, pc=None, unmet=(exc.pair,))
+        unmet = (exc.pair,)
     return evaluate(alg, SECTIONED_LAWS, "every section is a pseudocomplemented lattice",
-                    **tables)
+                    unmet=unmet)
 
 
 def section_shape_report(alg: Algebra, base: int) -> SectionShape:
     """Distributivity and modularity of the section [base, 1] by the M3-N5
     theorem, with the least pentagon (bottom, x, y, w, top), x < y, as the
     witness, else the least diamond (bottom, p, q, r, top), else none."""
-    sec = section(alg, base)
-    mv = (alg.meet if alg.meet is not None else alg.glb).values
+    sec = sorted(alg.upsets[base])
+    mv = alg.glb.values
     jv, le = alg.join.values, alg.join_order
-    if any(mv[x][y] is None for x in sec for y in sec):
-        raise ValueError(f"section [{alg.label(base)},1] is not a lattice")
     incomp = lambda a, b: not le[a][b] and not le[b][a]
     n5 = min(((mv[x][w], x, y, w, jv[x][w])
               for x in sec for y in sec if x != y and le[x][y]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
-                   TernTable, common_lower_bounds, ensure_meet, entry, require_tables)
+                   TernTable, ensure_meet, entry, require_tables)
 from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
                    evaluate)
 
@@ -41,13 +41,12 @@ def _readback(alg: Algebra, name: str) -> BinTable:
     common lower bound z of each pair; every z must give the same value,
     otherwise the table is not well-defined and the input violates the
     ternary identities."""
-    tv = getattr(alg, name).values
-    lab = alg.label
+    tv, dn, lab = getattr(alg, name).values, alg.downsets, alg.label
     rows: list[list[int | None]] = []
     for x in range(alg.n):
         row: list[int | None] = []
         for y in range(alg.n):
-            vals = {tv[x][y][z]: z for z in sorted(common_lower_bounds(alg, x, y))}
+            vals = {tv[x][y][z]: z for z in sorted(dn[x] & dn[y])}
             if len(vals) > 1:
                 v0, v1 = sorted(vals)[:2]
                 raise StructureError(

@@ -1,11 +1,13 @@
 import errno
+import functools
 
 import pytest
 
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
                       FIG2_ORDER_SRC, ONE_ELEMENT_SRC)
-from ordalg.cli import main, render_table
-from ordalg import parse_algebra
+from ordalg.cli import _MAPS, main, render_table
+from ordalg import (ClassTag, OrdalgError, SearchSpec, enumerate_models,
+                    parse_algebra, serialize_algebra)
 
 
 @pytest.fixture
@@ -168,6 +170,54 @@ def test_derive_rrs_maps(tmp_path, fig1_rrs_file, capsys):
     again = parse_algebra((tmp_path / "rrs.alg").read_text(encoding="utf-8"))
     original = parse_algebra(FIG1_RRS_SRC)
     assert again.prod.values == original.prod.values
+
+
+# the map's target class and the tables that class carries
+_TARGETS = {"I": "ncis", "S": "sectioned", "A": "ialg", "J": "ncis",
+            "B": "ralg", "Q": "rrs", "R": "rrs"}
+_CLASS_TABLES = {"sectioned": {"join", "meet"}, "ncis": {"join", "meet", "imp"},
+                 "rrs": {"join", "imp", "prod"}, "ialg": {"join", "imp", "r"},
+                 "ralg": {"join", "imp", "q"}}
+
+
+@functools.cache
+def _inputs():
+    """Every model up to size 3, and per semilattice with an arrow the model
+    that carries all six tables, each as its file reads back."""
+    models = [m for tag in ClassTag for n in range(1, 4)
+              for m in enumerate_models(SearchSpec(tag, n))]
+    for n in range(1, 4):
+        same_jsl = zip(*(enumerate_models(SearchSpec(ClassTag(c), n))
+                         for c in ("ncis", "rrs", "ialg", "ralg")))
+        models += [nc.replace(prod=rr.prod, r=ia.r, q=ra.q) for nc, rr, ia, ra in same_jsl]
+    return [parse_algebra(serialize_algebra(m)) for m in models]
+
+
+@pytest.mark.parametrize("code", sorted(_MAPS))
+def test_derive_keeps_only_the_target_tables_of_a_cross_class_input(
+        code, tmp_path, capsys):
+    source, source_check = _MAPS[code][:2]
+
+    def passes(alg):
+        try:
+            return source_check(alg).ok
+        except OrdalgError:  # a table the source check needs is missing
+            return False
+
+    cross = [m for m in _inputs() if m.class_tag.value != source and passes(m)]
+    if code == "J":
+        # every file with an r table reads back as ialg, the source of J
+        assert cross == []
+        return
+    alg = max(cross, key=lambda m: len(m.tables()))
+    assert {name for name, _ in alg.tables()} - _CLASS_TABLES[_TARGETS[code]]
+    src, out = tmp_path / "in.alg", tmp_path / "out.alg"
+    src.write_text(serialize_algebra(alg), encoding="utf-8")
+    assert main(["derive", str(src), "--map", code, "--out", str(out)]) == 0
+    derived = parse_algebra(out.read_text(encoding="utf-8"))
+    assert {name for name, _ in derived.tables()} == _CLASS_TABLES[_TARGETS[code]]
+    capsys.readouterr()
+    assert main(["check", str(out)]) == 0, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pair", ["sectioned-ncis", "ncis-ialg", "ncis-rrs"])

@@ -7,12 +7,10 @@ from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG2_NCIS_SRC,
 from oracles import oracle_glb, oracle_lub
 from ordalg import (Algebra, BinTable, ClassTag, ParseError, SearchSpec,
                     StructureError, TernTable, Universe, build_algebra,
-                    check_ncis_properties, common_lower_bounds,
-                    derive_residual_imp, derive_sections, enumerate_models,
-                    first_table_difference, ialgebra_from_ncis, join, leq,
-                    ncis_rrs_bridge, parse_algebra, partial_meet,
-                    project_to_class, ralgebra_from_rrs, relabel, section,
-                    serialize_algebra,
+                    check_ncis_properties, derive_residual_imp, derive_sections,
+                    enumerate_models, first_table_difference, ialgebra_from_ncis,
+                    ncis_rrs_bridge, parse_algebra, project_to_class,
+                    ralgebra_from_rrs, relabel, serialize_algebra,
                     term_witness_check, validate_ialgebra, validate_join_semilattice,
                     validate_ncis, validate_ralgebra, validate_rrs,
                     validate_sectioned, validate_srs)
@@ -26,8 +24,8 @@ def test_parse_fig1_order_only(fig1_order):
     assert fig1_order.label(fig1_order.top) == "1"
     assert fig1_order.class_tag == ClassTag.JSL
     a, b, c = idx(fig1_order, "a", "b", "c")
-    assert join(fig1_order, a, b) == b
-    assert join(fig1_order, a, c) == fig1_order.top
+    assert fig1_order.join[a][b] == b
+    assert fig1_order.join[a][c] == fig1_order.top
 
 
 def test_parse_fig1_full(fig1):
@@ -79,7 +77,7 @@ def test_parse_join_from_table_only():
            "  a 1 1\n  1 b 1\n  1 1 1\nend\n")
     alg = parse_algebra(src)
     a, b = idx(alg, "a", "b")
-    assert leq(alg, a, alg.top) and not leq(alg, a, b)
+    assert alg.join_order[a][alg.top] and not alg.join_order[a][b]
 
 
 def test_parse_order_join_mismatch():
@@ -145,50 +143,53 @@ def test_serialize_parse_roundtrip(src):
 
 def test_leq_examples(fig1):
     a, b, c = idx(fig1, "a", "b", "c")
-    assert leq(fig1, a, b)
-    assert not leq(fig1, a, c)
-    assert all(leq(fig1, x, fig1.top) for x in range(fig1.n))
+    le = fig1.join_order
+    assert le[a][b]
+    assert not le[a][c]
+    assert all(le[x][fig1.top] for x in range(fig1.n))
 
 
 def test_join_examples(fig2):
     a, b, c = idx(fig2, "a", "b", "c")
-    assert join(fig2, a, b) == fig2.top
-    assert join(fig2, a, c) == c
-    assert all(join(fig2, x, x) == x for x in range(fig2.n))
+    assert fig2.join[a][b] == fig2.top
+    assert fig2.join[a][c] == c
+    assert all(fig2.join[x][x] == x for x in range(fig2.n))
 
 
 def test_common_lower_bounds_examples(fig1, fig2):
     a1, c1 = idx(fig1, "a", "c")
-    assert common_lower_bounds(fig1, a1, c1) == frozenset()
+    dn1, dn2 = fig1.downsets, fig2.downsets
+    assert dn1[a1] & dn1[c1] == frozenset()
     a2, b2, z2 = idx(fig2, "a", "b", "0")
-    assert common_lower_bounds(fig2, a2, b2) == frozenset({z2})
+    assert dn2[a2] & dn2[b2] == frozenset({z2})
     for x in range(fig1.n):
-        clb = common_lower_bounds(fig1, x, x)
-        assert x in clb
-        assert clb == fig1.downsets[x]
+        assert x in dn1[x]
+        assert dn1[x] == frozenset(y for y in range(fig1.n) if fig1.leq[y][x])
 
 
 def test_partial_meet_examples(fig1, fig2):
     a2, b2, c2, d2, z2 = idx(fig2, "a", "b", "c", "d", "0")
-    assert partial_meet(fig2, a2, b2) == z2
-    assert partial_meet(fig2, c2, d2) is None
+    assert fig2.glb[a2][b2] == z2
+    assert fig2.glb[c2][d2] is None
     a1, d1 = idx(fig1, "a", "d")
-    assert partial_meet(fig1, a1, d1) is None
+    assert fig1.glb[a1][d1] is None
 
 
 def test_partial_meet_matches_oracle(fig1, fig2):
     for alg in (fig1, fig2):
         for x in range(alg.n):
             for y in range(alg.n):
-                assert partial_meet(alg, x, y) == oracle_glb(alg.leq, x, y)
+                want = oracle_glb(alg.leq, x, y)
+                assert alg.glb[x][y] == alg.meet[x][y] == want
+                assert (want is None) == (not alg.downsets[x] & alg.downsets[y])
 
 
 def test_section_examples(fig1, fig2):
     a1 = idx(fig1, "a")
-    assert section(fig1, a1) == idx(fig1, "a", "b", "1")
+    assert fig1.upsets[a1] == frozenset(idx(fig1, "a", "b", "1"))
     d2 = idx(fig2, "d")
-    assert section(fig2, d2) == idx(fig2, "d", "1")
-    assert section(fig1, fig1.top) == (fig1.top,)
+    assert fig2.upsets[d2] == frozenset(idx(fig2, "d", "1"))
+    assert fig1.upsets[fig1.top] == {fig1.top}
 
 
 def test_join_is_lub_against_oracle(fig1, fig2):
@@ -249,7 +250,7 @@ def test_parse_non_associative_join():
 def test_partial_meet_not_unique_is_an_error():
     # hand-built relation where p, q are common lower bounds of u, v without
     # a greatest one; only reachable through the raw constructor
-    from ordalg import StructureError, partial_meet
+    from ordalg import StructureError
     labels = ("p", "q", "u", "v", "1")
     lq = (
         (True, False, True, True, True),
@@ -265,7 +266,7 @@ def test_partial_meet_not_unique_is_an_error():
                              [4, 4, 4, 4, 4]], total=True)
     alg = Algebra(Universe(labels, 4), lq, jv)
     with pytest.raises(StructureError, match=r"meet not unique for \(u,v\)"):
-        partial_meet(alg, 2, 3)
+        alg.glb
 
 
 def test_replace_carries_order_caches_only_over_the_same_order(fig1):

@@ -4,8 +4,7 @@ import pytest
 
 from conftest import idx
 from ordalg import (BinTable, ClassTag, StructureError, check_ncis_properties,
-                    derive_implication, derive_sections, leq,
-                    pseudocomplement_in_section, section, validate_ncis)
+                    derive_implication, derive_sections, validate_ncis)
 
 
 def test_derive_reproduces_fig1_arrow(fig1_order, fig1):
@@ -46,10 +45,10 @@ def test_derive_rejects_non_sectioned():
 def test_derive_sections_reads_pseudocomplements(fig1, fig2):
     a2, b2, z2 = idx(fig2, "a", "b", "0")
     sec2 = derive_sections(fig2)
-    assert pseudocomplement_in_section(sec2, z2, a2) == fig2.imp.values[a2][z2] == b2
+    assert sec2.pc[z2][a2] == fig2.imp.values[a2][z2] == b2
     d1, c1 = idx(fig1, "d", "c")
     sec1 = derive_sections(fig1)
-    assert pseudocomplement_in_section(sec1, c1, d1) == fig1.imp.values[d1][c1] == c1
+    assert sec1.pc[c1][d1] == fig1.imp.values[d1][c1] == c1
     for alg in (fig1, fig2):
         for x in range(alg.n):
             assert alg.imp.values[alg.top][x] == x
@@ -112,7 +111,7 @@ def test_property_instances(fig1, fig2):
     a2, z2, b2, c2 = idx(fig2, "a", "0", "b", "c")
     iv2 = fig2.imp.values
     assert iv2[iv2[a2][z2]][z2] == c2          # (a->0)->0 = b->0 = c
-    assert leq(fig2, a2, c2)                   # so (7) holds at (a, 0)
+    assert fig2.join_order[a2][c2]             # so (7) holds at (a, 0)
     b1, a1 = idx(fig1, "b", "a")
     iv1 = fig1.imp.values
     assert iv1[iv1[iv1[b1][a1]][a1]][a1] == iv1[b1][a1]  # (8) at (b, a)
@@ -123,7 +122,7 @@ def test_arrow_top_characterizes_order(fig1, fig2):
     for alg in (fig1, fig2):
         for x in range(alg.n):
             for y in range(alg.n):
-                assert (alg.imp.values[x][y] == alg.top) == leq(alg, x, y)
+                assert (alg.imp.values[x][y] == alg.top) == alg.join_order[x][y]
 
 
 def test_validate_requires_imp(fig1_order):

@@ -130,3 +130,20 @@ def test_import_compiles_no_law_text_and_a_row_compiles_once():
     assert at_import == 0
     assert first == len({law.terms for law in rows}) == again
     assert hits == 2 * len(rows)
+
+
+def test_evaluate_supplies_every_table_a_row_names(fig1_rrs):
+    # the tables `evaluate` hands to every scan, read off a probe row
+    always: set[str] = set()
+    probe = laws.Law("probe", 0, "", lambda ix, **tables: always.update(tables) or iter(()))
+    assert laws.evaluate(fig1_rrs, (probe,)).ok
+    known = always | set(laws._DERIVED) | {"unmet"}
+    rows = [law for value in vars(laws).values()
+            if isinstance(value, tuple) and value and isinstance(value[0], laws.Law)
+            for law in value]
+    assert len(rows) > 70
+    for law in rows:
+        code = (law.scan or laws._compiled(law.terms)).__code__
+        params = code.co_varnames[:code.co_argcount]
+        assert params[0] == "ix", law.label
+        assert set(params[1:]) <= known, (law.label, set(params[1:]) - known)

@@ -231,8 +231,10 @@ def test_grouping_form_separates_exactly_the_isomorphism_classes():
     for n in range(1, 7):
         form_of_key, key_of_form = {}, {}
         for downs in search._natural_jsl_downmasks(n):
-            alg = build_algebra(default_labels(n),
-                                leq_matrix=search._leq_from_downmasks(downs))
+            alg = build_algebra(default_labels(n), leq_matrix=[
+                [bool(downs[y] >> x & 1) for y in range(n)] for x in range(n)])
+            # the join read off the masks is the least upper bound
+            assert search._join_rows(downs) == alg.join.values
             key, form = canonical_key(alg), search._grouping_form(downs)
             assert form_of_key.setdefault(key, form) == form
             assert key_of_form.setdefault(form, key) == key

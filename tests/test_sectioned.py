@@ -4,8 +4,7 @@ import pytest
 
 from conftest import idx, labs
 from oracles import oracle_pseudocomplement
-from ordalg import (build_algebra, pseudocomplement_in_section, section,
-                    section_report, section_shape_report, validate_sectioned)
+from ordalg import build_algebra, section_shape_report, validate_sectioned
 
 
 @pytest.fixture(scope="module")
@@ -16,30 +15,30 @@ def m3():
                                       (1, 4), (2, 4), (3, 4)])
 
 
+def _section(alg, base):
+    return sorted(alg.upsets[base])
+
+
 def test_pseudocomplement_fig2_examples(fig2):
     z, a, b = idx(fig2, "0", "a", "b")
-    assert pseudocomplement_in_section(fig2, z, a) == b
-    assert pseudocomplement_in_section(fig2, z, fig2.top) == z
+    assert fig2.pc[z][a] == b
+    assert fig2.pc[z][fig2.top] == z
 
 
 def test_pseudocomplement_of_base_is_top(fig1, fig2):
     for alg in (fig1, fig2):
         for x in range(alg.n):
-            assert pseudocomplement_in_section(alg, x, x) == alg.top
+            assert alg.pc[x][x] == alg.top
 
 
 def test_pseudocomplement_matches_oracle(fig1, fig2):
     for alg in (fig1, fig2):
         for base in range(alg.n):
-            for y in section(alg, base):
-                assert pseudocomplement_in_section(alg, base, y) == \
-                    oracle_pseudocomplement(alg.leq, base, y)
-
-
-def test_pseudocomplement_precondition(fig1):
-    a, c = idx(fig1, "a", "c")
-    with pytest.raises(ValueError, match="does not lie below"):
-        pseudocomplement_in_section(fig1, a, c)
+            for y in _section(alg, base):
+                assert alg.pc[base][y] == oracle_pseudocomplement(alg.leq, base, y)
+    # y outside [base, 1] has none
+    a, b, c = idx(fig1, "a", "b", "c")
+    assert fig1.pc[a][c] is None and fig1.pc[a][b] == a
 
 
 def test_validate_sectioned_passes(fig1, fig2, one_element):
@@ -52,17 +51,9 @@ def test_validate_sectioned_m3_fails(m3):
     assert not rep.ok
     assert rep.axiom == "(b)"
     assert rep.witness == ("0", "p")
-    # the oracle agrees that p has no pseudocomplement over base 0
+    # the table and the oracle agree that p has no pseudocomplement over 0
+    assert m3.pc[0][1] is None
     assert oracle_pseudocomplement(m3.leq, 0, 1) is None
-
-
-def test_section_report(fig1, m3):
-    a = idx(fig1, "a")
-    rep = section_report(fig1, a)
-    assert rep.is_lattice and rep.failure_witness is None
-    assert dict(rep.pseudocomplements)[idx(fig1, "b")] == a
-    bad = section_report(m3, 0)
-    assert bad.is_lattice and bad.failure_witness == (0, 1)
 
 
 def test_shape_fig2_base_bottom_is_pentagon(fig2):
@@ -88,46 +79,37 @@ def test_shape_m3_is_modular_not_distributive(m3):
 
 
 def test_shape_of_a_section_with_an_undefined_stored_meet(fig1):
+    # the shape is read off the glb, so a broken stored meet is not read
     a, b, one = idx(fig1, "a", "b", "1")
     broken = _with_meet_cell(fig1, b, one, None)
-    with pytest.raises(ValueError, match=r"^section \[a,1\] is not a lattice$"):
-        section_shape_report(broken, a)
-    # the section of c does not hold b, so the broken cell is not read
-    assert section_shape_report(broken, idx(fig1, "c")).distributive
+    for base in range(fig1.n):
+        assert section_shape_report(broken, base) == section_shape_report(fig1, base)
 
 
 def test_pseudocomplement_antitone(fig1, fig2):
     # base <= u <= v implies pc(v) <= pc(u)
-    from ordalg import leq
     for alg in (fig1, fig2):
+        le = alg.join_order
         for base in range(alg.n):
-            sec = section(alg, base)
+            sec = _section(alg, base)
             for u in sec:
                 for v in sec:
-                    if not leq(alg, u, v):
-                        continue
-                    pu = pseudocomplement_in_section(alg, base, u)
-                    pv = pseudocomplement_in_section(alg, base, v)
-                    assert leq(alg, pv, pu)
+                    if le[u][v]:
+                        assert le[alg.pc[base][v]][alg.pc[base][u]]
 
 
 def test_pseudocomplement_double_negation(fig1, fig2):
-    from ordalg import leq
     for alg in (fig1, fig2):
         for base in range(alg.n):
-            for y in section(alg, base):
-                pc = pseudocomplement_in_section(alg, base, y)
-                pcpc = pseudocomplement_in_section(alg, base, pc)
-                assert leq(alg, y, pcpc)
+            for y in _section(alg, base):
+                assert alg.join_order[y][alg.pc[base][alg.pc[base][y]]]
 
 
 def test_pseudocomplement_meet_law(fig1, fig2):
-    from ordalg import partial_meet
     for alg in (fig1, fig2):
         for base in range(alg.n):
-            for y in section(alg, base):
-                pc = pseudocomplement_in_section(alg, base, y)
-                assert partial_meet(alg, y, pc) == base
+            for y in _section(alg, base):
+                assert alg.glb[y][alg.pc[base][y]] == base
 
 
 def _with_meet_cell(alg, x, y, value):
