@@ -1,5 +1,5 @@
-"""Golden CLI output: what `check --class srs`, `tables`, `derive` and
-`roundtrip` print and return.
+"""Golden CLI output: what `check`, `tables`, `derive` and `roundtrip`
+print and return.
 
 Every enumerated model of every class up to size 4 is serialized to a file,
 and so is a single-cell token edit of each table cell of that text: each
@@ -15,9 +15,9 @@ commands whose source class is srs read the rrs edits.
 
 Each unedited model runs through ``ordalg.cli.main`` once per command of
 ``COMMANDS``; an edit runs through the commands that name its class: the
-maps, pairs and ``check --class srs`` that read it as their source class,
-and ``tables`` for the edits of jsl, ncis and rrs, which between them edit
-every binary table.
+checks, maps and pairs that read it as their source class, and ``tables``
+for the edits of jsl, ncis and rrs, which between them edit every binary
+table.
 On an edit, ``tables --op`` would print a part of what ``tables`` prints,
 so it reads the unedited models only.  Each run gives one line
 
@@ -53,7 +53,13 @@ MAX_SIZE = {"binary": 4, "ternary": 3}
 # (command, classes whose edits it runs on): a check, a map or a pair reads
 # the edits of its source class (rrs for srs)
 COMMANDS = (
-    (["check", "--class", "srs"], ("rrs",)),
+    *((["check", "--class", c], ("rrs" if c == "srs" else c,)) for c in
+      ("jsl", "sectioned", "ncis", "rrs", "srs", "ialg", "ralg")),
+    (["check", "--class", "ncis", "--props"], ("ncis",)),
+    (["check", "--class", "rrs", "--props"], ("rrs",)),
+    (["check", "--class", "rrs", "--subvariety"], ("rrs",)),
+    (["check", "--class", "rrs", "--props", "--subvariety"], ("rrs",)),
+    (["check", "--class", "ralg", "--subvariety"], ("ralg",)),
     (["tables"], ("jsl", "ncis", "rrs")),
     *((["tables", "--op", op], ()) for op in ("join", "meet", "imp", "prod")),
     (["derive", "--map", "A"], ("ncis",)),
