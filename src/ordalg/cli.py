@@ -16,18 +16,15 @@ from pathlib import Path
 from . import search as search_mod
 from .congruence import congruence_lattice, maltsev_report
 from .core import (OPS, Algebra, ClassTag, OrdalgError, ParseError, Report,
-                   StructureError, first_table_difference,
-                   project_to_class, validate_join_semilattice)
+                   StructureError, first_table_difference, project_to_class)
 from .fileio import parse_algebra, serialize_algebra
-from .implication import (check_ncis_properties, derive_implication,
-                          derive_sections, validate_ncis)
+from .implication import check_ncis_properties, derive_implication, derive_sections
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
-                         ncis_rrs_bridge, validate_rrs, validate_srs)
-from .sectioned import validate_sectioned
-from .search import SearchSpec, count_models, enumerate_models, find_counterexample
-from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra,
-                        ralgebra_from_rrs, rrs_from_ralgebra,
-                        validate_ialgebra, validate_ralgebra)
+                         ncis_rrs_bridge)
+from .search import (VALIDATORS, SearchSpec, count_models, enumerate_models,
+                     find_counterexample)
+from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra, ralgebra_from_rrs,
+                        rrs_from_ralgebra)
 
 _CLASS_NAMES = [t.value for t in ClassTag]
 # the slots `tables` prints: those with a square table
@@ -65,43 +62,43 @@ def _report_exit(rep: Report, what: str) -> int:
     return 1
 
 
+# the checks `--props` and `--subvariety` add after a class's validator;
+# ralg's `--subvariety` instead adds an identity to its validator
+_FLAG_CHECKS = {
+    ClassTag.NCIS: (("props", check_ncis_properties, "props=ncis"),),
+    ClassTag.RRS: (("props", check_rrs_properties, "props=rrs"),
+                   ("subvariety", check_divisible, "divisible=rrs")),
+}
+
+
 def _validator_chain(alg: Algebra, tag: ClassTag, props: bool, subvariety: bool):
-    """Reports to run, in order, for `check --class <tag>`."""
+    """Reports to run, in order, for `check --class <tag>`, up to the first
+    that fails.  A sectioned semilattice is checked as a jsl first."""
+    flags = {"props": props, "subvariety": subvariety}
+
+    def reports():
+        if tag == ClassTag.SECTIONED:
+            yield VALIDATORS[ClassTag.JSL](alg), "class=jsl"
+        extra = {"subvariety": subvariety} if tag == ClassTag.RALG else {}
+        yield VALIDATORS[tag](alg, **extra), f"class={tag.value}"
+        for flag, check, what in _FLAG_CHECKS.get(tag, ()):
+            if flags[flag]:
+                yield check(alg), what
+
     reps: list[tuple[Report, str]] = []
-    if tag == ClassTag.JSL:
-        reps.append((validate_join_semilattice(alg), "class=jsl"))
-    elif tag == ClassTag.SECTIONED:
-        reps.append((validate_join_semilattice(alg), "class=jsl"))
-        if reps[-1][0].ok:
-            reps.append((validate_sectioned(alg), "class=sectioned"))
-    elif tag == ClassTag.NCIS:
-        reps.append((validate_ncis(alg), "class=ncis"))
-        if props and reps[-1][0].ok:
-            reps.append((check_ncis_properties(alg), "props=ncis"))
-    elif tag == ClassTag.SRS:
-        reps.append((validate_srs(alg), "class=srs"))
-    elif tag == ClassTag.RRS:
-        reps.append((validate_rrs(alg), "class=rrs"))
-        if props and reps[-1][0].ok:
-            reps.append((check_rrs_properties(alg), "props=rrs"))
-        if subvariety and reps[-1][0].ok:
-            reps.append((check_divisible(alg), "divisible=rrs"))
-    elif tag == ClassTag.IALG:
-        reps.append((validate_ialgebra(alg), "class=ialg"))
-    elif tag == ClassTag.RALG:
-        reps.append((validate_ralgebra(alg, subvariety=subvariety), "class=ralg"))
+    for rep, what in reports():
+        reps.append((rep, what))
+        if not rep.ok:
+            break
     return reps
 
 
 def cmd_check(args) -> int:
     alg = _load_capped(args.file)
     tag = ClassTag(args.klass) if args.klass else alg.class_tag
-    rc = 0
-    for rep, what in _validator_chain(alg, tag, args.props, args.subvariety):
-        rc = _report_exit(rep, what)
-        if rc:
-            return rc
-    return rc
+    # the chain ends at its first failing report
+    reps = _validator_chain(alg, tag, args.props, args.subvariety)
+    return max(_report_exit(rep, what) for rep, what in reps)
 
 
 def _as_rrs(alg: Algebra) -> Algebra:
@@ -109,33 +106,33 @@ def _as_rrs(alg: Algebra) -> Algebra:
 
 
 _MAPS = {
-    # code: (source validator, map, target validator, target description)
-    "I": ("sectioned", validate_sectioned, derive_implication, validate_ncis),
-    "S": ("ncis", validate_ncis, derive_sections, validate_sectioned),
-    "A": ("ncis", validate_ncis, ialgebra_from_ncis, validate_ialgebra),
-    "J": ("ialg", validate_ialgebra, ncis_from_ialgebra, validate_ncis),
-    "B": ("rrs", validate_rrs, ralgebra_from_rrs, validate_ralgebra),
-    "Q": ("ralg", validate_ralgebra, rrs_from_ralgebra, validate_rrs),
+    # code: (source class, target class, map)
+    "I": (ClassTag.SECTIONED, ClassTag.NCIS, derive_implication),
+    "S": (ClassTag.NCIS, ClassTag.SECTIONED, derive_sections),
+    "A": (ClassTag.NCIS, ClassTag.IALG, ialgebra_from_ncis),
+    "J": (ClassTag.IALG, ClassTag.NCIS, ncis_from_ialgebra),
+    "B": (ClassTag.RRS, ClassTag.RALG, ralgebra_from_rrs),
+    "Q": (ClassTag.RALG, ClassTag.RRS, rrs_from_ralgebra),
     # an srs product that passes the domain law is undefined off bounded
     # pairs, so it is read unchanged as an rrs product
-    "R": ("srs", validate_srs, _as_rrs, validate_rrs),
+    "R": (ClassTag.SRS, ClassTag.RRS, _as_rrs),
 }
 
 
 def cmd_derive(args) -> int:
     alg = _load_capped(args.file)
-    source_name, source_check, mapper, target_check = _MAPS[args.map]
-    rep = source_check(alg)
+    source, target, mapper = _MAPS[args.map]
+    rep = VALIDATORS[source](alg)
     if not rep.ok:
         print(rep.fail_line())
-        print(f"input is not a valid {source_name} algebra", file=sys.stderr)
+        print(f"input is not a valid {source.value} algebra", file=sys.stderr)
         return 1
     # the output carries the tables of the map's target class only: an input
     # of another class may bring tables the map does not read
     derived = mapper(alg)
     text = serialize_algebra(project_to_class(derived, derived.class_tag))
     reparsed = parse_algebra(text)
-    rep = target_check(reparsed)
+    rep = VALIDATORS[target](reparsed)
     if not rep.ok:
         print(rep.fail_line())
         print("derived output failed target validation", file=sys.stderr)
@@ -152,26 +149,23 @@ def cmd_derive(args) -> int:
 
 
 _PAIRS = {
-    "sectioned-ncis": (ClassTag.SECTIONED, validate_sectioned,
-                       derive_implication, derive_sections),
-    "ncis-ialg": (ClassTag.NCIS, validate_ncis,
-                  ialgebra_from_ncis, ncis_from_ialgebra),
-    "rrs-ralg": (ClassTag.RRS, validate_rrs, ralgebra_from_rrs, rrs_from_ralgebra),
-    "srs-rrs": (ClassTag.SRS, validate_srs, _as_rrs, lambda a: a),
-    "ncis-rrs": (ClassTag.NCIS, validate_ncis,
-                 lambda a: ncis_rrs_bridge(a, "to_rrs"),
+    # pair: (source class, forward map, backward map)
+    "sectioned-ncis": (ClassTag.SECTIONED, derive_implication, derive_sections),
+    "ncis-ialg": (ClassTag.NCIS, ialgebra_from_ncis, ncis_from_ialgebra),
+    "rrs-ralg": (ClassTag.RRS, ralgebra_from_rrs, rrs_from_ralgebra),
+    "srs-rrs": (ClassTag.SRS, _as_rrs, lambda a: a),
+    "ncis-rrs": (ClassTag.NCIS, lambda a: ncis_rrs_bridge(a, "to_rrs"),
                  lambda a: ncis_rrs_bridge(a, "to_ncis")),
 }
 
 
 def cmd_roundtrip(args) -> int:
-    source_tag, source_check, forward, backward = _PAIRS[args.pair]
-    alg = project_to_class(_load_capped(args.file), source_tag)
-    rep = source_check(alg)
+    source, forward, backward = _PAIRS[args.pair]
+    alg = project_to_class(_load_capped(args.file), source)
+    rep = VALIDATORS[source](alg)
     if not rep.ok:
         print(rep.fail_line())
-        print(f"input is not a valid {args.pair.split('-')[0]} algebra",
-              file=sys.stderr)
+        print(f"input is not a valid {source.value} algebra", file=sys.stderr)
         return 1
     back = backward(forward(alg))
     diff = first_table_difference(
@@ -207,6 +201,7 @@ def cmd_search(args) -> int:
         raise ValueError("limit must be a positive integer")
     spec = SearchSpec(tag, args.size, upto=args.upto, violate=args.violate,
                       limit=args.limit)
+    spec.check()
     if search_mod.DEFAULT_MAX_SIZE < args.size <= search_mod.size_cap():
         print(f"warning: size {args.size} above the default cap of "
               f"{search_mod.DEFAULT_MAX_SIZE}; identity scans are O(n^4) and "

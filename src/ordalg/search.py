@@ -72,6 +72,15 @@ class SearchSpec:
     def sizes(self) -> range:
         return range(1, self.size + 1) if self.upto else range(self.size, self.size + 1)
 
+    def check(self) -> None:
+        """Refuse a size below 1 or above the cap."""
+        if self.size < 1:
+            raise ValueError("size must be a positive integer")
+        cap = size_cap()
+        if self.size > cap:
+            raise ValueError(f"size {self.size} exceeds the cap of {cap} "
+                             f"(override with {ENV_MAX_SIZE})")
+
 
 # ---------------------------------------------------------------------------
 # canonical forms
@@ -284,10 +293,29 @@ def _jsl_from_key(key: tuple) -> Algebra:
 # ---------------------------------------------------------------------------
 # per-class model construction
 
-def _gate(alg: Algebra, report) -> Algebra:
-    if not report.ok:
-        raise StructureError(f"enumeration produced an invalid model: {report.fail_line()}")
-    return alg
+# each class's validator: every emitted model passes it, and `check --class`
+# runs it
+VALIDATORS = {
+    ClassTag.JSL: validate_join_semilattice,
+    ClassTag.SECTIONED: validate_sectioned,
+    ClassTag.NCIS: validate_ncis,
+    ClassTag.RRS: validate_rrs,
+    ClassTag.SRS: validate_srs,
+    ClassTag.IALG: validate_ialgebra,
+    ClassTag.RALG: validate_ralgebra,
+}
+
+# derived class: (source class, map).  Every rrs product is the partial meet
+# (see tests/test_finite_facts.py), so the rrs models are the ncis models
+# with the meet as product.
+DERIVATIONS = {
+    ClassTag.NCIS: (ClassTag.SECTIONED, derive_implication),
+    ClassTag.RRS: (ClassTag.NCIS,
+                   lambda a: a.replace(prod=a.meet, meet=None, class_tag=ClassTag.RRS)),
+    ClassTag.SRS: (ClassTag.RRS, lambda a: a.replace(class_tag=ClassTag.SRS)),
+    ClassTag.IALG: (ClassTag.NCIS, ialgebra_from_ncis),
+    ClassTag.RALG: (ClassTag.RRS, ralgebra_from_rrs),
+}
 
 
 @lru_cache(maxsize=None)
@@ -298,49 +326,25 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
         for downs in _natural_jsl_downmasks(n):
             reps.setdefault(_grouping_form(downs), downs)
         keys = sorted(canonical_key(_jsl(_join_rows(downs))) for downs in reps.values())
-        out = [_gate(m, validate_join_semilattice(m)) for m in map(_jsl_from_key, keys)]
-
+        built = map(_jsl_from_key, keys)
     elif tag == ClassTag.SECTIONED:
-        out = []
-        for alg in _models(ClassTag.JSL, n):
-            if validate_sectioned(alg).ok:
-                out.append(ensure_meet(alg).replace(class_tag=ClassTag.SECTIONED))
-
-    elif tag == ClassTag.NCIS:
-        out = [_gate(m, validate_ncis(m))
-               for m in map(derive_implication, _models(ClassTag.SECTIONED, n))]
-
-    elif tag == ClassTag.RRS:
-        # every rrs product is the partial meet (see tests/test_finite_facts.py),
-        # so the rrs models are the ncis models with the meet as product
-        out = [_gate(m, validate_rrs(m))
-               for m in (a.replace(prod=a.meet, meet=None, class_tag=ClassTag.RRS)
-                         for a in _models(ClassTag.NCIS, n))]
-
-    elif tag == ClassTag.SRS:
-        out = [_gate(m, validate_srs(m))
-               for m in (a.replace(class_tag=ClassTag.SRS)
-                         for a in _models(ClassTag.RRS, n))]
-
-    elif tag == ClassTag.IALG:
-        out = [_gate(m, validate_ialgebra(m))
-               for m in map(ialgebra_from_ncis, _models(ClassTag.NCIS, n))]
-
-    elif tag == ClassTag.RALG:
-        out = [_gate(m, validate_ralgebra(m))
-               for m in map(ralgebra_from_rrs, _models(ClassTag.RRS, n))]
-
-    return tuple(alg.replace(name=f"{tag.value}_{n}_{i}") for i, alg in enumerate(out))
+        built = (ensure_meet(a).replace(class_tag=tag) for a in _models(ClassTag.JSL, n)
+                 if VALIDATORS[tag](a).ok)
+    else:
+        source, derive = DERIVATIONS[tag]
+        built = map(derive, _models(source, n))
+    out = []
+    for i, alg in enumerate(built):
+        rep = VALIDATORS[tag](alg)
+        if not rep.ok:
+            raise StructureError(f"enumeration produced an invalid model: {rep.fail_line()}")
+        out.append(alg.replace(name=f"{tag.value}_{n}_{i}"))
+    return tuple(out)
 
 
 def enumerate_models(spec: SearchSpec) -> Iterator[Algebra]:
     """One canonical representative per isomorphism class, in canonical order."""
-    if spec.size < 1:
-        raise ValueError("size must be a positive integer")
-    cap = size_cap()
-    if spec.size > cap:
-        raise ValueError(f"size {spec.size} exceeds the cap of {cap} "
-                         f"(override with {ENV_MAX_SIZE})")
+    spec.check()
     emitted = 0
     for n in spec.sizes():
         for alg in _models(spec.class_tag, n):

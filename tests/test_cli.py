@@ -6,6 +6,7 @@ import pytest
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
                       FIG2_ORDER_SRC, ONE_ELEMENT_SRC)
 from ordalg.cli import _MAPS, main, render_table
+from ordalg.search import VALIDATORS
 from ordalg import (ClassTag, OrdalgError, SearchSpec, enumerate_models,
                     parse_algebra, serialize_algebra)
 
@@ -172,9 +173,7 @@ def test_derive_rrs_maps(tmp_path, fig1_rrs_file, capsys):
     assert again.prod.values == original.prod.values
 
 
-# the map's target class and the tables that class carries
-_TARGETS = {"I": "ncis", "S": "sectioned", "A": "ialg", "J": "ncis",
-            "B": "ralg", "Q": "rrs", "R": "rrs"}
+# the tables each target class of a map carries
 _CLASS_TABLES = {"sectioned": {"join", "meet"}, "ncis": {"join", "meet", "imp"},
                  "rrs": {"join", "imp", "prod"}, "ialg": {"join", "imp", "r"},
                  "ralg": {"join", "imp", "q"}}
@@ -196,26 +195,26 @@ def _inputs():
 @pytest.mark.parametrize("code", sorted(_MAPS))
 def test_derive_keeps_only_the_target_tables_of_a_cross_class_input(
         code, tmp_path, capsys):
-    source, source_check = _MAPS[code][:2]
+    source, target, _ = _MAPS[code]
 
     def passes(alg):
         try:
-            return source_check(alg).ok
+            return VALIDATORS[source](alg).ok
         except OrdalgError:  # a table the source check needs is missing
             return False
 
-    cross = [m for m in _inputs() if m.class_tag.value != source and passes(m)]
+    cross = [m for m in _inputs() if m.class_tag != source and passes(m)]
     if code == "J":
         # every file with an r table reads back as ialg, the source of J
         assert cross == []
         return
     alg = max(cross, key=lambda m: len(m.tables()))
-    assert {name for name, _ in alg.tables()} - _CLASS_TABLES[_TARGETS[code]]
+    assert {name for name, _ in alg.tables()} - _CLASS_TABLES[target.value]
     src, out = tmp_path / "in.alg", tmp_path / "out.alg"
     src.write_text(serialize_algebra(alg), encoding="utf-8")
     assert main(["derive", str(src), "--map", code, "--out", str(out)]) == 0
     derived = parse_algebra(out.read_text(encoding="utf-8"))
-    assert {name for name, _ in derived.tables()} == _CLASS_TABLES[_TARGETS[code]]
+    assert {name for name, _ in derived.tables()} == _CLASS_TABLES[target.value]
     capsys.readouterr()
     assert main(["check", str(out)]) == 0, capsys.readouterr().out
 
@@ -430,6 +429,25 @@ def test_search_env_cap_warning(monkeypatch, capsys):
 def test_search_cap_exceeded_without_override(capsys):
     assert main(["search", "--class", "jsl", "--size", "9", "--count"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_search_upto_count_refuses_a_size_below_one(size, capsys):
+    assert main(["search", "--class", "jsl", "--size", size, "--upto", "--count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size must be a positive integer" in captured.err
+
+
+def test_search_upto_count_refuses_a_size_above_the_cap_before_counting(monkeypatch,
+                                                                       capsys):
+    monkeypatch.delenv("ORDALG_MAX_SIZE", raising=False)
+    counted = []
+    monkeypatch.setattr("ordalg.cli.count_models", lambda spec: counted.append(spec) or 0)
+    assert main(["search", "--class", "jsl", "--size", "9", "--upto", "--count"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, counted) == ("", [])
+    assert "size 9 exceeds the cap of 8" in captured.err
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
