@@ -5,6 +5,7 @@ touching the package's own algorithms, so tests can cross-check the two
 routes.  Slow is fine; these run on universes of at most six elements.
 """
 
+import functools
 from itertools import permutations, product
 
 from ordalg.congruence import Partition
@@ -336,22 +337,35 @@ def _compose(left, right):
     return frozenset((i, j) for i, k in left for j in by_first.get(k, ()))
 
 
+def _join(left, right):
+    """Join of two equivalence relations as pair sets: the transitive closure
+    of their union."""
+    rel = left | right
+    while (grown := rel | _compose(rel, rel)) != rel:
+        rel = grown
+    return rel
+
+
 def oracle_distributivity_failure(congruences):
     """First triple (a, b, c) of partitions, in the given order, with
-    a ^ (b v c) != (a ^ b) v (a ^ c), or None."""
-    for a in congruences:
-        for b in congruences:
-            for c in congruences:
-                if a.meet(b.join_with(c)) != a.meet(b).join_with(a.meet(c)):
+    a ^ (b v c) != (a ^ b) v (a ^ c), or None; meets and joins are taken
+    on pair sets."""
+    cs = list(congruences)
+    rels = [_pairs(p, p.n) for p in cs]
+    join = functools.cache(_join)  # the meets repeat, so their joins do
+    for a, ra in zip(cs, rels):
+        for b, rb in zip(cs, rels):
+            for c, rc in zip(cs, rels):
+                if ra & join(rb, rc) != join(ra & rb, ra & rc):
                     return a, b, c
     return None
 
 
 def oracle_maltsev(alg, congruences):
     """(three_permutable, con_distributive, weakly_regular, witness) by
-    relation composition over every ordered pair and partition meets and
-    joins over every triple of ``congruences``, in the given order; the
-    witness names the first failure found."""
+    relation composition over every ordered pair and meets and joins over
+    every triple of ``congruences``, all on pair sets, in the given order;
+    the witness names the first failure found."""
     n = alg.n
     cs = list(congruences)
     witness = ""
@@ -375,8 +389,8 @@ def oracle_maltsev(alg, congruences):
 
     weakly_regular = True
     seen = {}
-    for p in cs:
-        blk = p.block_of(alg.top)
+    for p, rp in zip(cs, rels):
+        blk = frozenset(j for i, j in rp if i == alg.top)
         if blk in seen:
             weakly_regular = False
             if not witness:
