@@ -96,7 +96,7 @@ def _validator_chain(alg: Algebra, tag: ClassTag, props: bool, subvariety: bool)
 def cmd_check(args) -> int:
     alg = _load_capped(args.file)
     tag = ClassTag(args.klass) if args.klass else alg.class_tag
-    # the chain ends at its first failing report
+    # the chain stops at its first failing report, whose exit code is the largest
     reps = _validator_chain(alg, tag, args.props, args.subvariety)
     return max(_report_exit(rep, what) for rep, what in reps)
 

@@ -293,8 +293,8 @@ def _jsl_from_key(key: tuple) -> Algebra:
 # ---------------------------------------------------------------------------
 # per-class model construction
 
-# each class's validator: every emitted model passes it, and `check --class`
-# runs it
+# each class's validator: it gates every model the search emits, and check,
+# derive and roundtrip read it here
 VALIDATORS = {
     ClassTag.JSL: validate_join_semilattice,
     ClassTag.SECTIONED: validate_sectioned,

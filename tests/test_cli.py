@@ -432,11 +432,14 @@ def test_search_cap_exceeded_without_override(capsys):
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])
-def test_search_upto_count_refuses_a_size_below_one(size, capsys):
-    assert main(["search", "--class", "jsl", "--size", size, "--upto", "--count"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "size must be a positive integer" in captured.err
+def test_search_refuses_a_size_below_one_before_any_output(size, tmp_path, capsys):
+    out_dir = tmp_path / "models"
+    for mode in (["--upto", "--count"], ["--out", str(out_dir)]):
+        assert main(["search", "--class", "jsl", "--size", size, *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size must be a positive integer" in captured.err
+    assert not out_dir.exists()
 
 
 def test_search_upto_count_refuses_a_size_above_the_cap_before_counting(monkeypatch,
