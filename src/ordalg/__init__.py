@@ -3,7 +3,7 @@ their implication and residuated presentations, congruence analysis, and
 exhaustive small-model search."""
 
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, ParseError,
-                   Report, StructureError, TernTable, UNDEF, UNDEF_TOKEN,
+                   Report, StructureError, TernTable, UNDEF_TOKEN,
                    Universe, build_algebra, default_labels, ensure_meet,
                    first_table_difference, glb_table, lub_table,
                    project_to_class, relabel, validate_join_semilattice)

@@ -101,10 +101,6 @@ def cmd_check(args) -> int:
     return max(_report_exit(rep, what) for rep, what in reps)
 
 
-def _as_rrs(alg: Algebra) -> Algebra:
-    return alg.replace(class_tag=ClassTag.RRS)
-
-
 _MAPS = {
     # code: (source class, target class, map)
     "I": (ClassTag.SECTIONED, ClassTag.NCIS, derive_implication),
@@ -115,7 +111,7 @@ _MAPS = {
     "Q": (ClassTag.RALG, ClassTag.RRS, rrs_from_ralgebra),
     # an srs product that passes the domain law is undefined off bounded
     # pairs, so it is read unchanged as an rrs product
-    "R": (ClassTag.SRS, ClassTag.RRS, _as_rrs),
+    "R": (ClassTag.SRS, ClassTag.RRS, lambda a: a),
 }
 
 
@@ -129,8 +125,7 @@ def cmd_derive(args) -> int:
         return 1
     # the output carries the tables of the map's target class only: an input
     # of another class may bring tables the map does not read
-    derived = mapper(alg)
-    text = serialize_algebra(project_to_class(derived, derived.class_tag))
+    text = serialize_algebra(project_to_class(mapper(alg), target))
     reparsed = parse_algebra(text)
     rep = VALIDATORS[target](reparsed)
     if not rep.ok:
@@ -153,7 +148,7 @@ _PAIRS = {
     "sectioned-ncis": (ClassTag.SECTIONED, derive_implication, derive_sections),
     "ncis-ialg": (ClassTag.NCIS, ialgebra_from_ncis, ncis_from_ialgebra),
     "rrs-ralg": (ClassTag.RRS, ralgebra_from_rrs, rrs_from_ralgebra),
-    "srs-rrs": (ClassTag.SRS, _as_rrs, lambda a: a),
+    "srs-rrs": (ClassTag.SRS, lambda a: a, lambda a: a),
     "ncis-rrs": (ClassTag.NCIS, lambda a: ncis_rrs_bridge(a, "to_rrs"),
                  lambda a: ncis_rrs_bridge(a, "to_ncis")),
 }
@@ -167,9 +162,7 @@ def cmd_roundtrip(args) -> int:
         print(rep.fail_line())
         print(f"input is not a valid {source.value} algebra", file=sys.stderr)
         return 1
-    back = backward(forward(alg))
-    diff = first_table_difference(
-        alg, back.replace(class_tag=alg.class_tag, name=alg.name))
+    diff = first_table_difference(alg, backward(forward(alg)))
     if diff is None:
         print("IDENTICAL")
         return 0

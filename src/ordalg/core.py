@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .laws import JOIN_LAWS, Report, evaluate
 
-UNDEF = None
 UNDEF_TOKEN = "-"
 
 
@@ -69,7 +68,12 @@ class ParseError(OrdalgError):
 
 
 class ClassTag(str, Enum):
-    """Which axiom system an algebra claims to satisfy."""
+    """One of the seven axiom systems, as ``--class`` names it.
+
+    An algebra's own class is read off its tables (`Algebra.class_tag`);
+    srs and rrs share a signature, so only a caller that checks or searches
+    for ``SRS`` names that class.
+    """
 
     JSL = "jsl"
     SECTIONED = "sectioned"
@@ -180,7 +184,6 @@ class Algebra:
     prod: BinTable | None = None
     r: TernTable | None = None
     q: TernTable | None = None
-    class_tag: ClassTag = ClassTag.JSL
     name: str = ""
 
     @property
@@ -197,6 +200,18 @@ class Algebra:
 
     def label(self, i: int) -> str:
         return self.universe.labels[i]
+
+    @property
+    def class_tag(self) -> ClassTag:
+        """The class whose signature the tables spell, read from the first
+        table present among r, q, prod, imp and meet.  srs and rrs share
+        their tables, so an srs model reads as rrs."""
+        for slot, tag in (("r", ClassTag.IALG), ("q", ClassTag.RALG),
+                          ("prod", ClassTag.RRS), ("imp", ClassTag.NCIS),
+                          ("meet", ClassTag.SECTIONED)):
+            if getattr(self, slot) is not None:
+                return tag
+        return ClassTag.JSL
 
     def token(self, v: int | None) -> str:
         """A table value as files and tables print it: its label, or ``-``."""
@@ -407,7 +422,6 @@ def build_algebra(labels: Sequence[str], *,
                   imp_values: Sequence[Sequence[int]] | None = None,
                   prod_values: Sequence[Sequence[int | None]] | None = None,
                   r_values=None, q_values=None,
-                  class_tag: ClassTag | None = None,
                   name: str = "") -> Algebra:
     """Validated constructor.
 
@@ -444,7 +458,7 @@ def build_algebra(labels: Sequence[str], *,
     else:
         jt = lub_table(lq, labels)
 
-    alg = Algebra(universe, lq, jt, class_tag=class_tag or ClassTag.JSL, name=name)
+    alg = Algebra(universe, lq, jt, name=name)
     rep = validate_join_semilattice(alg)
     if not rep.ok:
         if order_given and join_values is not None and rep.axiom == "join-order":
@@ -462,9 +476,8 @@ def build_algebra(labels: Sequence[str], *,
             if slot == "meet":
                 _check_meet(alg, extra[slot])
 
-    tag = class_tag or infer_class_tag(*(extra.get(slot) for slot in given))
     # the order caches built by the checks above carry over
-    return alg.replace(**extra, class_tag=tag)
+    return alg.replace(**extra)
 
 
 def _check_meet(alg: Algebra, meet: BinTable) -> None:
@@ -480,20 +493,6 @@ def _check_meet(alg: Algebra, meet: BinTable) -> None:
                 raise StructureError(
                     "meet table does not match the greatest lower bound at "
                     f"({labels[i]},{labels[j]})")
-
-
-def infer_class_tag(meet, imp, prod, r, q) -> ClassTag:
-    if r is not None:
-        return ClassTag.IALG
-    if q is not None:
-        return ClassTag.RALG
-    if prod is not None:
-        return ClassTag.RRS
-    if imp is not None:
-        return ClassTag.NCIS
-    if meet is not None:
-        return ClassTag.SECTIONED
-    return ClassTag.JSL
 
 
 def ensure_meet(alg: Algebra) -> Algebra:
@@ -513,7 +512,6 @@ def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
             ClassTag.SRS: ("imp", "prod"), ClassTag.IALG: ("imp", "r"),
             ClassTag.RALG: ("imp", "q")}.get(tag, ())
     kw: dict = {name: None for name in OPS if name != "join"}
-    kw["class_tag"] = tag
     if tag in (ClassTag.SECTIONED, ClassTag.NCIS):
         kw["meet"] = ensure_meet(alg).meet
     require_tables(alg, *kept)
@@ -541,8 +539,7 @@ def relabel(alg: Algebra, new_of_old: Sequence[int],
     lq = tuple(tuple(alg.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     moved = {name: dataclasses.replace(t, values=permute(t.values, OPS[name][0]))
              for name, t in alg.tables()}
-    return Algebra(Universe(new_labels, p[alg.top]), lq, **moved,
-                   class_tag=alg.class_tag, name=alg.name)
+    return Algebra(Universe(new_labels, p[alg.top]), lq, **moved, name=alg.name)
 
 
 def first_table_difference(a: Algebra, b: Algebra):

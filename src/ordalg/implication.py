@@ -10,7 +10,7 @@ exhaustively over the enumerated model corpus.
 
 from __future__ import annotations
 
-from .core import (Algebra, BinTable, ClassTag, Report, StructureError, ensure_meet,
+from .core import (Algebra, BinTable, Report, StructureError, ensure_meet,
                    require_tables)
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 
@@ -31,15 +31,14 @@ def derive_implication(alg: Algebra) -> Algebra:
                     f"({base.label(x)},{base.label(y)})")
             row.append(pc)
         rows.append(row)
-    return base.replace(imp=BinTable.from_rows(rows, total=True),
-                        class_tag=ClassTag.NCIS)
+    return base.replace(imp=BinTable.from_rows(rows, total=True))
 
 
 def derive_sections(alg: Algebra) -> Algebra:
     """Forget the arrow, keeping the partial meet; the sectional
     pseudocomplement of y in [x, 1] is recoverable as imp[y][x]."""
     require_tables(alg, "imp")
-    return ensure_meet(alg).replace(imp=None, class_tag=ClassTag.SECTIONED)
+    return ensure_meet(alg).replace(imp=None)
 
 
 def validate_ncis(alg: Algebra) -> Report:

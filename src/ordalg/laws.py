@@ -2,9 +2,10 @@
 
 A `Law` row holds the label a failure reports, the arity of the tuples it
 ranges over, the note a failure carries, and a scan.  The scan is called
-with the row's index tuples (every tuple over the carrier of that arity, in
-lexicographic order) and the algebra's integer tables as keywords, and
-returns an iterator over the violations, in the order it visits them:
+with an iterator over the row's index tuples (every tuple over the carrier
+of that arity, in lexicographic order, to be read once) and the algebra's
+integer tables as keywords, and returns an iterator over the violations, in
+the order it visits them:
 
     (witness, lhs, rhs)               the row's label and note
     (witness, lhs, rhs, note)         the row's label, another note
@@ -20,7 +21,7 @@ witness contract: the first violated law, and its first tuple, are what
 The tables a scan may name:
 
     n, top   carrier size and the top's index
-    ix       the row's index tuples
+    ix       the row's index tuples, an iterator read once
     le       le[x][y] is x <= y, read off the join table
     lq       the stored order ``leq``, which the raw constructor may pass
              out of step with the join table
@@ -113,11 +114,6 @@ class Law(NamedTuple):
     terms: tuple = ()
 
 
-@lru_cache(maxsize=None)
-def index_tuples(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(product(range(n), repeat=arity))
-
-
 def _values(table):
     return None if table is None else table.values
 
@@ -151,7 +147,7 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
         for name in code.co_varnames[1:code.co_argcount]:
             if name not in tables:
                 tables[name] = _DERIVED[name](alg)
-        hit = next(iter(scan(index_tuples(alg.n, law.arity), **tables)), None)
+        hit = next(iter(scan(product(range(alg.n), repeat=law.arity), **tables)), None)
         if hit is not None:
             witness, lhs, rhs, note, label = hit + (law.note, law.label)[len(hit) - 3:]
             lab = alg.labels

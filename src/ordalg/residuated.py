@@ -12,7 +12,7 @@ functions connect the divisible case with the implication semilattices of
 
 from __future__ import annotations
 
-from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
+from .core import (Algebra, BinTable, Report, StructureError,
                    ensure_meet, require_tables)
 from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
@@ -118,7 +118,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
     if direction == "to_rrs":
         src = ensure_meet(alg)
         require_tables(src, "imp")
-        out = src.replace(prod=src.meet, meet=None, class_tag=ClassTag.RRS)
+        out = src.replace(prod=src.meet, meet=None)
         for rep in (validate_rrs(out), check_divisible(out),
                     _check_prod_idempotent(out), _check_prod_arrow_bound(out)):
             if not rep.ok:
@@ -134,7 +134,7 @@ def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
         rep = evaluate(alg, PROD_MEET)
         if not rep.ok:
             raise BridgeError(rep)
-        return alg.replace(meet=alg.prod, prod=None, class_tag=ClassTag.NCIS)
+        return alg.replace(meet=alg.prod, prod=None)
 
     raise ValueError(f"unknown bridge direction {direction!r}")
 

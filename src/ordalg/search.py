@@ -310,9 +310,8 @@ VALIDATORS = {
 # with the meet as product.
 DERIVATIONS = {
     ClassTag.NCIS: (ClassTag.SECTIONED, derive_implication),
-    ClassTag.RRS: (ClassTag.NCIS,
-                   lambda a: a.replace(prod=a.meet, meet=None, class_tag=ClassTag.RRS)),
-    ClassTag.SRS: (ClassTag.RRS, lambda a: a.replace(class_tag=ClassTag.SRS)),
+    ClassTag.RRS: (ClassTag.NCIS, lambda a: a.replace(prod=a.meet, meet=None)),
+    ClassTag.SRS: (ClassTag.RRS, lambda a: a),
     ClassTag.IALG: (ClassTag.NCIS, ialgebra_from_ncis),
     ClassTag.RALG: (ClassTag.RRS, ralgebra_from_rrs),
 }
@@ -328,8 +327,7 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
         keys = sorted(canonical_key(_jsl(_join_rows(downs))) for downs in reps.values())
         built = map(_jsl_from_key, keys)
     elif tag == ClassTag.SECTIONED:
-        built = (ensure_meet(a).replace(class_tag=tag) for a in _models(ClassTag.JSL, n)
-                 if VALIDATORS[tag](a).ok)
+        built = (ensure_meet(a) for a in _models(ClassTag.JSL, n) if VALIDATORS[tag](a).ok)
     else:
         source, derive = DERIVATIONS[tag]
         built = map(derive, _models(source, n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import (Algebra, BinTable, ClassTag, Report, StructureError,
+from .core import (Algebra, BinTable, Report, StructureError,
                    TernTable, ensure_meet, entry, require_tables)
 from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
                    evaluate)
@@ -20,7 +20,7 @@ def ialgebra_from_ncis(alg: Algebra) -> Algebra:
     """Total ternary meet-of-joins table from the partial meet."""
     require_tables(alg, "imp")
     src = ensure_meet(alg)
-    return src.replace(meet=None, r=_lift(src, "meet"), class_tag=ClassTag.IALG)
+    return src.replace(meet=None, r=_lift(src, "meet"))
 
 
 def _lift(alg: Algebra, name: str) -> TernTable:
@@ -61,7 +61,7 @@ def _readback(alg: Algebra, name: str) -> BinTable:
 def ncis_from_ialgebra(alg: Algebra) -> Algebra:
     """Partial meet recovered from r (see `_readback`)."""
     require_tables(alg, "imp", "r")
-    return alg.replace(meet=_readback(alg, "r"), r=None, class_tag=ClassTag.NCIS)
+    return alg.replace(meet=_readback(alg, "r"), r=None)
 
 
 def validate_ialgebra(alg: Algebra) -> Report:
@@ -87,13 +87,13 @@ def validate_ialgebra(alg: Algebra) -> Report:
 def ralgebra_from_rrs(alg: Algebra) -> Algebra:
     """Total ternary product-of-joins table from the partial product."""
     require_tables(alg, "imp", "prod")
-    return alg.replace(prod=None, q=_lift(alg, "prod"), class_tag=ClassTag.RALG)
+    return alg.replace(prod=None, q=_lift(alg, "prod"))
 
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:
     """Partial product recovered from q (see `_readback`)."""
     require_tables(alg, "imp", "q")
-    return alg.replace(prod=_readback(alg, "q"), q=None, class_tag=ClassTag.RRS)
+    return alg.replace(prod=_readback(alg, "q"), q=None)
 
 
 def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:

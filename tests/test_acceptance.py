@@ -83,7 +83,7 @@ def _all_models(tag: str, max_size: int):
 
 def _tables_equal(a, b) -> bool:
     return a.labels == b.labels and first_table_difference(
-        a, dataclasses.replace(b, class_tag=a.class_tag, name=a.name)) is None
+        a, dataclasses.replace(b, name=a.name)) is None
 
 
 def test_criterion_1_fig1_golden():
@@ -182,7 +182,7 @@ def _arrow_candidates(jsl):
     n = jsl.n
     jv = jsl.join.values
     prod = glb_table(jsl.leq, jsl.labels)
-    base = dataclasses.replace(jsl, prod=prod, class_tag=ClassTag.RRS)
+    base = dataclasses.replace(jsl, prod=prod)
     arrow_tables = [BinTable.from_rows([[jsl.top] * n] * n, total=True)]
     derived = derive_residual_imp(base)
     if derived is not None:

@@ -242,7 +242,7 @@ def test_lattice_tables_match_partition_ops(ia1, ia2):
 def test_one_element_congruences(one_element):
     one = dataclasses.replace(
         one_element, imp=BinTable.from_rows([[0]], total=True),
-        r=__import__("ordalg").TernTable((((0,),),)), class_tag=ClassTag.IALG)
+        r=__import__("ordalg").TernTable((((0,),),)))
     assert congruence_lattice(one).size == 1
     assert maltsev_report(one).all_true
     assert term_witness_check(one).ok
@@ -264,8 +264,7 @@ def _trivial_r_family():
     for n in range(2, 6):
         for alg in enumerate_models(SearchSpec(ClassTag.JSL, n)):
             r = TernTable(tuple(tuple((x,) * n for _ in range(n)) for x in range(n)))
-            yield dataclasses.replace(alg, imp=alg.join, r=r, meet=None,
-                                      class_tag=ClassTag.IALG)
+            yield dataclasses.replace(alg, imp=alg.join, r=r, meet=None)
 
 
 def _verdicts_match_oracle(alg):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,22 @@ def test_parse_fig1_order_only(fig1_order):
     a, b, c = idx(fig1_order, "a", "b", "c")
     assert fig1_order.join[a][b] == b
     assert fig1_order.join[a][c] == fig1_order.top
+
+
+def test_parsing_a_100_element_file_streams_the_law_tuples():
+    """The arity-3 join laws range over 10^6 triples here: holding them all
+    would take about 70 MB, so the law rows stream them."""
+    labels = [f"a{i}" for i in range(99)] + ["1"]
+    text = ("algebra\nelements: " + " ".join(labels) + "\norder:\n"
+            + "".join(f"  {lab} < 1\n" for lab in labels[:-1]) + "end\n")
+    tracemalloc.start()
+    try:
+        alg = parse_algebra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.n == 100
+    assert peak < 5_000_000
 
 
 def test_parse_fig1_full(fig1):
@@ -271,7 +288,7 @@ def test_partial_meet_not_unique_is_an_error():
 
 def test_replace_carries_order_caches_only_over_the_same_order(fig1):
     glb, pc = fig1.glb, fig1.pc
-    renamed = fig1.replace(name="other", imp=None, class_tag=ClassTag.SECTIONED)
+    renamed = fig1.replace(name="other", imp=None)
     assert renamed.__dict__["glb"] is glb and renamed.__dict__["pc"] is pc
     assert (renamed.name, renamed.imp, renamed.leq) == ("other", None, fig1.leq)
     rejoined = fig1.replace(join=BinTable(fig1.join.values, total=True))

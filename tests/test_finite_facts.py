@@ -7,16 +7,22 @@ lie below x and y, so every rrs product is the partial meet; the rrs corpus
 is therefore the ncis corpus with the meet moved to the product, and every
 rrs model is divisible.
 
+Every ralg model up to size 7 satisfies the subvariety identity q(x, x->y,
+y) = y, and no single-cell edit of q up to size 4 passes (20)-(30), so no
+enumerated model or such edit tells `check --class ralg --subvariety` from
+`check --class ralg`.
+
 Every ialg and ralg model keeps the weak-regularity chain, so
 `congruence_lattice` generates Con from the n-1 congruences Theta(x, 1)
 there, never from all pairs.
 """
 
 import dataclasses
+from itertools import product
 
 from oracles import oracle_chain_holds, oracle_glb
-from ordalg import (ClassTag, SearchSpec, congruence, derive_residual_imp,
-                    enumerate_models, find_counterexample)
+from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_residual_imp,
+                    enumerate_models, find_counterexample, validate_ralgebra)
 from ordalg.search import _models
 
 
@@ -51,7 +57,7 @@ def test_rrs_corpus_equals_the_residuals_of_every_jsl_meet_up_to_size_6():
     for n in range(1, 7):
         want = []
         for jsl in _models(ClassTag.JSL, n):
-            cand = dataclasses.replace(jsl, prod=jsl.glb, class_tag=ClassTag.RRS)
+            cand = dataclasses.replace(jsl, prod=jsl.glb)
             imp = derive_residual_imp(cand)
             if imp is not None:
                 want.append(dataclasses.replace(cand, imp=imp,
@@ -72,3 +78,20 @@ def test_every_ialg_and_ralg_model_keeps_the_weak_regularity_chain_up_to_size_7(
             assert congruence._chain_holds(alg), alg.name
             models += 1
     assert models == 2 * 233
+
+
+def test_ralg_subvariety_holds_on_the_corpus_and_no_q_edit_passes_20_to_30():
+    for alg in _upto(ClassTag.RALG, 7):
+        assert validate_ralgebra(alg, subvariety=True).ok, alg.name
+    edits = 0
+    for alg in _upto(ClassTag.RALG, 4):
+        qv = alg.q.values
+        for x, y, z in product(range(alg.n), repeat=3):
+            for v in range(alg.n):
+                if v != qv[x][y][z]:
+                    vals = [[list(row) for row in plane] for plane in qv]
+                    vals[x][y][z] = v
+                    q = TernTable(tuple(tuple(map(tuple, plane)) for plane in vals))
+                    assert not validate_ralgebra(alg.replace(q=q)).ok, (alg.name, x, y, z, v)
+                    edits += 1
+    assert edits == 1076

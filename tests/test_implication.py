@@ -65,7 +65,7 @@ def test_roundtrip_sectioned_ncis(fig1, fig2):
 
 def test_roundtrip_from_sectioned_side(fig1_order):
     from ordalg import ensure_meet
-    sec = dataclasses.replace(ensure_meet(fig1_order), class_tag=ClassTag.SECTIONED)
+    sec = ensure_meet(fig1_order)
     back = derive_sections(derive_implication(sec))
     assert back == sec
 
@@ -73,8 +73,7 @@ def test_roundtrip_from_sectioned_side(fig1_order):
 def test_validate_ncis_passes(fig1, fig2, one_element):
     assert validate_ncis(fig1).ok
     assert validate_ncis(fig2).ok
-    one = dataclasses.replace(one_element, imp=BinTable.from_rows([[0]], total=True),
-                              class_tag=ClassTag.NCIS)
+    one = dataclasses.replace(one_element, imp=BinTable.from_rows([[0]], total=True))
     assert validate_ncis(one).ok
 
 

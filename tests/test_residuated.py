@@ -21,7 +21,7 @@ def three_chain_table():
     chain = parse_algebra("algebra\nelements: 0 a 1\norder:\n  0 < a\n  a < 1\nend\n")
     prod = BinTable.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 2]], total=False)
     imp = BinTable.from_rows([[2, 2, 2], [1, 2, 2], [0, 1, 2]], total=True)
-    return dataclasses.replace(chain, prod=prod, imp=imp, class_tag=ClassTag.RRS)
+    return dataclasses.replace(chain, prod=prod, imp=imp)
 
 
 def test_validate_rrs_passes(fig1_rrs, fig2_rrs):
@@ -143,8 +143,7 @@ def test_bridge_roundtrip(fig1, fig2):
 def test_bridge_one_element(one_element):
     one = dataclasses.replace(one_element,
                               imp=BinTable.from_rows([[0]], total=True),
-                              meet=BinTable.from_rows([[0]], total=False),
-                              class_tag=ClassTag.NCIS)
+                              meet=BinTable.from_rows([[0]], total=False))
     rrs = ncis_rrs_bridge(one, "to_rrs")
     assert ncis_rrs_bridge(rrs, "to_ncis").meet.values == ((0,),)
 

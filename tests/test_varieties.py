@@ -164,8 +164,7 @@ def test_one_element_ialgebra(one_element):
     from ordalg import BinTable
     one = dataclasses.replace(one_element,
                               imp=BinTable.from_rows([[0]], total=True),
-                              meet=BinTable.from_rows([[0]], total=False),
-                              class_tag=ClassTag.NCIS)
+                              meet=BinTable.from_rows([[0]], total=False))
     ia = ialgebra_from_ncis(one)
     assert validate_ialgebra(ia).ok
     assert ncis_from_ialgebra(ia) == one
