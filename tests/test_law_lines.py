@@ -11,6 +11,9 @@ Three checkers sit outside the ``check --class`` chains that
 * ``build_algebra`` on the join table of each join mutant, and on the
   order and join table of each order flip: the paths a file with a broken
   join table or order block takes through the parser (``... build``);
+* ``parse_algebra`` on a file holding a model's ``op join:`` block and an
+  ``order:`` block of its strict pairs with one pair added or removed
+  (``jsl/order build``), the one way an order arrives beside a join table;
 * ``validate_sectioned`` on every jsl model, on every meet mutation of the
   sectioned models, and on the order flips, where a bounded pair may lack a
   greatest lower bound (``sectioned/...``);
@@ -33,8 +36,9 @@ import json
 from pathlib import Path
 
 from ordalg import (BinTable, ClassTag, SearchSpec, Universe, build_algebra,
-                    enumerate_models, term_witness_check,
-                    validate_join_semilattice, validate_sectioned)
+                    enumerate_models, parse_algebra, serialize_algebra,
+                    term_witness_check, validate_join_semilattice,
+                    validate_sectioned)
 
 from test_fail_lines import _digest, _mutations
 
@@ -71,6 +75,30 @@ def _leq_flips(alg):
             rows[i][j] = not rows[i][j]
             yield ((lab[i], lab[j]), str(rows[i][j]).lower(),
                    dataclasses.replace(alg, leq=tuple(tuple(row) for row in rows)))
+
+
+def _order_edits(alg):
+    """(cell labels, new value, file text) for every file that gives the
+    model's join table beside its strict pairs with the pair of the cell
+    added (``true``) or removed (``false``)."""
+    lab = alg.labels
+    head, join = serialize_algebra(alg).split("op join:\n")
+    for i in range(alg.n):
+        for j in range(alg.n):
+            if i == j:
+                continue
+            pairs = [f"  {lab[x]} < {lab[y]}\n" for x in range(alg.n) for y in range(alg.n)
+                     if x != y and alg.leq[x][y] != (x == i and y == j)]
+            yield ((lab[i], lab[j]), str(not alg.leq[i][j]).lower(),
+                   f"{head}order:\n{''.join(pairs)}op join:\n{join}")
+
+
+def _parsed(text: str) -> str:
+    try:
+        parse_algebra(text)
+    except Exception as exc:
+        return f"ERROR {type(exc).__name__}: {exc}"
+    return "OK"
 
 
 def _join_pairs(alg):
@@ -122,6 +150,8 @@ def law_lines() -> dict[str, list[str]]:
             add("jsl/leq build", alg, "leq", cell, value, _built(alg, mutant.leq))
             add("sectioned/leq", alg, "leq", cell, value,
                 _outcome(validate_sectioned, mutant))
+        for cell, value, text in _order_edits(alg):
+            add("jsl/order build", alg, "order", cell, value, _parsed(text))
     for alg in _models(ClassTag.JSL, MAX_SIZE["sectioned"]):
         add("sectioned/jsl", alg, "model", (), "", _outcome(validate_sectioned, alg))
     for alg in _models(ClassTag.SECTIONED, MAX_SIZE["meet"]):
