@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .laws import JOIN_LAWS, Report, evaluate
+from .laws import GIVEN_ORDER, JOIN_LAWS, Report, evaluate
 
 UNDEF_TOKEN = "-"
 
@@ -43,7 +43,7 @@ class StructureError(OrdalgError):
 
 class MeetError(StructureError):
     """A bounded pair of the order without a greatest common lower bound;
-    only the raw `Algebra` constructor can build such an order."""
+    only a raw join table that is not a semilattice gives one."""
 
     def __init__(self, pair: tuple[int, int], labels: Sequence[str]):
         self.pair = pair
@@ -160,24 +160,24 @@ class TernTable:
         return self.values[i]
 
 
-# cached properties of `Algebra` that read only ``leq`` and ``join``
-_ORDER_CACHES = ("downsets", "upsets", "glb", "pc", "join_order")
+# cached properties of `Algebra` that read only ``join``
+_ORDER_CACHES = ("leq", "downsets", "upsets", "glb", "pc")
 
 
 @dataclass(frozen=True)
 class Algebra:
     """A finite join-semilattice with top, plus optional extra operations.
 
-    ``leq`` and ``join`` are always present; the optional tables carry the
-    partial meet, the implication, the partial product, and the two total
-    ternary operations.  Published constructors (`build_algebra`, the file
-    parser, the derivation maps) validate all structural invariants; the raw
-    dataclass constructor trusts its arguments, which the test-suite uses to
-    build deliberately broken tables for the validators.
+    ``join`` is always present, and the order ``leq`` is read off it; the
+    optional tables carry the partial meet, the implication, the partial
+    product, and the two total ternary operations.  Published constructors
+    (`build_algebra`, the file parser, the derivation maps) validate all
+    structural invariants; the raw dataclass constructor trusts its
+    arguments, which the test-suite uses to build deliberately broken
+    tables for the validators.
     """
 
     universe: Universe
-    leq: tuple[tuple[bool, ...], ...]
     join: BinTable
     meet: BinTable | None = None
     imp: BinTable | None = None
@@ -222,6 +222,11 @@ class Algebra:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """``leq[x][y]`` is x <= y, that is x v y = y."""
+        return order_from_join(self.join.values)
+
+    @cached_property
     def downsets(self) -> tuple[frozenset[int], ...]:
         n = self.n
         return tuple(frozenset(i for i in range(n) if self.leq[i][j]) for j in range(n))
@@ -256,18 +261,11 @@ class Algebra:
             rows.append(row)
         return BinTable.from_rows(rows, total=False)
 
-    @cached_property
-    def join_order(self) -> tuple[tuple[bool, ...], ...]:
-        """``join_order[x][y]`` is x <= y read off the join table, as `leq`
-        reads it; the raw constructor may pass a join table that disagrees
-        with the ``leq`` field."""
-        return order_from_join(self.join.values)
-
     def replace(self, **changes) -> Algebra:
-        """`dataclasses.replace` that keeps the cached `downsets`, `upsets`,
-        `glb`, `pc` and `join_order` when ``leq`` and ``join`` are left alone."""
+        """`dataclasses.replace` that keeps the cached `leq`, `downsets`,
+        `upsets`, `glb` and `pc` when ``join`` is left alone."""
         out = dataclasses.replace(self, **changes)
-        if out.leq is self.leq and out.join is self.join:
+        if out.join is self.join:
             for name in _ORDER_CACHES:
                 if name in self.__dict__:
                     out.__dict__[name] = self.__dict__[name]
@@ -397,8 +395,8 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 def validate_join_semilattice(alg: Algebra) -> Report:
-    """Check idempotence, commutativity, associativity, order consistency
-    and top absorption of the join table.  First violation in scan order wins.
+    """Check idempotence, commutativity, associativity and top absorption
+    of the join table.  First violation in scan order wins.
     """
     return evaluate(alg, JOIN_LAWS, "join-semilattice laws hold")
 
@@ -428,8 +426,9 @@ def build_algebra(labels: Sequence[str], *,
     The order may come from explicit pairs, a full relation matrix, or the
     join table; the join table is derived from the order when absent.  All
     structural invariants are checked: the order axioms, unique top, the
-    join-semilattice laws, and agreement of a supplied meet table with the
-    genuine greatest lower bounds.  A name, like a label, may not contain
+    join-semilattice laws, agreement of an order given beside the join
+    table with the join's own, and agreement of a supplied meet table with
+    the genuine greatest lower bounds.  A name, like a label, may not contain
     whitespace or ``#``, so that the file format can carry it.
     """
     if _splits(name):
@@ -440,28 +439,30 @@ def build_algebra(labels: Sequence[str], *,
         raise StructureError("empty universe")
 
     if leq_matrix is not None:
-        lq = tuple(tuple(bool(v) for v in row) for row in leq_matrix)
+        order = tuple(tuple(bool(v) for v in row) for row in leq_matrix)
     elif order_pairs is not None:
-        lq = transitive_reflexive_closure(n, order_pairs)
+        order = transitive_reflexive_closure(n, order_pairs)
     elif join_values is not None:
-        lq = order_from_join(join_values)
+        order = order_from_join(join_values)
     else:
-        lq = tuple(tuple(i == j for j in range(n)) for i in range(n))
+        order = tuple(tuple(i == j for j in range(n)) for i in range(n))
 
-    check_partial_order(lq, labels)
-    top = find_top(lq)
-    universe = Universe(labels, top)
+    check_partial_order(order, labels)
+    universe = Universe(labels, find_top(order))
 
-    order_given = leq_matrix is not None or order_pairs is not None
+    laws = JOIN_LAWS
     if join_values is not None:
         jt = BinTable.from_rows(join_values, total=True)
+        if leq_matrix is not None or order_pairs is not None:
+            # an order given beside the join table must be the join's own
+            laws = JOIN_LAWS[:3] + GIVEN_ORDER + JOIN_LAWS[3:]
     else:
-        jt = lub_table(lq, labels)
+        jt = lub_table(order, labels)
 
-    alg = Algebra(universe, lq, jt, name=name)
-    rep = validate_join_semilattice(alg)
+    alg = Algebra(universe, jt, name=name)
+    rep = evaluate(alg, laws, order=order)
     if not rep.ok:
-        if order_given and join_values is not None and rep.axiom == "join-order":
+        if rep.axiom == GIVEN_ORDER[0].label:
             raise StructureError("join table does not match the order at "
                                  f"({','.join(rep.witness)})")
         raise StructureError(f"not a join-semilattice: {rep.axiom} at "
@@ -536,10 +537,9 @@ def relabel(alg: Algebra, new_of_old: Sequence[int],
             return None if values is None else p[values]
         return tuple(permute(values[inv[i]], arity - 1) for i in range(n))
 
-    lq = tuple(tuple(alg.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     moved = {name: dataclasses.replace(t, values=permute(t.values, OPS[name][0]))
              for name, t in alg.tables()}
-    return Algebra(Universe(new_labels, p[alg.top]), lq, **moved, name=alg.name)
+    return Algebra(Universe(new_labels, p[alg.top]), **moved, name=alg.name)
 
 
 def first_table_difference(a: Algebra, b: Algebra):

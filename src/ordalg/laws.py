@@ -23,20 +23,20 @@ The tables a scan may name:
     n, top   carrier size and the top's index
     ix       the row's index tuples, an iterator read once
     le       le[x][y] is x <= y, read off the join table
-    lq       the stored order ``leq``, which the raw constructor may pass
-             out of step with the join table
-    dn, up   downsets and upsets of the stored order
+    dn, up   downsets and upsets of the order
     jv       join values; iv imp; mv stored meet; pv prod; rv r; qv q
              (``None`` when the algebra has no such table)
-    gv       the partial glb of the stored order, ``Algebra.glb``
+    gv       the partial glb of the order, ``Algebra.glb``
     pc       the sectional pseudocomplements, ``Algebra.pc``
     secs     the sections [b, 1], each sorted: the upsets
     tv       the ternary table the term schemes read: r, else q
 
 and, passed only by `validate_sectioned`, which alone runs on an order
-whose glb may not exist:
+whose glb may not exist, and by `build_algebra`, which alone takes an
+order from outside beside the join table:
 
     unmet    the bounded pairs without a glb (sectioned (a))
+    order    the given order (`GIVEN_ORDER`)
 
 `evaluate` reads ``le``, ``dn``, ``up``, ``gv``, ``pc``, ``secs`` and ``tv``
 off the algebra, whose cached properties own them, only when a row names
@@ -125,7 +125,7 @@ def _side(v, labels: tuple[str, ...]) -> str:
 # tables derived from the algebra's own, each read from the one place that
 # owns it, on first use by a row that names it
 _DERIVED = {
-    "le": lambda alg: alg.join_order,
+    "le": lambda alg: alg.leq,
     "dn": lambda alg: alg.downsets,
     "up": lambda alg: alg.upsets,
     "gv": lambda alg: alg.glb.values,
@@ -138,7 +138,7 @@ _DERIVED = {
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
-    tables = dict(n=alg.n, top=alg.top, lq=alg.leq, jv=alg.join.values,
+    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values,
                   mv=_values(alg.meet), iv=_values(alg.imp), pv=_values(alg.prod),
                   rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
@@ -280,17 +280,23 @@ JOIN_LAWS = (
     term_law("join-idempotent", "x", "x v x = x"),
     term_law("join-commutative", "x y", "x v y = y v x"),
     term_law("join-associative", "x y z", "x v (y v z) = (x v y) v z"),
-    # x v y is the least upper bound of x and y in the stored order, and
-    # x <= y there exactly when x v y = y; per pair, the first check failing
-    Law("join-order", 2, "",
-        lambda ix, lq, up, jv, **_: (
-            ((x, y), j, "upper bound") if not (lq[x][j] and lq[y][j]) else
-            ((x, y), j, min(lower), "join is not the least upper bound") if lower else
-            ((x, y), j, y, "order and join table disagree")
-            for x, y in ix for j in [jv[x][y]] for lower in [(up[x] & up[y]) - up[j]]
-            if not (lq[x][j] and lq[y][j]) or lower or lq[x][y] != (j == y))),
     term_law("top-absorbing", "x", "x v 1 = 1"),
 )
+
+# x v y is the least upper bound of x and y in an order given beside the
+# join table, and x <= y there exactly when x v y = y; per pair, the first
+# check failing.  `build_algebra` runs it after the first three join laws.
+# On the order read off a join table those three hold on, it never fails.
+GIVEN_ORDER = (Law(
+    "join-order", 2, "",
+    lambda ix, n, order, jv, **_: (
+        ((x, y), j, "upper bound") if not (order[x][j] and order[y][j]) else
+        ((x, y), j, lower[0], "join is not the least upper bound") if lower else
+        ((x, y), j, y, "order and join table disagree")
+        for x, y in ix for j in [jv[x][y]]
+        for lower in [[u for u in range(n)
+                       if order[x][u] and order[y][u] and not order[j][u]]]
+        if not (order[x][j] and order[y][j]) or lower or order[x][y] != (j == y))),)
 
 # ---------------------------------------------------------------------------
 # sections as pseudocomplemented lattices (`validate_sectioned`)
@@ -306,8 +312,8 @@ SECTIONED_LAWS = (
             if gv[x][y] is not None and mv[x][y] != gv[x][y])),
     # (b) every y in [b, 1] has a pseudocomplement there
     Law("(b)", 2, "no pseudocomplement in section",
-        lambda ix, lq, pc, **_: (((b, y), "-", "-") for b, y in ix
-                                 if lq[b][y] and pc[b][y] is None)),
+        lambda ix, le, pc, **_: (((b, y), "-", "-") for b, y in ix
+                                 if le[b][y] and pc[b][y] is None)),
 )
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def derive_residual_imp(alg: Algebra) -> BinTable | None:
     """
     require_tables(alg, "prod")
     n = alg.n
-    jv, pv, le = alg.join.values, alg.prod.values, alg.join_order
+    jv, pv, le = alg.join.values, alg.prod.values, alg.leq
     rows = [[0] * n for _ in range(n)]
     for y in range(n):
         for z in range(n):

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Universe,
-                   default_labels, ensure_meet, order_from_join, relabel,
+                   default_labels, ensure_meet, relabel,
                    validate_join_semilattice)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
 from .residuated import (check_divisible, check_rrs_properties, validate_rrs,
@@ -140,28 +140,9 @@ def _candidate_perms(alg: Algebra) -> Iterator[list[int]]:
 
 
 def _canonical_search(alg: Algebra) -> tuple[tuple, list[int]]:
-    """Least flat-table tuple and its permutation.
-
-    Most permutations already lose on the first join-table row, which is
-    cheap to compute, so full flattening only happens for real contenders.
-    """
-    n = alg.n
-    jv = alg.join.values
-    best: tuple | None = None
-    best_perm: list[int] | None = None
-    for p in _candidate_perms(alg):
-        if best is not None:
-            inv = [0] * n
-            for old, new in enumerate(p):
-                inv[new] = old
-            src = jv[inv[0]]
-            row0 = tuple(p[src[inv[j]]] for j in range(n))
-            if row0 > best[:n]:
-                continue
-        flat = _flat_tables(alg, p)
-        if best is None or flat < best:
-            best, best_perm = flat, p
-    return best, best_perm
+    """Least flat-table tuple and the first permutation that gives it."""
+    return min(((_flat_tables(alg, p), p) for p in _candidate_perms(alg)),
+               key=lambda found: found[0])
 
 
 def canonical_key(alg: Algebra) -> tuple:
@@ -279,8 +260,7 @@ def _join_rows(downs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _jsl(rows: tuple[tuple[int, ...], ...]) -> Algebra:
     """The jsl with join table ``rows`` on the default labels, top last."""
     n = len(rows)
-    return Algebra(Universe(default_labels(n), n - 1), order_from_join(rows),
-                   BinTable(rows, total=True))
+    return Algebra(Universe(default_labels(n), n - 1), BinTable(rows, total=True))
 
 
 def _jsl_from_key(key: tuple) -> Algebra:

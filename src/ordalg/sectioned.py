@@ -49,7 +49,7 @@ def section_shape_report(alg: Algebra, base: int) -> SectionShape:
     witness, else the least diamond (bottom, p, q, r, top), else none."""
     sec = sorted(alg.upsets[base])
     mv = alg.glb.values
-    jv, le = alg.join.values, alg.join_order
+    jv, le = alg.join.values, alg.leq
     incomp = lambda a, b: not le[a][b] and not le[b][a]
     n5 = min(((mv[x][w], x, y, w, jv[x][w])
               for x in sec for y in sec if x != y and le[x][y]

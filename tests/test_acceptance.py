@@ -187,7 +187,7 @@ def _arrow_candidates(jsl):
     derived = derive_residual_imp(base)
     if derived is not None:
         arrow_tables.insert(0, derived)
-    comparable = [(u, y) for y in range(n) for u in range(n) if jsl.join_order[y][u]]
+    comparable = [(u, y) for y in range(n) for u in range(n) if jsl.leq[y][u]]
     for arrows in arrow_tables:
         params = {(u, y): arrows.values[u][y] for (u, y) in comparable}
         yield dataclasses.replace(base, imp=arrows)

@@ -94,7 +94,7 @@ def test_parse_join_from_table_only():
            "  a 1 1\n  1 b 1\n  1 1 1\nend\n")
     alg = parse_algebra(src)
     a, b = idx(alg, "a", "b")
-    assert alg.join_order[a][alg.top] and not alg.join_order[a][b]
+    assert alg.leq[a][alg.top] and not alg.leq[a][b]
 
 
 def test_parse_order_join_mismatch():
@@ -160,7 +160,7 @@ def test_serialize_parse_roundtrip(src):
 
 def test_leq_examples(fig1):
     a, b, c = idx(fig1, "a", "b", "c")
-    le = fig1.join_order
+    le = fig1.leq
     assert le[a][b]
     assert not le[a][c]
     assert all(le[x][fig1.top] for x in range(fig1.n))
@@ -230,9 +230,8 @@ def test_validate_jsl_three_chain():
 
 def test_validate_jsl_commutativity_failure():
     universe = Universe(("a", "b", "1"), 2)
-    lq = ((True, False, True), (False, True, True), (False, False, True))
     jv = BinTable.from_rows([[0, 0, 2], [1, 1, 2], [2, 2, 2]], total=True)
-    rep = validate_join_semilattice(Algebra(universe, lq, jv))
+    rep = validate_join_semilattice(Algebra(universe, jv))
     assert not rep.ok
     assert rep.axiom == "join-commutative"
     assert rep.witness == ("a", "b")
@@ -265,35 +264,31 @@ def test_parse_non_associative_join():
 
 
 def test_partial_meet_not_unique_is_an_error():
-    # hand-built relation where p, q are common lower bounds of u, v without
-    # a greatest one; only reachable through the raw constructor
+    # a hand-built join table, not associative, whose order has p, q as
+    # common lower bounds of u, v without a greatest one; only reachable
+    # through the raw constructor
     from ordalg import StructureError
     labels = ("p", "q", "u", "v", "1")
-    lq = (
-        (True, False, True, True, True),
-        (False, True, True, True, True),
-        (False, False, True, False, True),
-        (False, False, False, True, True),
-        (False, False, False, False, True),
-    )
     jv = BinTable.from_rows([[0, 4, 2, 3, 4],
                              [4, 1, 2, 3, 4],
                              [2, 2, 2, 4, 4],
                              [3, 3, 4, 3, 4],
                              [4, 4, 4, 4, 4]], total=True)
-    alg = Algebra(Universe(labels, 4), lq, jv)
+    alg = Algebra(Universe(labels, 4), jv)
     with pytest.raises(StructureError, match=r"meet not unique for \(u,v\)"):
         alg.glb
 
 
 def test_replace_carries_order_caches_only_over_the_same_order(fig1):
-    glb, pc = fig1.glb, fig1.pc
+    # the order is read off the join table, so the same join is the same order
+    leq, glb, pc = fig1.leq, fig1.glb, fig1.pc
     renamed = fig1.replace(name="other", imp=None)
-    assert renamed.__dict__["glb"] is glb and renamed.__dict__["pc"] is pc
-    assert (renamed.name, renamed.imp, renamed.leq) == ("other", None, fig1.leq)
+    assert all(renamed.__dict__[name] is cache
+               for name, cache in (("leq", leq), ("glb", glb), ("pc", pc)))
+    assert (renamed.name, renamed.imp, renamed.join) == ("other", None, fig1.join)
     rejoined = fig1.replace(join=BinTable(fig1.join.values, total=True))
-    assert "glb" not in rejoined.__dict__ and "pc" not in rejoined.__dict__
-    assert rejoined.glb == glb
+    assert not {"leq", "glb", "pc"} & rejoined.__dict__.keys()
+    assert (rejoined.leq, rejoined.glb) == (leq, glb)
 
 
 @pytest.mark.parametrize("tag, validate", [(ClassTag.NCIS, validate_ncis),

@@ -15,14 +15,20 @@ enumerated model or such edit tells `check --class ralg --subvariety` from
 Every ialg and ralg model keeps the weak-regularity chain, so
 `congruence_lattice` generates Con from the n-1 congruences Theta(x, 1)
 there, never from all pairs.
+
+On a join table that is idempotent, commutative and associative, x <= y iff
+x v y = y is a partial order whose least upper bounds are the join, so a
+law that x v y is the least upper bound of the order read off the table
+cannot fail there.
 """
 
 import dataclasses
 from itertools import product
 
-from oracles import oracle_chain_holds, oracle_glb
+from oracles import oracle_chain_holds, oracle_glb, oracle_lub
 from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_residual_imp,
                     enumerate_models, find_counterexample, validate_ralgebra)
+from ordalg.core import order_from_join
 from ordalg.search import _models
 
 
@@ -41,6 +47,35 @@ def test_every_bounded_pair_has_a_glb_up_to_size_6():
                 assert alg.glb.values[x][y] == want
                 pairs += want is not None
     assert pairs > 1000
+
+
+def test_the_join_is_the_lub_of_its_order_on_every_semilattice_pair_edit_up_to_size_5():
+    # every symmetric two-cell edit of a jsl join table that keeps the table
+    # idempotent, commutative and associative
+    edits = 0
+    for alg in _upto(ClassTag.JSL, 5):
+        n, span = alg.n, range(alg.n)
+        for i, j in product(span, repeat=2):
+            for v in span:
+                if i >= j or v == alg.join.values[i][j]:
+                    continue
+                jv = [list(row) for row in alg.join.values]
+                jv[i][j] = jv[j][i] = v
+                if not (all(jv[x][x] == x for x in span)
+                        and all(jv[x][y] == jv[y][x] for x, y in product(span, repeat=2))
+                        and all(jv[x][jv[y][z]] == jv[jv[x][y]][z]
+                                for x, y, z in product(span, repeat=3))):
+                    continue
+                le = order_from_join(jv)
+                assert all(le[x][x] for x in span)
+                assert all(x == y or not (le[x][y] and le[y][x])
+                           for x, y in product(span, repeat=2))
+                assert all(le[x][z] for x, y, z in product(span, repeat=3)
+                           if le[x][y] and le[y][z])
+                assert all(jv[x][y] == oracle_lub(le, x, y)
+                           for x, y in product(span, repeat=2)), (alg.name, i, j, v)
+                edits += 1
+    assert edits == 106
 
 
 def test_every_rrs_product_is_the_partial_meet_up_to_size_6():

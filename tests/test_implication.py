@@ -110,7 +110,7 @@ def test_property_instances(fig1, fig2):
     a2, z2, b2, c2 = idx(fig2, "a", "0", "b", "c")
     iv2 = fig2.imp.values
     assert iv2[iv2[a2][z2]][z2] == c2          # (a->0)->0 = b->0 = c
-    assert fig2.join_order[a2][c2]             # so (7) holds at (a, 0)
+    assert fig2.leq[a2][c2]             # so (7) holds at (a, 0)
     b1, a1 = idx(fig1, "b", "a")
     iv1 = fig1.imp.values
     assert iv1[iv1[iv1[b1][a1]][a1]][a1] == iv1[b1][a1]  # (8) at (b, a)
@@ -121,7 +121,7 @@ def test_arrow_top_characterizes_order(fig1, fig2):
     for alg in (fig1, fig2):
         for x in range(alg.n):
             for y in range(alg.n):
-                assert (alg.imp.values[x][y] == alg.top) == alg.join_order[x][y]
+                assert (alg.imp.values[x][y] == alg.top) == alg.leq[x][y]
 
 
 def test_validate_requires_imp(fig1_order):

@@ -82,7 +82,7 @@ def test_axioms_imply_properties(alg):
 def test_arrow_top_iff_leq(alg):
     for x in range(alg.n):
         for y in range(alg.n):
-            assert (alg.imp.values[x][y] == alg.top) == alg.join_order[x][y]
+            assert (alg.imp.values[x][y] == alg.top) == alg.leq[x][y]
 
 
 # --- partitions ----------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_shape_of_a_section_with_an_undefined_stored_meet(fig1):
 def test_pseudocomplement_antitone(fig1, fig2):
     # base <= u <= v implies pc(v) <= pc(u)
     for alg in (fig1, fig2):
-        le = alg.join_order
+        le = alg.leq
         for base in range(alg.n):
             sec = _section(alg, base)
             for u in sec:
@@ -102,7 +102,7 @@ def test_pseudocomplement_double_negation(fig1, fig2):
     for alg in (fig1, fig2):
         for base in range(alg.n):
             for y in _section(alg, base):
-                assert alg.join_order[y][alg.pc[base][alg.pc[base][y]]]
+                assert alg.leq[y][alg.pc[base][alg.pc[base][y]]]
 
 
 def test_pseudocomplement_meet_law(fig1, fig2):
@@ -120,20 +120,16 @@ def _with_meet_cell(alg, x, y, value):
 
 
 def _without_glb(meet=None):
-    # raw constructor only: a and b both lie below c and d, so (c, d) is
-    # bounded but has no greatest common lower bound (and (a, b) no join)
+    # raw constructor only: in the order read off this join table, which is
+    # not associative, a and b both lie below c and d, so (c, d) is bounded
+    # but has no greatest common lower bound (and (a, b) no least upper bound)
     from ordalg import Algebra, BinTable, Universe
-    lq = ((True, False, True, True, True),
-          (False, True, True, True, True),
-          (False, False, True, False, True),
-          (False, False, False, True, True),
-          (False, False, False, False, True))
     jv = BinTable.from_rows([[0, 4, 2, 3, 4],
                              [4, 1, 2, 3, 4],
                              [2, 2, 2, 4, 4],
                              [3, 3, 4, 3, 4],
                              [4, 4, 4, 4, 4]], total=True)
-    return Algebra(Universe(("a", "b", "c", "d", "1"), 4), lq, jv, meet=meet)
+    return Algebra(Universe(("a", "b", "c", "d", "1"), 4), jv, meet=meet)
 
 
 def test_validate_sectioned_a_bounded_pair_without_glb():

@@ -174,7 +174,7 @@ def test_q_monotone_in_first_argument(ra1, ra2):
     # derived from the identities: joining the first argument up can only
     # raise the value
     for ra in (ra1, ra2):
-        jv, qv, le = ra.join.values, ra.q.values, ra.join_order
+        jv, qv, le = ra.join.values, ra.q.values, ra.leq
         for x in range(ra.n):
             for w in range(ra.n):
                 for y in range(ra.n):
