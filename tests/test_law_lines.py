@@ -16,6 +16,8 @@ Three checkers sit outside the ``check --class`` chains that
   (``jsl/order build``), the one way an order arrives beside a join table;
 * ``validate_sectioned`` on every jsl model and on every meet mutation of
   the sectioned models (``sectioned/...``);
+* ``parse_algebra`` on the file of every such meet mutant, the one way a
+  meet table arrives (``sectioned/meet build``);
 * ``term_witness_check`` on every single-cell imp mutation of the ialg and
   ralg models and on every r and q mutation (``terms/...``).
 
@@ -153,6 +155,8 @@ def law_lines() -> dict[str, list[str]]:
         for cell, value, mutant in _mutations(alg, "meet"):
             add("sectioned/meet", alg, "meet", cell, value,
                 _outcome(validate_sectioned, mutant))
+            add("sectioned/meet build", alg, "meet", cell, value,
+                _parsed(serialize_algebra(mutant)))
     for tag, tern in ((ClassTag.IALG, "r"), (ClassTag.RALG, "q")):
         for name in ("imp", tern):
             for alg in _models(tag, MAX_SIZE[name]):
