@@ -17,7 +17,7 @@ from . import search as search_mod
 from .congruence import congruence_lattice, maltsev_report
 from .core import (OPS, Algebra, ClassTag, OrdalgError, ParseError, Report,
                    StructureError, first_table_difference, project_to_class)
-from .fileio import parse_algebra, serialize_algebra
+from .fileio import element_count, parse_algebra, serialize_algebra
 from .implication import check_ncis_properties, derive_implication, derive_sections
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
                          ncis_rrs_bridge)
@@ -31,23 +31,27 @@ _CLASS_NAMES = [t.value for t in ClassTag]
 _TABLE_OPS = [name for name, (arity, _) in OPS.items() if arity == 2]
 
 
-def _load(path: str) -> Algebra:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise StructureError(f"cannot read {path}: {exc}") from exc
-    return parse_algebra(text)
+
+
+def _load(path: str) -> Algebra:
+    return parse_algebra(_read(path))
 
 
 def _load_capped(path: str) -> Algebra:
     """Load a file for a verb whose cost grows steeply with its size: the
-    validators are O(n^3)-O(n^4) and |Con| can reach 2^(n-1)."""
-    alg = _load(path)
-    cap = search_mod.size_cap()
-    if alg.n > cap:
-        raise StructureError(f"{path}: size {alg.n} exceeds the cap of {cap} "
+    validators are O(n^3)-O(n^4) and |Con| can reach 2^(n-1).  The labels
+    are counted before the file is parsed, since building it is O(n^3)."""
+    text = _read(path)
+    cap, size = search_mod.size_cap(), element_count(text)
+    if size > cap:
+        raise StructureError(f"{path}: size {size} exceeds the cap of {cap} "
                              f"(override with {search_mod.ENV_MAX_SIZE})")
-    return alg
+    return parse_algebra(text)
 
 
 def _report_exit(rep: Report, what: str) -> int:

@@ -41,15 +41,6 @@ class StructureError(OrdalgError):
     """A value violates a structural invariant (bad order, bad table, ...)."""
 
 
-class MeetError(StructureError):
-    """A bounded pair of the order without a greatest common lower bound;
-    only a raw join table that is not a semilattice gives one."""
-
-    def __init__(self, pair: tuple[int, int], labels: Sequence[str]):
-        self.pair = pair
-        super().__init__(f"meet not unique for ({labels[pair[0]]},{labels[pair[1]]})")
-
-
 class ParseError(OrdalgError):
     """An algebra file could not be parsed."""
 
@@ -172,9 +163,10 @@ class Algebra:
     optional tables carry the partial meet, the implication, the partial
     product, and the two total ternary operations.  Published constructors
     (`build_algebra`, the file parser, the derivation maps) validate all
-    structural invariants; the raw dataclass constructor trusts its
-    arguments, which the test-suite uses to build deliberately broken
-    tables for the validators.
+    structural invariants, and a stored meet is the glb of the order, so
+    the validators read `glb` and never ``meet``; the raw dataclass
+    constructor trusts its arguments, which the test-suite uses to build
+    deliberately broken tables for the validators.
     """
 
     universe: Universe
@@ -240,7 +232,7 @@ class Algebra:
     def glb(self) -> BinTable:
         """Partial meet of the order: the greatest lower bound exactly on
         bounded pairs, built once by `glb_table`."""
-        return glb_table(self.leq, self.labels)
+        return glb_table(self.leq)
 
     @cached_property
     def pc(self) -> BinTable:
@@ -346,22 +338,20 @@ def lub_table(leq: Sequence[Sequence[bool]], labels: Sequence[str]) -> BinTable:
     return BinTable.from_rows(rows, total=True)
 
 
-def glb_table(leq: Sequence[Sequence[bool]], labels: Sequence[str]) -> BinTable:
-    """Partial meet table: greatest lower bound exactly on bounded pairs."""
+def glb_table(leq: Sequence[Sequence[bool]]) -> BinTable:
+    """Partial meet table: on a bounded pair, the common lower bound with
+    the largest down-set, else None.  The common lower bounds of a bounded
+    pair of a finite join-semilattice are closed under join, so that bound
+    lies above all the others: it is the greatest lower bound."""
     n = len(leq)
     downs = [frozenset(i for i in range(n) if leq[i][j]) for j in range(n)]
+    size = [len(d) for d in downs]
     rows = []
     for i in range(n):
         row: list[int | None] = []
         for j in range(n):
             clb = downs[i] & downs[j]
-            if not clb:
-                row.append(None)
-                continue
-            greatest = [u for u in clb if all(leq[v][u] for v in clb)]
-            if not greatest:
-                raise MeetError((i, j), labels)
-            row.append(greatest[0])
+            row.append(max(clb, key=size.__getitem__) if clb else None)
         rows.append(row)
     return BinTable.from_rows(rows, total=False)
 
@@ -414,7 +404,6 @@ def require_tables(alg: Algebra, *names: str) -> None:
 
 def build_algebra(labels: Sequence[str], *,
                   order_pairs: Iterable[tuple[int, int]] | None = None,
-                  leq_matrix: Sequence[Sequence[bool]] | None = None,
                   join_values: Sequence[Sequence[int]] | None = None,
                   meet_values: Sequence[Sequence[int | None]] | None = None,
                   imp_values: Sequence[Sequence[int]] | None = None,
@@ -423,13 +412,14 @@ def build_algebra(labels: Sequence[str], *,
                   name: str = "") -> Algebra:
     """Validated constructor.
 
-    The order may come from explicit pairs, a full relation matrix, or the
-    join table; the join table is derived from the order when absent.  All
-    structural invariants are checked: the order axioms, unique top, the
+    The order may come from explicit strict pairs or from the join table;
+    the join table is derived from the order when absent.  All structural
+    invariants are checked: the order axioms, unique top, the
     join-semilattice laws, agreement of an order given beside the join
     table with the join's own, and agreement of a supplied meet table with
-    the genuine greatest lower bounds.  A name, like a label, may not contain
-    whitespace or ``#``, so that the file format can carry it.
+    the greatest lower bounds (`_check_meet`, the one place a stored meet
+    is checked).  A name, like a label, may not contain whitespace or
+    ``#``, so that the file format can carry it.
     """
     if _splits(name):
         raise StructureError(f"invalid name {name!r}")
@@ -438,9 +428,7 @@ def build_algebra(labels: Sequence[str], *,
     if n == 0:
         raise StructureError("empty universe")
 
-    if leq_matrix is not None:
-        order = tuple(tuple(bool(v) for v in row) for row in leq_matrix)
-    elif order_pairs is not None:
+    if order_pairs is not None:
         order = transitive_reflexive_closure(n, order_pairs)
     elif join_values is not None:
         order = order_from_join(join_values)
@@ -453,7 +441,7 @@ def build_algebra(labels: Sequence[str], *,
     laws = JOIN_LAWS
     if join_values is not None:
         jt = BinTable.from_rows(join_values, total=True)
-        if leq_matrix is not None or order_pairs is not None:
+        if order_pairs is not None:
             # an order given beside the join table must be the join's own
             laws = JOIN_LAWS[:3] + GIVEN_ORDER + JOIN_LAWS[3:]
     else:

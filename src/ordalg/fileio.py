@@ -179,6 +179,13 @@ def parse_algebra(text: str) -> Algebra:
         raise ParseError(str(exc)) from exc
 
 
+def element_count(text: str) -> int:
+    """The number of labels on the first ``elements:`` line of a file, 0
+    without one, read without parsing the rest of the file."""
+    line = re.search(r"^[ \t]*elements:([ \t].*)?$", text, re.M)
+    return len((line.group(1) or "").partition("#")[0].split()) if line else 0
+
+
 def serialize_algebra(alg: Algebra) -> str:
     """Canonical file text for an algebra (bit-exact round-trip)."""
     n = alg.n

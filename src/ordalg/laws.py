@@ -24,18 +24,18 @@ The tables a scan may name:
     ix       the row's index tuples, an iterator read once
     le       le[x][y] is x <= y, read off the join table
     dn, up   downsets and upsets of the order
-    jv       join values; iv imp; mv stored meet; pv prod; rv r; qv q
+    jv       join values; iv imp; pv prod; rv r; qv q
              (``None`` when the algebra has no such table)
-    gv       the partial glb of the order, ``Algebra.glb``
+    gv       the partial glb of the order, ``Algebra.glb``, which is the
+             meet: a stored meet is checked against it once, when it is
+             built (`core._check_meet`), and never read by a row
     pc       the sectional pseudocomplements, ``Algebra.pc``
     secs     the sections [b, 1], each sorted: the upsets
     tv       the ternary table the term schemes read: r, else q
 
-and, passed only by `validate_sectioned`, which alone runs on an order
-whose glb may not exist, and by `build_algebra`, which alone takes an
-order from outside beside the join table:
+and, passed only by `build_algebra`, which alone takes an order from
+outside beside the join table:
 
-    unmet    the bounded pairs without a glb (sectioned (a))
     order    the given order (`GIVEN_ORDER`)
 
 `evaluate` reads ``le``, ``dn``, ``up``, ``gv``, ``pc``, ``secs`` and ``tv``
@@ -139,7 +139,7 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
     """First violation of the rows in order, as a failing `Report`."""
     tables = dict(n=alg.n, top=alg.top, jv=alg.join.values,
-                  mv=_values(alg.meet), iv=_values(alg.imp), pv=_values(alg.prod),
+                  iv=_values(alg.imp), pv=_values(alg.prod),
                   rv=_values(alg.r), qv=_values(alg.q), **extra)
     for law in laws:
         scan = law.scan or _compiled(law.terms)
@@ -157,7 +157,6 @@ def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
 
 
 LE = "expected lhs <= rhs"
-UNDEF_MEET = "meet undefined where the axiom needs it"
 
 # ---------------------------------------------------------------------------
 # the term compiler
@@ -301,15 +300,9 @@ GIVEN_ORDER = (Law(
 # ---------------------------------------------------------------------------
 # sections as pseudocomplemented lattices (`validate_sectioned`)
 
+# (a), every bounded pair has a greatest lower bound, holds in every finite
+# join-semilattice, so only (b) is checked
 SECTIONED_LAWS = (
-    # (a) every bounded pair has a greatest lower bound ...
-    Law("(a)", 2, "bounded pair without greatest common lower bound",
-        lambda ix, unmet, **_: ((pair, "-", "-") for pair in unmet)),
-    # ... which a stored meet table agrees with
-    Law("(a)", 2, "meet table disagrees with greatest lower bound",
-        lambda ix, mv, gv, **_: iter(()) if mv is None else (
-            ((x, y), mv[x][y], gv[x][y]) for x, y in ix
-            if gv[x][y] is not None and mv[x][y] != gv[x][y])),
     # (b) every y in [b, 1] has a pseudocomplement there
     Law("(b)", 2, "no pseudocomplement in section",
         lambda ix, le, pc, **_: (((b, y), "-", "-") for b, y in ix
@@ -331,24 +324,15 @@ def _arrow_antitone(ix, le, iv, **_):  # x <= y implies y->z <= x->z
 
 
 NCIS_AXIOMS = (
-    # stored meet = greatest lower bound, defined exactly on bounded pairs
-    Law("domain", 2, "meet table must equal the greatest lower bound "
-                     "exactly on bounded pairs",
-        lambda ix, mv, gv, **_: iter(()) if mv is None else (
-            ((x, y), mv[x][y], gv[x][y]) for x, y in ix if mv[x][y] != gv[x][y])),
     term_law("(1)", "x y", "y <= x -> y"),
-    # (x v y) ^ (x->y) = y
-    Law("(2)", 2, "",
-        lambda ix, jv, iv, gv, **_: (
-            ((x, y), m, y, "" if m is not None else UNDEF_MEET)
-            for x, y in ix for m in [gv[jv[x][y]][iv[x][y]]] if m != y)),
+    # the meet is defined: y lies below both sides, by (1)
+    term_law("(2)", "x y", "(x v y) ^ (x -> y) = y"),
     term_law("(3)", "x y", "(x v y) -> y = x -> y"),
-    # y <= (x v z) -> ((x v z) ^ (y v z))
+    # y <= (x v z) -> ((x v z) ^ (y v z)), the meet bounded by z
     Law("(4)", 3, LE,
         lambda ix, le, jv, iv, gv, **_: (
-            ((x, y, z), "-", y, UNDEF_MEET) if m is None else ((x, y, z), y, iv[u][m])
-            for x, y, z in ix for u in [jv[x][z]] for m in [gv[u][jv[y][z]]]
-            if m is None or not le[y][iv[u][m]])),
+            ((x, y, z), y, w) for x, y, z in ix for u in [jv[x][z]]
+            for w in [iv[u][gv[u][jv[y][z]]]] if not le[y][w])),
 )
 
 NCIS_PROPERTIES = (

@@ -129,7 +129,7 @@ def _candidate_perms(alg: Algebra) -> Iterator[list[int]]:
                   for lo in permutations(below)
                   for hi in permutations([x for x in others
                                           if x != a and x not in below]))
-    else:  # no idempotent element: only raw-constructed tables get here
+    else:  # no element below the top (the 1-element jsl), or none idempotent (a raw table)
         orders = permutations(others)
     for order in orders:
         p = [0] * n

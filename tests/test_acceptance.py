@@ -181,7 +181,7 @@ def _arrow_candidates(jsl):
     from ordalg import BinTable
     n = jsl.n
     jv = jsl.join.values
-    prod = glb_table(jsl.leq, jsl.labels)
+    prod = glb_table(jsl.leq)
     base = dataclasses.replace(jsl, prod=prod)
     arrow_tables = [BinTable.from_rows([[jsl.top] * n] * n, total=True)]
     derived = derive_residual_imp(base)

@@ -500,6 +500,25 @@ def test_derive_and_roundtrip_honour_size_cap(chain7_ialg_file, argv, monkeypatc
     assert "size 7 exceeds the cap of 3 (override with ORDALG_MAX_SIZE)" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["check"], ["derive", "--map", "I"],
+                                  ["roundtrip", "--pair", "sectioned-ncis"], ["con"]])
+def test_an_oversize_file_is_refused_before_it_is_built(tmp_path, argv, monkeypatch,
+                                                       capsys):
+    # 1,999 atoms below a top: the O(n^3) checks of the build would take minutes
+    atoms = [f"a{i}" for i in range(1999)]
+    path = tmp_path / "antichain2000.alg"
+    path.write_text("algebra\nelements: " + " ".join(atoms) + " 1\norder:\n"
+                    + "".join(f"  {a} < 1\n" for a in atoms) + "end\n", encoding="utf-8")
+    monkeypatch.delenv("ORDALG_MAX_SIZE", raising=False)
+    built = []
+    monkeypatch.setattr("ordalg.fileio.build_algebra", lambda *a, **kw: built.append(a))
+    verb, *rest = argv
+    assert main([verb, str(path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, built) == ("", [])
+    assert "size 2000 exceeds the cap of 8 (override with ORDALG_MAX_SIZE)" in captured.err
+
+
 def test_parser_is_built_once_and_keeps_no_state(fig2_ncis_file, capsys):
     from ordalg import cli
     cli.build_parser.cache_clear()

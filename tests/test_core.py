@@ -263,22 +263,6 @@ def test_parse_non_associative_join():
         parse_algebra(src)
 
 
-def test_partial_meet_not_unique_is_an_error():
-    # a hand-built join table, not associative, whose order has p, q as
-    # common lower bounds of u, v without a greatest one; only reachable
-    # through the raw constructor
-    from ordalg import StructureError
-    labels = ("p", "q", "u", "v", "1")
-    jv = BinTable.from_rows([[0, 4, 2, 3, 4],
-                             [4, 1, 2, 3, 4],
-                             [2, 2, 2, 4, 4],
-                             [3, 3, 4, 3, 4],
-                             [4, 4, 4, 4, 4]], total=True)
-    alg = Algebra(Universe(labels, 4), jv)
-    with pytest.raises(StructureError, match=r"meet not unique for \(u,v\)"):
-        alg.glb
-
-
 def test_replace_carries_order_caches_only_over_the_same_order(fig1):
     # the order is read off the join table, so the same join is the same order
     leq, glb, pc = fig1.leq, fig1.glb, fig1.pc

@@ -1,8 +1,10 @@
 """Facts of the finite theory that the code relies on, checked exhaustively.
 
 In a finite join-semilattice the common lower bounds of a bounded pair are
-closed under join, so every bounded pair has a greatest lower bound.  The
-rrs laws ask for every common lower bound to lie below x.y and for x.y to
+closed under join, so every bounded pair has a greatest lower bound, the
+common lower bound with the largest down-set, which `glb_table` picks.  So
+the sections are lattices, sectioned (a) cannot fail, and a stored meet is
+checked once, against that glb, where it is built.  The rrs laws ask for every common lower bound to lie below x.y and for x.y to
 lie below x and y, so every rrs product is the partial meet; the rrs corpus
 is therefore the ncis corpus with the meet moved to the product, and every
 rrs model is divisible.
@@ -28,13 +30,32 @@ from itertools import product
 from oracles import oracle_chain_holds, oracle_glb, oracle_lub
 from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_residual_imp,
                     enumerate_models, find_counterexample, validate_ralgebra)
-from ordalg.core import order_from_join
+from ordalg.core import glb_table, order_from_join
 from ordalg.search import _models
 
 
 def _upto(tag: ClassTag, size: int):
     for n in range(1, size + 1):
         yield from enumerate_models(SearchSpec(tag, n))
+
+
+def _semilattice_pair_edits():
+    """(model, edited join values) for every symmetric two-cell edit of a
+    jsl join table up to size 5 that keeps the table idempotent,
+    commutative and associative."""
+    for alg in _upto(ClassTag.JSL, 5):
+        span = range(alg.n)
+        for i, j in product(span, repeat=2):
+            for v in span:
+                if i >= j or v == alg.join.values[i][j]:
+                    continue
+                jv = [list(row) for row in alg.join.values]
+                jv[i][j] = jv[j][i] = v
+                if (all(jv[x][x] == x for x in span)
+                        and all(jv[x][y] == jv[y][x] for x, y in product(span, repeat=2))
+                        and all(jv[x][jv[y][z]] == jv[jv[x][y]][z]
+                                for x, y, z in product(span, repeat=3))):
+                    yield alg, jv
 
 
 def test_every_bounded_pair_has_a_glb_up_to_size_6():
@@ -47,34 +68,30 @@ def test_every_bounded_pair_has_a_glb_up_to_size_6():
                 assert alg.glb.values[x][y] == want
                 pairs += want is not None
     assert pairs > 1000
+    # and on the orders of the semilattice edits, which need not be models
+    edits = 0
+    for alg, jv in _semilattice_pair_edits():
+        le = order_from_join(jv)
+        glb = glb_table(le).values
+        assert all(glb[x][y] == oracle_glb(le, x, y)
+                   for x, y in product(range(alg.n), repeat=2)), (alg.name, jv)
+        edits += 1
+    assert edits == 106
 
 
 def test_the_join_is_the_lub_of_its_order_on_every_semilattice_pair_edit_up_to_size_5():
-    # every symmetric two-cell edit of a jsl join table that keeps the table
-    # idempotent, commutative and associative
     edits = 0
-    for alg in _upto(ClassTag.JSL, 5):
-        n, span = alg.n, range(alg.n)
-        for i, j in product(span, repeat=2):
-            for v in span:
-                if i >= j or v == alg.join.values[i][j]:
-                    continue
-                jv = [list(row) for row in alg.join.values]
-                jv[i][j] = jv[j][i] = v
-                if not (all(jv[x][x] == x for x in span)
-                        and all(jv[x][y] == jv[y][x] for x, y in product(span, repeat=2))
-                        and all(jv[x][jv[y][z]] == jv[jv[x][y]][z]
-                                for x, y, z in product(span, repeat=3))):
-                    continue
-                le = order_from_join(jv)
-                assert all(le[x][x] for x in span)
-                assert all(x == y or not (le[x][y] and le[y][x])
-                           for x, y in product(span, repeat=2))
-                assert all(le[x][z] for x, y, z in product(span, repeat=3)
-                           if le[x][y] and le[y][z])
-                assert all(jv[x][y] == oracle_lub(le, x, y)
-                           for x, y in product(span, repeat=2)), (alg.name, i, j, v)
-                edits += 1
+    for alg, jv in _semilattice_pair_edits():
+        span = range(alg.n)
+        le = order_from_join(jv)
+        assert all(le[x][x] for x in span)
+        assert all(x == y or not (le[x][y] and le[y][x])
+                   for x, y in product(span, repeat=2))
+        assert all(le[x][z] for x, y, z in product(span, repeat=3)
+                   if le[x][y] and le[y][z])
+        assert all(jv[x][y] == oracle_lub(le, x, y)
+                   for x, y in product(span, repeat=2)), (alg.name, jv)
+        edits += 1
     assert edits == 106
 
 

@@ -89,18 +89,6 @@ def test_validate_ncis_corrupt_arrow(fig1):
     assert rep.lhs == "b" and rep.rhs == "a"
 
 
-def test_validate_ncis_domain_failure(fig2):
-    # stored meet claiming d ^ 0 = 0 although the pair is unbounded
-    d, z = idx(fig2, "d", "0")
-    mv = [list(row) for row in fig2.meet.values]
-    mv[d][z] = z
-    bad = dataclasses.replace(fig2, meet=BinTable.from_rows(mv, total=False))
-    rep = validate_ncis(bad)
-    assert not rep.ok
-    assert rep.axiom == "domain"
-    assert rep.witness == ("d", "0")
-
-
 def test_ncis_properties_pass(fig1, fig2):
     assert check_ncis_properties(fig1).ok
     assert check_ncis_properties(fig2).ok

@@ -7,17 +7,15 @@ Three checkers sit outside the ``check --class`` chains that
   table, every symmetric two-cell one (which keeps the table commutative)
   and every other choice of the top of every jsl model, built with the raw
   constructor (groups ``jsl/join``, ``jsl/join pair`` and ``jsl/top``);
-* ``build_algebra`` on the join table of each join mutant, and on the join
-  table beside each single-cell flip of the order matrix: the paths a file
-  with a broken join table or order block takes through the parser
-  (``... build``);
+* ``build_algebra`` on the join table of each join mutant: the path a file
+  with a broken join table takes through the parser (``... build``);
 * ``parse_algebra`` on a file holding a model's ``op join:`` block and an
   ``order:`` block of its strict pairs with one pair added or removed
   (``jsl/order build``), the one way an order arrives beside a join table;
-* ``validate_sectioned`` on every jsl model and on every meet mutation of
-  the sectioned models (``sectioned/...``);
-* ``parse_algebra`` on the file of every such meet mutant, the one way a
-  meet table arrives (``sectioned/meet build``);
+* ``validate_sectioned`` on every jsl model (``sectioned/jsl``);
+* ``parse_algebra`` on the file of every single-cell meet mutation of the
+  sectioned models, the one way a meet table arrives and the one place it
+  is checked (``sectioned/meet build``);
 * ``term_witness_check`` on every single-cell imp mutation of the ialg and
   ralg models and on every r and q mutation (``terms/...``).
 
@@ -57,25 +55,13 @@ def _outcome(check, *args) -> str:
     return f"{rep.fail_line() if not rep.ok else 'PASS'} # {rep.note}"
 
 
-def _built(alg, order=None) -> str:
-    """Outcome of building the join table, with the order when one is
-    given, through the validated constructor."""
+def _built(alg) -> str:
+    """Outcome of building the join table through the validated constructor."""
     try:
-        build_algebra(alg.labels, leq_matrix=order, join_values=alg.join.values)
+        build_algebra(alg.labels, join_values=alg.join.values)
     except Exception as exc:
         return f"ERROR {type(exc).__name__}: {exc}"
     return "OK"
-
-
-def _leq_flips(alg):
-    """(cell labels, new value, order matrix) for every single-cell flip of
-    the model's order."""
-    lab = alg.labels
-    for i in range(alg.n):
-        for j in range(alg.n):
-            rows = [list(row) for row in alg.leq]
-            rows[i][j] = not rows[i][j]
-            yield (lab[i], lab[j]), str(rows[i][j]).lower(), rows
 
 
 def _order_edits(alg):
@@ -145,16 +131,12 @@ def law_lines() -> dict[str, list[str]]:
                 add("jsl/top", alg, "top", (), alg.labels[t],
                     _outcome(validate_join_semilattice, dataclasses.replace(
                         alg, universe=Universe(alg.labels, t))))
-        for cell, value, order in _leq_flips(alg):
-            add("jsl/leq build", alg, "leq", cell, value, _built(alg, order))
         for cell, value, text in _order_edits(alg):
             add("jsl/order build", alg, "order", cell, value, _parsed(text))
     for alg in _models(ClassTag.JSL, MAX_SIZE["sectioned"]):
         add("sectioned/jsl", alg, "model", (), "", _outcome(validate_sectioned, alg))
     for alg in _models(ClassTag.SECTIONED, MAX_SIZE["meet"]):
         for cell, value, mutant in _mutations(alg, "meet"):
-            add("sectioned/meet", alg, "meet", cell, value,
-                _outcome(validate_sectioned, mutant))
             add("sectioned/meet build", alg, "meet", cell, value,
                 _parsed(serialize_algebra(mutant)))
     for tag, tern in ((ClassTag.IALG, "r"), (ClassTag.RALG, "q")):

@@ -137,7 +137,7 @@ def test_evaluate_supplies_every_table_a_row_names(fig1_rrs):
     always: set[str] = set()
     probe = laws.Law("probe", 0, "", lambda ix, **tables: always.update(tables) or iter(()))
     assert laws.evaluate(fig1_rrs, (probe,)).ok
-    known = always | set(laws._DERIVED) | {"unmet", "order"}
+    known = always | set(laws._DERIVED) | {"order"}
     rows = [law for value in vars(laws).values()
             if isinstance(value, tuple) and value and isinstance(value[0], laws.Law)
             for law in value]

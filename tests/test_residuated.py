@@ -179,5 +179,5 @@ def test_derive_residual_imp_fails_on_m3():
     from ordalg import glb_table
     m3 = build_algebra(["0", "p", "q", "r", "1"],
                        order_pairs=[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    with_prod = dataclasses.replace(m3, prod=glb_table(m3.leq, m3.labels))
+    with_prod = dataclasses.replace(m3, prod=glb_table(m3.leq))
     assert derive_residual_imp(with_prod) is None

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import idx, labs
 from oracles import oracle_pseudocomplement
-from ordalg import build_algebra, section_shape_report, validate_sectioned
+from ordalg import BinTable, build_algebra, section_shape_report, validate_sectioned
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,10 @@ def test_shape_m3_is_modular_not_distributive(m3):
 
 def test_shape_of_a_section_with_an_undefined_stored_meet(fig1):
     # the shape is read off the glb, so a broken stored meet is not read
-    a, b, one = idx(fig1, "a", "b", "1")
-    broken = _with_meet_cell(fig1, b, one, None)
+    b, one = idx(fig1, "b", "1")
+    rows = [list(row) for row in fig1.meet.values]
+    rows[b][one] = None
+    broken = dataclasses.replace(fig1, meet=BinTable.from_rows(rows, total=False))
     for base in range(fig1.n):
         assert section_shape_report(broken, base) == section_shape_report(fig1, base)
 
@@ -112,45 +114,6 @@ def test_pseudocomplement_meet_law(fig1, fig2):
                 assert alg.glb[y][alg.pc[base][y]] == base
 
 
-def _with_meet_cell(alg, x, y, value):
-    from ordalg import BinTable
-    rows = [list(row) for row in alg.meet.values]
-    rows[x][y] = value
-    return dataclasses.replace(alg, meet=BinTable.from_rows(rows, total=False))
-
-
-def _without_glb(meet=None):
-    # raw constructor only: in the order read off this join table, which is
-    # not associative, a and b both lie below c and d, so (c, d) is bounded
-    # but has no greatest common lower bound (and (a, b) no least upper bound)
-    from ordalg import Algebra, BinTable, Universe
-    jv = BinTable.from_rows([[0, 4, 2, 3, 4],
-                             [4, 1, 2, 3, 4],
-                             [2, 2, 2, 4, 4],
-                             [3, 3, 4, 3, 4],
-                             [4, 4, 4, 4, 4]], total=True)
-    return Algebra(Universe(("a", "b", "c", "d", "1"), 4), jv, meet=meet)
-
-
-def test_validate_sectioned_a_bounded_pair_without_glb():
-    rep = validate_sectioned(_without_glb())
-    assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
-    assert rep.note == "bounded pair without greatest common lower bound"
-
-
-def test_validate_sectioned_a_meet_table_disagrees(fig1):
-    a, b, one = idx(fig1, "a", "b", "1")
-    rep = validate_sectioned(_with_meet_cell(fig1, a, b, b))
-    assert rep.fail_line() == "FAIL axiom=(a) witness=(a,b) lhs=b rhs=a"
-    assert rep.note == "meet table disagrees with greatest lower bound"
-    rep = validate_sectioned(_with_meet_cell(fig1, a, one, None))
-    assert rep.fail_line() == "FAIL axiom=(a) witness=(a,1) lhs=- rhs=a"
-    assert rep.note == "meet table disagrees with greatest lower bound"
-    # a value stored for an unbounded pair is not (a)'s concern
-    c = idx(fig1, "c")
-    assert validate_sectioned(_with_meet_cell(fig1, a, c, a)).ok
-
-
 def test_pc_table_matches_oracle_on_every_jsl_model_up_to_size_6():
     from ordalg import ClassTag, SearchSpec, enumerate_models
     missing = 0
@@ -163,13 +126,3 @@ def test_pc_table_matches_oracle_on_every_jsl_model_up_to_size_6():
                     missing += want is None and alg.leq[base][y]
     # the non-sectioned models contribute entries without a pseudocomplement
     assert missing > 0
-
-
-def test_meet_table_disagreement_before_a_missing_glb_reports_the_glb():
-    # (a) reads the glb table, which fails as a whole when some bounded pair
-    # has no glb, so that failure is reported even when the stored meet
-    # disagrees at an earlier pair
-    from ordalg import BinTable
-    alg = _without_glb(meet=BinTable.from_rows([[1] * 5] * 5, total=False))
-    rep = validate_sectioned(alg)
-    assert rep.fail_line() == "FAIL axiom=(a) witness=(c,d) lhs=- rhs=-"
