@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 
 from .core import (OPS, Algebra, ParseError, StructureError, UNDEF_TOKEN,
                    build_algebra, entry)
@@ -74,14 +75,20 @@ def _error(message: str, line: _Line, k: int = 0) -> ParseError:
     return ParseError(message, no, [m.start() + 1 for m in _TOKEN.finditer(content)][k])
 
 
-def parse_algebra(text: str) -> Algebra:
-    """Parse one algebra file; raises `ParseError` with line/column info."""
-    lines: list[_Line] = []  # blank and comment-only lines left out
+def _lines(text: str) -> Iterator[_Line]:
+    """The lines of a file that hold a token, in order.  `parse_algebra` and
+    `element_count` both read a file through it, so they split lines, strip
+    comments and split tokens alike."""
     for no, raw in enumerate(text.splitlines(), start=1):
         content = raw.partition("#")[0]
         toks = content.split()
         if toks:
-            lines.append((no, content, toks))
+            yield no, content, toks
+
+
+def parse_algebra(text: str) -> Algebra:
+    """Parse one algebra file; raises `ParseError` with line/column info."""
+    lines = list(_lines(text))
     if not lines:
         raise ParseError("unexpected end of file")
     if lines[0][2] != ["algebra"]:
@@ -181,9 +188,13 @@ def parse_algebra(text: str) -> Algebra:
 
 def element_count(text: str) -> int:
     """The number of labels on the first ``elements:`` line of a file, 0
-    without one, read without parsing the rest of the file."""
-    line = re.search(r"^[ \t]*elements:([ \t].*)?$", text, re.M)
-    return len((line.group(1) or "").partition("#")[0].split()) if line else 0
+    without one, read without parsing the rest of the file.  It is the line
+    `parse_algebra` reads its labels from, so on a file that parses the count
+    is the algebra's size."""
+    for _, _, toks in _lines(text):
+        if toks[0] == "elements:":
+            return len(toks) - 1
+    return 0
 
 
 def serialize_algebra(alg: Algebra) -> str:

@@ -519,6 +519,40 @@ def test_an_oversize_file_is_refused_before_it_is_built(tmp_path, argv, monkeypa
     assert "size 2000 exceeds the cap of 8 (override with ORDALG_MAX_SIZE)" in captured.err
 
 
+@pytest.mark.parametrize("sep,lead", [("\r", ""), ("\x0c", ""), ("\u2028", ""),
+                                      ("\r\n", ""), ("\n", "\xa0"), ("\n", "\u3000")])
+def test_an_oversize_file_is_refused_whatever_breaks_its_lines(tmp_path, sep, lead,
+                                                               monkeypatch, capsys):
+    # the cap counts labels by the parser's own line and token rules
+    atoms = [f"a{i}" for i in range(1999)]
+    lines = ["algebra", lead + "elements: " + " ".join(atoms) + " 1", "order:",
+             *(f"  {a} < 1" for a in atoms), "end"]
+    path = tmp_path / "antichain2000.alg"
+    path.write_bytes((sep.join(lines) + sep).encode("utf-8"))
+    monkeypatch.delenv("ORDALG_MAX_SIZE", raising=False)
+    built = []
+    monkeypatch.setattr("ordalg.fileio.build_algebra", lambda *a, **kw: built.append(a))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, built) == ("", [])
+    assert "size 2000 exceeds the cap of 8 (override with ORDALG_MAX_SIZE)" in captured.err
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x1e", "\u2028"])
+def test_a_file_at_the_cap_passes_whatever_breaks_its_lines(chain7_ialg_file, sep,
+                                                            tmp_path, monkeypatch, capsys):
+    assert main(["check", chain7_ialg_file]) == 0
+    expected = capsys.readouterr().out
+    # the lines from the elements: line on are broken by sep alone
+    text = open(chain7_ialg_file, encoding="utf-8").read()
+    start = text.index("elements:")
+    path = tmp_path / "chain7.alg"
+    path.write_bytes((text[:start] + text[start:].replace("\n", sep)).encode("utf-8"))
+    monkeypatch.setenv("ORDALG_MAX_SIZE", "7")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_parser_is_built_once_and_keeps_no_state(fig2_ncis_file, capsys):
     from ordalg import cli
     cli.build_parser.cache_clear()
