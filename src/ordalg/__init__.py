@@ -12,8 +12,8 @@ from .sectioned import SectionShape, section_shape_report, validate_sectioned
 from .implication import (check_ncis_properties, derive_implication,
                           derive_sections, validate_ncis)
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
-                         derive_residual_imp, ncis_rrs_bridge, validate_rrs,
-                         validate_rrs_identities, validate_srs)
+                         derive_residual_imp, ncis_from_rrs, rrs_from_ncis,
+                         validate_rrs, validate_rrs_identities, validate_srs)
 from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra, ralgebra_from_rrs,
                         rrs_from_ralgebra, validate_ialgebra, validate_ralgebra)
 from .congruence import (ConLattice, MaltsevReport, Partition,

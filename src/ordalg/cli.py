@@ -20,7 +20,7 @@ from .core import (OPS, Algebra, ClassTag, OrdalgError, ParseError, Report,
 from .fileio import element_count, parse_algebra, serialize_algebra
 from .implication import check_ncis_properties, derive_implication, derive_sections
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
-                         ncis_rrs_bridge)
+                         ncis_from_rrs, rrs_from_ncis)
 from .search import (VALIDATORS, SearchSpec, count_models, enumerate_models,
                      find_counterexample)
 from .varieties import (ialgebra_from_ncis, ncis_from_ialgebra, ralgebra_from_rrs,
@@ -153,8 +153,7 @@ _PAIRS = {
     "ncis-ialg": (ClassTag.NCIS, ialgebra_from_ncis, ncis_from_ialgebra),
     "rrs-ralg": (ClassTag.RRS, ralgebra_from_rrs, rrs_from_ralgebra),
     "srs-rrs": (ClassTag.SRS, lambda a: a, lambda a: a),
-    "ncis-rrs": (ClassTag.NCIS, lambda a: ncis_rrs_bridge(a, "to_rrs"),
-                 lambda a: ncis_rrs_bridge(a, "to_ncis")),
+    "ncis-rrs": (ClassTag.NCIS, rrs_from_ncis, ncis_from_rrs),
 }
 
 

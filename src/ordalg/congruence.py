@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import combinations
 
-from .core import Algebra, Report, StructureError, TernTable, require_tables
+from .core import Algebra, Report, require_tables
 from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, WEAK_REGULARITY_CHAIN, evaluate
 
 
@@ -106,14 +106,6 @@ class Partition:
                        for blk in self.blocks())
 
 
-def _ternary(alg: Algebra) -> TernTable:
-    """The ternary table of an algebra with an arrow: r, else q."""
-    require_tables(alg, "imp")
-    if alg.r is None and alg.q is None:
-        raise StructureError("this operation requires an r or q table")
-    return alg.r if alg.r is not None else alg.q
-
-
 def _translations(alg: Algebra) -> list[tuple[int, ...]]:
     """The distinct basic translations x -> f(..., x, ...) of join, arrow
     and every ternary table present (r, q or both), each as an n-tuple, in
@@ -122,7 +114,7 @@ def _translations(alg: Algebra) -> list[tuple[int, ...]]:
     if alg.meet is not None or alg.prod is not None:
         raise ValueError("congruence analysis requires total operations only "
                          "(partial meet/product present)")
-    _ternary(alg)  # an arrow and at least one ternary table
+    require_tables(alg, "imp", "r or q")
     maps: set[tuple[int, ...]] = set()
     for tbl in (alg.join.values, alg.imp.values):
         maps.update(tbl)  # x -> f(c, x)
@@ -297,7 +289,6 @@ def _first_non_distributive(lat: ConLattice) -> tuple[int, int, int] | None:
 def _schemes_hold(alg: Algebra) -> tuple[bool, bool]:
     """Whether term schemes (a) and (b) hold on every pair, each on its own
     and with the ternary table as it is: no divisibility row is needed."""
-    _ternary(alg)
     return tuple(evaluate(alg, (law,)).ok for law in TERM_SCHEMES[:2])
 
 
@@ -363,6 +354,5 @@ def term_witness_check(alg: Algebra) -> Report:
     On a ternary-product algebra, q replaces r and scheme (a) requires the
     divisibility identity q(x, x->y, y) = y.
     """
-    _ternary(alg)
     laws = TERM_SCHEMES if alg.r is not None else TERM_Q_DIVISIBLE + TERM_SCHEMES
     return evaluate(alg, laws, "all term schemes hold pointwise")

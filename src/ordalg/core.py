@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .laws import GIVEN_ORDER, JOIN_LAWS, Report, evaluate
 
@@ -392,10 +392,14 @@ def validate_join_semilattice(alg: Algebra) -> Report:
 
 
 def require_tables(alg: Algebra, *names: str) -> None:
-    """Raise unless the algebra carries each named operation table."""
+    """Raise, naming the first that fails, unless the algebra carries each
+    named operation table; a name may be an alternative, ``"r or q"``, met
+    by any one of its slots.  This is the one place the message is written:
+    `laws.evaluate` calls it for the tables its rows read."""
     for name in names:
-        if getattr(alg, name) is None:
-            article = "an" if name in ("imp", "r") else "a"
+        if all(getattr(alg, slot) is None for slot in name.split(" or ")):
+            # imp and r are read with a leading vowel sound
+            article = "an" if name[0] in "ir" else "a"
             raise StructureError(f"this operation requires {article} {name} table")
 
 
@@ -404,17 +408,15 @@ def require_tables(alg: Algebra, *names: str) -> None:
 
 def build_algebra(labels: Sequence[str], *,
                   order_pairs: Iterable[tuple[int, int]] | None = None,
-                  join_values: Sequence[Sequence[int]] | None = None,
-                  meet_values: Sequence[Sequence[int | None]] | None = None,
-                  imp_values: Sequence[Sequence[int]] | None = None,
-                  prod_values: Sequence[Sequence[int | None]] | None = None,
-                  r_values=None, q_values=None,
+                  tables: Mapping[str, Sequence] | None = None,
                   name: str = "") -> Algebra:
     """Validated constructor.
 
-    The order may come from explicit strict pairs or from the join table;
-    the join table is derived from the order when absent.  All structural
-    invariants are checked: the order axioms, unique top, the
+    ``tables`` maps slot names of `OPS` to nested rows of element indices,
+    ``None`` for an undefined entry, as `parse_algebra` reads its ``op``
+    blocks.  The order may come from explicit strict pairs or from the join
+    table; the join table is derived from the order when absent.  All
+    structural invariants are checked: the order axioms, unique top, the
     join-semilattice laws, agreement of an order given beside the join
     table with the join's own, and agreement of a supplied meet table with
     the greatest lower bounds (`_check_meet`, the one place a stored meet
@@ -427,6 +429,11 @@ def build_algebra(labels: Sequence[str], *,
     n = len(labels)
     if n == 0:
         raise StructureError("empty universe")
+    tables = tables or {}
+    for slot in tables:
+        if slot not in OPS:
+            raise StructureError(f"unknown operation slot {slot!r}")
+    join_values = tables.get("join")
 
     if order_pairs is not None:
         order = transitive_reflexive_closure(n, order_pairs)
@@ -456,12 +463,10 @@ def build_algebra(labels: Sequence[str], *,
         raise StructureError(f"not a join-semilattice: {rep.axiom} at "
                              f"({','.join(rep.witness)})")
 
-    given = {"meet": meet_values, "imp": imp_values, "prod": prod_values,
-             "r": r_values, "q": q_values}
     extra = {}
-    for slot, values in given.items():
-        if values is not None:
-            extra[slot] = _make_table(slot, values)
+    for slot in OPS:
+        if slot != "join" and tables.get(slot) is not None:
+            extra[slot] = _make_table(slot, tables[slot])
             if slot == "meet":
                 _check_meet(alg, extra[slot])
 

@@ -177,11 +177,10 @@ def parse_algebra(text: str) -> Algebra:
     if labels is None:
         raise ParseError("missing 'elements:' line")
 
-    tables = {f"{kind}_values": _values(rows, len(labels), OPS[kind][0])
-              for kind, rows in blocks.items()}
+    tables = {kind: _values(rows, len(labels), OPS[kind][0]) for kind, rows in blocks.items()}
     try:
         return build_algebra(labels, order_pairs=order_pairs if "order:" in seen else None,
-                             name=name, **tables)
+                             tables=tables, name=name)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -53,7 +53,6 @@ def validate_ncis(alg: Algebra) -> Report:
     construction.  Both meets above are defined: (2)'s is bounded by y
     once (1) holds, and (4)'s by z.
     """
-    require_tables(alg, "imp")
     return evaluate(alg, NCIS_AXIOMS, "arrow axioms (1)-(4) hold")
 
 
@@ -66,5 +65,4 @@ def check_ncis_properties(alg: Algebra) -> Report:
     (8) ((x->y)->y)->y = x->y
     (9) 1->x = x
     """
-    require_tables(alg, "imp")
     return evaluate(alg, NCIS_PROPERTIES, "arrow properties (5)-(9) hold")

@@ -25,7 +25,6 @@ The tables a scan may name:
     le       le[x][y] is x <= y, read off the join table
     dn, up   downsets and upsets of the order
     jv       join values; iv imp; pv prod; rv r; qv q
-             (``None`` when the algebra has no such table)
     gv       the partial glb of the order, ``Algebra.glb``, which is the
              meet: a stored meet is checked against it once, when it is
              built (`core._check_meet`), and never read by a row
@@ -38,9 +37,12 @@ outside beside the join table:
 
     order    the given order (`GIVEN_ORDER`)
 
-`evaluate` reads ``le``, ``dn``, ``up``, ``gv``, ``pc``, ``secs`` and ``tv``
-off the algebra, whose cached properties own them, only when a row names
-them among its parameters (`_DERIVED`).
+`evaluate` reads every table but ``n``, ``top`` and ``jv`` off the
+algebra, whose tables and cached properties own them, only when a row names
+it among its parameters (`_DERIVED`).  Before any row runs, it refuses an
+algebra that lacks a table some row of the tuple names (``tv`` wants r or
+q) with the `StructureError` of `core.require_tables`, ``this operation
+requires ... table``, naming the first missing slot in slot order.
 
 Most rows are term text, e.g. ``term_law("(2')", "x y", "r(x, x->y, y) =
 y")``: the variables in the order the row's tuples bind them, then checks
@@ -114,37 +116,48 @@ class Law(NamedTuple):
     terms: tuple = ()
 
 
-def _values(table):
-    return None if table is None else table.values
-
-
 def _side(v, labels: tuple[str, ...]) -> str:
     return "-" if v is None else v if isinstance(v, str) else labels[v]
 
 
-# tables derived from the algebra's own, each read from the one place that
-# owns it, on first use by a row that names it
+# the tables a row may name beyond n, top and jv, each read from the one
+# place that owns it, on first use by a row that names it
 _DERIVED = {
+    "iv": lambda alg: alg.imp.values,
+    "pv": lambda alg: alg.prod.values,
+    "rv": lambda alg: alg.r.values,
+    "qv": lambda alg: alg.q.values,
+    "tv": lambda alg: (alg.r or alg.q).values,
     "le": lambda alg: alg.leq,
     "dn": lambda alg: alg.downsets,
     "up": lambda alg: alg.upsets,
     "gv": lambda alg: alg.glb.values,
     "pc": lambda alg: alg.pc.values,
     "secs": lambda alg: tuple(tuple(sorted(up)) for up in alg.upsets),
-    "tv": lambda alg: (alg.r if alg.r is not None else alg.q).values,
 }
+
+# the operation slots behind the tables of `_DERIVED` that an algebra may
+# lack, in slot order; ``tv`` is met by either ternary table
+_SLOTS = {"iv": "imp", "pv": "prod", "rv": "r", "qv": "q", "tv": "r or q"}
 
 
 def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
              **extra) -> Report:
-    """First violation of the rows in order, as a failing `Report`."""
-    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values,
-                  iv=_values(alg.imp), pv=_values(alg.prod),
-                  rv=_values(alg.r), qv=_values(alg.q), **extra)
-    for law in laws:
-        scan = law.scan or _compiled(law.terms)
-        code = scan.__code__
-        for name in code.co_varnames[1:code.co_argcount]:
+    """First violation of the rows in order, as a failing `Report`.
+
+    Before any row runs, an algebra that lacks a table some row names is
+    refused with `core.require_tables`, so a missing table never reaches a
+    scan.
+    """
+    from .core import require_tables  # core imports this module
+
+    scans = [law.scan or _compiled(law.terms) for law in laws]
+    params = [scan.__code__.co_varnames[1:scan.__code__.co_argcount] for scan in scans]
+    named = set().union(*params)
+    require_tables(alg, *(slot for name, slot in _SLOTS.items() if name in named))
+    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values, **extra)
+    for law, scan, names in zip(laws, scans, params):
+        for name in names:
             if name not in tables:
                 tables[name] = _DERIVED[name](alg)
         hit = next(iter(scan(product(range(alg.n), repeat=law.arity), **tables)), None)
@@ -544,7 +557,7 @@ RALG_SUBVARIETY = (term_law("subvariety", "x y", "q(x, x->y, y) = y"),)
 # `TERM_Q_DIVISIBLE`
 
 TERM_Q_DIVISIBLE = (
-    term_law("(a)", "x y", "q(x, x->y, y) = y",
+    term_law("(a)", "x y", "t(x, x->y, y) = y",
              note="scheme (a) requires the subvariety identity q(x,x->y,y)=y"),
 )
 

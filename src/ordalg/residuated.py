@@ -6,8 +6,8 @@ sectionally residuated (`validate_srs`, each section [b, 1] a commutative
 monoid under the restriction of the product, with sectional adjointness).
 In the finite case a compatible family of section products is the set of
 restrictions of one product, so both read the same tables.  The bridge
-functions connect the divisible case with the implication semilattices of
-`ordalg.implication`.
+maps `rrs_from_ncis` and `ncis_from_rrs` connect the divisible case with
+the implication semilattices of `ordalg.implication`.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ class BridgeError(StructureError):
         super().__init__(report.fail_line())
 
 
-def _check_adjointness(alg: Algebra) -> Report:
-    """Relative adjointness (15): (x v z) . (y v z) <= z iff x v z <= y -> z.
-
-    The two failure directions are reported separately: (15a) when the
-    product side holds but the arrow side does not, (15b) for the converse.
-    """
-    return evaluate(alg, ADJOINTNESS)
-
-
 def validate_rrs(alg: Algebra) -> Report:
-    """Full relatively-residuated check: preamble laws, (11)-(16)."""
-    require_tables(alg, "imp", "prod")
+    """Full relatively-residuated check: preamble laws, (11)-(16); a
+    failure of adjointness (15) is reported as (15a) when the product side
+    holds but the arrow side does not, (15b) for the converse."""
     return evaluate(alg, RRS_BASE + ADJOINTNESS, "relative residuation laws hold")
 
 
@@ -54,12 +46,11 @@ def validate_rrs_identities(alg: Algebra) -> Report:
     against the adjointness verdict on the same algebra; a disagreement
     would falsify the identity characterization and raises.
     """
-    require_tables(alg, "imp", "prod")
     base = evaluate(alg, RRS_BASE)
     if not base.ok:
         return base
     ident = evaluate(alg, RRS_IDENTITIES, "residuation identities (17)-(19) hold")
-    adj = _check_adjointness(alg)
+    adj = evaluate(alg, ADJOINTNESS)
     if ident.ok != adj.ok:
         raise StructureError(
             "identity and adjointness verdicts disagree: "
@@ -69,7 +60,6 @@ def validate_rrs_identities(alg: Algebra) -> Report:
 
 def check_divisible(alg: Algebra) -> Report:
     """(x v y) . (x -> y) = y for all pairs."""
-    require_tables(alg, "imp", "prod")
     return evaluate(alg, DIVISIBLE, "divisibility holds")
 
 
@@ -79,7 +69,6 @@ def check_rrs_properties(alg: Algebra) -> Report:
     The first inequality of (v) is checked only where x . (x -> y) is
     defined; the pair need not be bounded.
     """
-    require_tables(alg, "imp", "prod")
     return evaluate(alg, RRS_PROPERTIES, "properties (i)-(viii) hold")
 
 
@@ -89,54 +78,36 @@ def validate_srs(alg: Algebra) -> Report:
     (domain), each section a commutative monoid with unit top,
     monotonicity (ii), sectional adjointness (iii), and the arrow
     absorption (iv)."""
-    require_tables(alg, "imp", "prod")
     return evaluate(alg, SRS_LAWS, "sectional residuation laws hold")
 
 
 # ---------------------------------------------------------------------------
 # bridge between implication semilattices and divisible residuation
 
-def _check_prod_idempotent(alg: Algebra) -> Report:
-    return evaluate(alg, PROD_IDEMPOTENT)
+def rrs_from_ncis(alg: Algebra) -> Algebra:
+    """The divisible residuated semilattice of an implication semilattice:
+    the partial meet installed as the product.  The result must be a
+    relatively residuated semilattice, divisible, with an idempotent
+    product (i) that satisfies the arrow bound (ii); the first failing row
+    raises `BridgeError` with its witness."""
+    out = alg.replace(prod=ensure_meet(alg).meet, meet=None)
+    rep = evaluate(out, RRS_BASE + ADJOINTNESS + DIVISIBLE + PROD_IDEMPOTENT
+                   + PROD_ARROW_BOUND)
+    if not rep.ok:
+        raise BridgeError(rep)
+    return out
 
 
-def _check_prod_arrow_bound(alg: Algebra) -> Report:
-    """Condition (ii): y <= (x v z) -> ((x v z) . (y v z))."""
-    return evaluate(alg, PROD_ARROW_BOUND)
-
-
-def ncis_rrs_bridge(alg: Algebra, direction: str) -> Algebra:
-    """Convert between implication semilattices and divisible residuated ones.
-
-    ``to_rrs`` installs the partial meet as the product and asserts the
-    result is a divisible residuated semilattice with an idempotent product
-    satisfying the arrow bound (ii).  ``to_ncis`` checks divisibility,
-    idempotence (i), the arrow bound (ii), and that the product coincides
-    with the greatest lower bound on bounded pairs, then re-tags the product
-    as the meet.  Failed checks raise `BridgeError` with a witness.
-    """
-    if direction == "to_rrs":
-        src = ensure_meet(alg)
-        require_tables(src, "imp")
-        out = src.replace(prod=src.meet, meet=None)
-        for rep in (validate_rrs(out), check_divisible(out),
-                    _check_prod_idempotent(out), _check_prod_arrow_bound(out)):
-            if not rep.ok:
-                raise BridgeError(rep)
-        return out
-
-    if direction == "to_ncis":
-        require_tables(alg, "imp", "prod")
-        for rep in (check_divisible(alg), _check_prod_idempotent(alg),
-                    _check_prod_arrow_bound(alg)):
-            if not rep.ok:
-                raise BridgeError(rep)
-        rep = evaluate(alg, PROD_MEET)
-        if not rep.ok:
-            raise BridgeError(rep)
-        return alg.replace(meet=alg.prod, prod=None)
-
-    raise ValueError(f"unknown bridge direction {direction!r}")
+def ncis_from_rrs(alg: Algebra) -> Algebra:
+    """The implication semilattice of a divisible residuated semilattice:
+    the product re-tagged as the meet.  The product must be divisible,
+    idempotent (i), satisfy the arrow bound (ii) and equal the greatest
+    lower bound; the first failing row raises `BridgeError` with its
+    witness."""
+    rep = evaluate(alg, DIVISIBLE + PROD_IDEMPOTENT + PROD_ARROW_BOUND + PROD_MEET)
+    if not rep.ok:
+        raise BridgeError(rep)
+    return alg.replace(meet=alg.prod, prod=None)
 
 
 def derive_residual_imp(alg: Algebra) -> BinTable | None:

@@ -79,7 +79,6 @@ def validate_ialgebra(alg: Algebra) -> Report:
     (9')  z <= r(x,y,z)
     (10') r(u, r(x,y,z), z) = r(r(u,x,z), r(u,y,z), z)
     """
-    require_tables(alg, "imp", "r")
     return evaluate(alg, JOIN_LAWS + IALG_IDENTITIES,
                     "ternary-meet identities (1')-(10') hold")
 
@@ -112,6 +111,5 @@ def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:
     (29) q(x,y,z) = q(x v z, y v z, z)
     (30) (x v y)->y = x->y
     """
-    require_tables(alg, "imp", "q")
     return evaluate(alg, JOIN_LAWS + RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
                     "ternary-product identities (20)-(30) hold")

@@ -19,11 +19,11 @@ from ordalg import (ClassTag, SearchSpec, check_divisible, check_ncis_properties
                     derive_residual_imp, derive_sections, enumerate_models,
                     find_counterexample, first_table_difference, glb_table,
                     ialgebra_from_ncis, maltsev_report, ncis_from_ialgebra,
-                    ncis_rrs_bridge, parse_algebra, ralgebra_from_rrs,
-                    rrs_from_ralgebra, section_shape_report,
+                    ncis_from_rrs, parse_algebra, ralgebra_from_rrs,
+                    rrs_from_ncis, rrs_from_ralgebra, section_shape_report,
                     serialize_algebra, term_witness_check,
                     validate_ncis, validate_rrs, validate_rrs_identities)
-from ordalg.residuated import _check_adjointness
+from ordalg.laws import ADJOINTNESS, evaluate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -211,7 +211,7 @@ def test_criterion_6_identity_equivalence_sweep():
         for cand in _arrow_candidates(jsl):
             candidates += 1
             ident = validate_rrs_identities(cand)  # raises on disagreement
-            if ident.ok != _check_adjointness(cand).ok:
+            if ident.ok != evaluate(cand, ADJOINTNESS).ok:
                 disagreements.append(cand.name)
     elapsed = time.perf_counter() - t0
     _verdict(6, candidates > 1000 and not disagreements,
@@ -232,9 +232,9 @@ def test_criterion_7_bridge_bijection_sweep():
             if not (check_divisible(rr).ok and validate_rrs(rr).ok):
                 failures.append(rr.name)
                 continue
-            if not _tables_equal(ncis_rrs_bridge(nc, "to_rrs"), rr):
+            if not _tables_equal(rrs_from_ncis(nc), rr):
                 failures.append(f"{nc.name}->rrs")
-            if not _tables_equal(ncis_rrs_bridge(rr, "to_ncis"), nc):
+            if not _tables_equal(ncis_from_rrs(rr), nc):
                 failures.append(f"{rr.name}->ncis")
     elapsed = time.perf_counter() - t0
     _verdict(7, not failures,

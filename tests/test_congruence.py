@@ -115,7 +115,7 @@ def _edited_models():
             rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
             yield dataclasses.replace(alg, imp=BinTable.from_rows(rows, total=True))
         else:
-            old = congruence._ternary(alg).values[i][j][k]
+            old = (alg.r or alg.q).values[i][j][k]
             yield _edit_ternary(alg, i, j, k, rng.choice([v for v in range(n) if v != old]))
 
 
@@ -316,7 +316,7 @@ def _ternary_edits():
     for tag in (ClassTag.IALG, ClassTag.RALG):
         for n in range(1, 4):
             for alg in enumerate_models(SearchSpec(tag, n)):
-                tern = congruence._ternary(alg).values
+                tern = (alg.r or alg.q).values
                 for i, j, k in itertools.product(range(n), repeat=3):
                     for v in range(n):
                         if v != tern[i][j][k]:

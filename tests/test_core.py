@@ -8,13 +8,14 @@ from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG2_NCIS_SRC,
 from oracles import oracle_glb, oracle_lub
 from ordalg import (Algebra, BinTable, ClassTag, ParseError, SearchSpec,
                     StructureError, TernTable, Universe, build_algebra,
-                    check_ncis_properties, derive_residual_imp, derive_sections,
+                    check_divisible, check_ncis_properties, check_rrs_properties,
+                    congruence_lattice, derive_residual_imp, derive_sections,
                     enumerate_models, first_table_difference, ialgebra_from_ncis,
-                    ncis_rrs_bridge, parse_algebra, project_to_class,
-                    ralgebra_from_rrs, relabel, serialize_algebra,
+                    maltsev_report, ncis_from_rrs, parse_algebra, project_to_class,
+                    ralgebra_from_rrs, relabel, rrs_from_ncis, serialize_algebra,
                     term_witness_check, validate_ialgebra, validate_join_semilattice,
                     validate_ncis, validate_ralgebra, validate_rrs,
-                    validate_sectioned, validate_srs)
+                    validate_rrs_identities, validate_sectioned, validate_srs)
 from ordalg import core
 
 
@@ -243,6 +244,14 @@ def test_build_algebra_infers_tags(fig1_order):
     assert fig1_order.class_tag == ClassTag.JSL
 
 
+def test_build_algebra_takes_its_tables_by_slot(fig1):
+    tables = {name: t.values for name, t in fig1.tables()}
+    built = build_algebra(fig1.labels, tables=tables, name=fig1.name)
+    assert built.tables() == fig1.tables()
+    with pytest.raises(StructureError, match=r"^unknown operation slot 'implication'$"):
+        build_algebra(fig1.labels, tables={**tables, "implication": tables["imp"]})
+
+
 def test_universe_rejects_bad_labels():
     from ordalg import StructureError
     with pytest.raises(StructureError):
@@ -292,7 +301,8 @@ def test_parsed_algebra_keeps_the_glb_that_checked_its_meet(monkeypatch, tag, va
     validate_ncis, check_ncis_properties, derive_sections, validate_rrs,
     validate_srs, validate_ialgebra, validate_ralgebra, ialgebra_from_ncis,
     term_witness_check, lambda a: project_to_class(a, ClassTag.RRS),
-    lambda a: ncis_rrs_bridge(a, "to_rrs")])
+    check_divisible, check_rrs_properties, validate_rrs_identities,
+    rrs_from_ncis, ncis_from_rrs, congruence_lattice, maltsev_report])
 def test_a_missing_table_has_one_message(fig1_order, call):
     with pytest.raises(StructureError, match=r"^this operation requires an imp table$"):
         call(fig1_order)
@@ -307,6 +317,8 @@ def test_the_missing_table_message_names_the_table(fig1, fig1_order):
         validate_ialgebra(fig1)
     with pytest.raises(StructureError, match=r"^this operation requires a q table$"):
         validate_ralgebra(fig1)
+    with pytest.raises(StructureError, match=r"^this operation requires an r or q table$"):
+        term_witness_check(fig1.replace(meet=None))
 
 
 # --- ternary tables: relabel and the table diff ------------------------------

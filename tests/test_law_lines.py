@@ -58,7 +58,7 @@ def _outcome(check, *args) -> str:
 def _built(alg) -> str:
     """Outcome of building the join table through the validated constructor."""
     try:
-        build_algebra(alg.labels, join_values=alg.join.values)
+        build_algebra(alg.labels, tables={"join": alg.join.values})
     except Exception as exc:
         return f"ERROR {type(exc).__name__}: {exc}"
     return "OK"

@@ -14,11 +14,15 @@ from pathlib import Path
 import pytest
 
 import ordalg
-from ordalg import ClassTag, SearchSpec, enumerate_models, laws, serialize_algebra
+from ordalg import (ClassTag, SearchSpec, StructureError, enumerate_models,
+                    ialgebra_from_ncis, laws, ralgebra_from_rrs, serialize_algebra)
 from ordalg.laws import IALG_IDENTITIES, JOIN_LAWS
 
 SRC = Path(ordalg.__file__).parent
 REPORT_CALL = re.compile(r"Report\.(failing|passing)\(")
+# every tuple of rows in the law table, JOIN_LAWS through WEAK_REGULARITY_CHAIN
+ROW_TUPLES = {name: value for name, value in vars(laws).items()
+              if isinstance(value, tuple) and value and isinstance(value[0], laws.Law)}
 
 
 def _evaluate_lines() -> range:
@@ -138,12 +142,44 @@ def test_evaluate_supplies_every_table_a_row_names(fig1_rrs):
     probe = laws.Law("probe", 0, "", lambda ix, **tables: always.update(tables) or iter(()))
     assert laws.evaluate(fig1_rrs, (probe,)).ok
     known = always | set(laws._DERIVED) | {"order"}
-    rows = [law for value in vars(laws).values()
-            if isinstance(value, tuple) and value and isinstance(value[0], laws.Law)
-            for law in value]
+    rows = [law for value in ROW_TUPLES.values() for law in value]
     assert len(rows) > 70
     for law in rows:
         code = (law.scan or laws._compiled(law.terms)).__code__
         params = code.co_varnames[:code.co_argcount]
         assert params[0] == "ix", law.label
         assert set(params[1:]) <= known, (law.label, set(params[1:]) - known)
+
+
+# the optional table behind each name a row may read, and the phrase the
+# refusal names it by; t is r, or q where r is absent
+_OPTIONAL = {"iv": ("imp", "an imp"), "pv": ("prod", "a prod"), "rv": ("r", "an r"),
+             "qv": ("q", "a q"), "tv": ("r or q", "an r or q")}
+
+
+def _missing_table_cases():
+    for name, rows in ROW_TUPLES.items():
+        read = {param for law in rows
+                for code in [(law.scan or laws._compiled(law.terms)).__code__]
+                for param in code.co_varnames[1:code.co_argcount]}
+        for param in sorted(read & _OPTIONAL.keys()):
+            yield pytest.param(rows, *_OPTIONAL[param], id=f"{name}-{param}")
+
+
+def test_the_missing_table_cases_cover_the_row_tuples():
+    assert set(ROW_TUPLES) >= {"JOIN_LAWS", "NCIS_AXIOMS", "RRS_BASE", "SRS_LAWS",
+                               "PROD_MEET", "RALG_SUBVARIETY", "TERM_Q_DIVISIBLE",
+                               "TERM_SCHEMES", "WEAK_REGULARITY_CHAIN"}
+    assert len(list(_missing_table_cases())) > 20
+
+
+@pytest.mark.parametrize("rows, slots, phrase", _missing_table_cases())
+def test_a_row_tuple_refuses_a_model_without_a_table_it_reads(rows, slots, phrase):
+    """The model has every table but the one named: a missing table is the
+    one message of `require_tables`, before any row runs."""
+    ncis = next(enumerate_models(SearchSpec(ClassTag.NCIS, 3)))
+    full = ialgebra_from_ncis(ncis).replace(prod=ncis.glb)
+    full = full.replace(q=ralgebra_from_rrs(full).q)
+    bare = full.replace(**{slot: None for slot in slots.split(" or ")})
+    with pytest.raises(StructureError, match=f"^this operation requires {phrase} table$"):
+        laws.evaluate(bare, rows)

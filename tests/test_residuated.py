@@ -6,7 +6,7 @@ from conftest import idx
 from oracles import has_meets_on_bounded_pairs
 from ordalg import (BinTable, BridgeError, ClassTag, build_algebra,
                     check_divisible, check_rrs_properties, derive_residual_imp,
-                    ncis_rrs_bridge, parse_algebra,
+                    ncis_from_rrs, parse_algebra, rrs_from_ncis,
                     validate_rrs, validate_rrs_identities, validate_srs)
 
 
@@ -126,7 +126,7 @@ def test_validate_srs_product_outside_sections(fig1_rrs):
 
 
 def test_bridge_to_rrs(fig2):
-    out = ncis_rrs_bridge(fig2, "to_rrs")
+    out = rrs_from_ncis(fig2)
     assert out.class_tag == ClassTag.RRS
     assert out.prod.values == fig2.meet.values
     assert out.meet is None
@@ -135,7 +135,7 @@ def test_bridge_to_rrs(fig2):
 
 def test_bridge_roundtrip(fig1, fig2):
     for alg in (fig1, fig2):
-        back = ncis_rrs_bridge(ncis_rrs_bridge(alg, "to_rrs"), "to_ncis")
+        back = ncis_from_rrs(rrs_from_ncis(alg))
         assert back.meet.values == alg.meet.values
         assert back.imp.values == alg.imp.values
 
@@ -144,8 +144,8 @@ def test_bridge_one_element(one_element):
     one = dataclasses.replace(one_element,
                               imp=BinTable.from_rows([[0]], total=True),
                               meet=BinTable.from_rows([[0]], total=False))
-    rrs = ncis_rrs_bridge(one, "to_rrs")
-    assert ncis_rrs_bridge(rrs, "to_ncis").meet.values == ((0,),)
+    rrs = rrs_from_ncis(one)
+    assert ncis_from_rrs(rrs).meet.values == ((0,),)
 
 
 def test_three_chain_table_fails_preamble(three_chain_table):
@@ -158,7 +158,7 @@ def test_three_chain_table_fails_preamble(three_chain_table):
 def test_three_chain_table_is_divisible_but_not_idempotent(three_chain_table):
     assert check_divisible(three_chain_table).ok
     with pytest.raises(BridgeError) as err:
-        ncis_rrs_bridge(three_chain_table, "to_ncis")
+        ncis_from_rrs(three_chain_table)
     assert err.value.report.axiom == "(i)"
     assert err.value.report.witness == ("a",)
 
