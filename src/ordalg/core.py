@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .laws import GIVEN_ORDER, JOIN_LAWS, Report, evaluate
+from .laws import JOIN_LAWS, Report, evaluate, require_tables
 
 UNDEF_TOKEN = "-"
 
@@ -391,18 +391,6 @@ def validate_join_semilattice(alg: Algebra) -> Report:
     return evaluate(alg, JOIN_LAWS, "join-semilattice laws hold")
 
 
-def require_tables(alg: Algebra, *names: str) -> None:
-    """Raise, naming the first that fails, unless the algebra carries each
-    named operation table; a name may be an alternative, ``"r or q"``, met
-    by any one of its slots.  This is the one place the message is written:
-    `laws.evaluate` calls it for the tables its rows read."""
-    for name in names:
-        if all(getattr(alg, slot) is None for slot in name.split(" or ")):
-            # imp and r are read with a leading vowel sound
-            article = "an" if name[0] in "ir" else "a"
-            raise StructureError(f"this operation requires {article} {name} table")
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -417,11 +405,12 @@ def build_algebra(labels: Sequence[str], *,
     blocks.  The order may come from explicit strict pairs or from the join
     table; the join table is derived from the order when absent.  All
     structural invariants are checked: the order axioms, unique top, the
-    join-semilattice laws, agreement of an order given beside the join
-    table with the join's own, and agreement of a supplied meet table with
-    the greatest lower bounds (`_check_meet`, the one place a stored meet
-    is checked).  A name, like a label, may not contain whitespace or
-    ``#``, so that the file format can carry it.
+    join-semilattice laws of a given join table (a derived one always
+    holds them), agreement of an order given beside it with the join's own
+    (`_order_mismatch`, which implies top absorption), and agreement of a
+    supplied meet table with the greatest lower bounds (`_check_meet`, the
+    one place a stored meet is checked).  A name, like a label, may not
+    contain whitespace or ``#``, so that the file format can carry it.
     """
     if _splits(name):
         raise StructureError(f"invalid name {name!r}")
@@ -435,33 +424,27 @@ def build_algebra(labels: Sequence[str], *,
             raise StructureError(f"unknown operation slot {slot!r}")
     join_values = tables.get("join")
 
-    if order_pairs is not None:
-        order = transitive_reflexive_closure(n, order_pairs)
-    elif join_values is not None:
+    if order_pairs is None and join_values is not None:
         order = order_from_join(join_values)
     else:
-        order = tuple(tuple(i == j for j in range(n)) for i in range(n))
-
+        order = transitive_reflexive_closure(n, order_pairs or ())
     check_partial_order(order, labels)
     universe = Universe(labels, find_top(order))
 
-    laws = JOIN_LAWS
-    if join_values is not None:
-        jt = BinTable.from_rows(join_values, total=True)
-        if order_pairs is not None:
-            # an order given beside the join table must be the join's own
-            laws = JOIN_LAWS[:3] + GIVEN_ORDER + JOIN_LAWS[3:]
+    if join_values is None:
+        # the least upper bounds of an order always form a join table
+        alg = Algebra(universe, lub_table(order, labels), name=name)
     else:
-        jt = lub_table(order, labels)
-
-    alg = Algebra(universe, jt, name=name)
-    rep = evaluate(alg, laws, order=order)
-    if not rep.ok:
-        if rep.axiom == GIVEN_ORDER[0].label:
-            raise StructureError("join table does not match the order at "
+        alg = Algebra(universe, BinTable.from_rows(join_values, total=True), name=name)
+        # a given order must be the table's own, and then the top absorbs
+        rep = evaluate(alg, JOIN_LAWS if order_pairs is None else JOIN_LAWS[:3])
+        if not rep.ok:
+            raise StructureError(f"not a join-semilattice: {rep.axiom} at "
                                  f"({','.join(rep.witness)})")
-        raise StructureError(f"not a join-semilattice: {rep.axiom} at "
-                             f"({','.join(rep.witness)})")
+        bad = order_pairs is not None and _order_mismatch(order, join_values)
+        if bad:
+            raise StructureError("join table does not match the order at "
+                                 f"({','.join(map(alg.label, bad))})")
 
     extra = {}
     for slot in OPS:
@@ -472,6 +455,18 @@ def build_algebra(labels: Sequence[str], *,
 
     # the order caches built by the checks above carry over
     return alg.replace(**extra)
+
+
+def _order_mismatch(order: Sequence[Sequence[bool]], join) -> tuple[int, int] | None:
+    """The first pair (x, y) whose join is not an upper bound in the order,
+    or not the least one, or at which x <= y and x v y = y disagree."""
+    span = range(len(order))
+    for x, y in itertools.product(span, repeat=2):
+        j = join[x][y]
+        if (not (order[x][j] and order[y][j]) or order[x][y] != (j == y)
+                or any(order[x][u] and order[y][u] and not order[j][u] for u in span)):
+            return x, y
+    return None
 
 
 def _check_meet(alg: Algebra, meet: BinTable) -> None:

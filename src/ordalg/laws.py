@@ -32,17 +32,14 @@ The tables a scan may name:
     secs     the sections [b, 1], each sorted: the upsets
     tv       the ternary table the term schemes read: r, else q
 
-and, passed only by `build_algebra`, which alone takes an order from
-outside beside the join table:
-
-    order    the given order (`GIVEN_ORDER`)
-
 `evaluate` reads every table but ``n``, ``top`` and ``jv`` off the
 algebra, whose tables and cached properties own them, only when a row names
-it among its parameters (`_DERIVED`).  Before any row runs, it refuses an
-algebra that lacks a table some row of the tuple names (``tv`` wants r or
-q) with the `StructureError` of `core.require_tables`, ``this operation
-requires ... table``, naming the first missing slot in slot order.
+it among its parameters (`_DERIVED`).  Each row is planned once (`_row`):
+its scan, and the names of the tables it reads.  Before any row runs,
+`evaluate` refuses an algebra that lacks a table some row of the tuple
+names (``tv`` wants r or q) with the `StructureError` of `require_tables`,
+``this operation requires ... table``, naming the first missing slot in
+slot order; `require_tables` lives here and `core` re-exports it.
 
 Most rows are term text, e.g. ``term_law("(2')", "x y", "r(x, x->y, y) =
 y")``: the variables in the order the row's tuples bind them, then checks
@@ -141,22 +138,39 @@ _DERIVED = {
 _SLOTS = {"iv": "imp", "pv": "prod", "rv": "r", "qv": "q", "tv": "r or q"}
 
 
-def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "",
-             **extra) -> Report:
+def require_tables(alg: Algebra, *names: str) -> None:
+    """Raise, naming the first that fails, unless the algebra carries each
+    named operation table; a name may be an alternative, ``"r or q"``, met
+    by any one of its slots.  This is the one place the message is written:
+    `evaluate` calls it for the tables its rows read."""
+    for name in names:
+        if all(getattr(alg, slot) is None for slot in name.split(" or ")):
+            from .core import StructureError  # core imports this module
+            # imp and r are read with a leading vowel sound
+            article = "an" if name[0] in "ir" else "a"
+            raise StructureError(f"this operation requires {article} {name} table")
+
+
+@lru_cache(maxsize=None)
+def _row(law: Law) -> tuple[Callable[..., Iterator[tuple]], tuple[str, ...]]:
+    """A row's scan, its term text compiled on first use, and the names of
+    the tables it reads: its parameters after ``ix``."""
+    scan = law.scan or _compile(law.terms)
+    code = scan.__code__
+    return scan, code.co_varnames[1:code.co_argcount]
+
+
+def evaluate(alg: Algebra, laws: tuple[Law, ...], passing_note: str = "") -> Report:
     """First violation of the rows in order, as a failing `Report`.
 
     Before any row runs, an algebra that lacks a table some row names is
-    refused with `core.require_tables`, so a missing table never reaches a
-    scan.
+    refused with `require_tables`, so a missing table never reaches a scan.
     """
-    from .core import require_tables  # core imports this module
-
-    scans = [law.scan or _compiled(law.terms) for law in laws]
-    params = [scan.__code__.co_varnames[1:scan.__code__.co_argcount] for scan in scans]
-    named = set().union(*params)
+    plans = [_row(law) for law in laws]
+    named = set().union(*(names for _, names in plans))
     require_tables(alg, *(slot for name, slot in _SLOTS.items() if name in named))
-    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values, **extra)
-    for law, scan, names in zip(laws, scans, params):
+    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values)
+    for law, (scan, names) in zip(laws, plans):
         for name in names:
             if name not in tables:
                 tables[name] = _DERIVED[name](alg)
@@ -245,9 +259,8 @@ def _subterms(term) -> Iterator[tuple]:
             yield from _subterms(arg)
 
 
-@lru_cache(maxsize=None)
-def _compiled(terms: tuple) -> Callable[..., Iterator[tuple]]:
-    """The scan of a `term_law` row, built on the row's first `evaluate`."""
+def _compile(terms: tuple) -> Callable[..., Iterator[tuple]]:
+    """The scan of a `term_law` row; `_row` builds it on first use."""
     variables, checks = terms
     names = tuple(variables.split())
     if len(set(names)) < len(names) or not re.fullmatch(r"[a-psuw-z]( [a-psuw-z])*", variables):
@@ -294,21 +307,6 @@ JOIN_LAWS = (
     term_law("join-associative", "x y z", "x v (y v z) = (x v y) v z"),
     term_law("top-absorbing", "x", "x v 1 = 1"),
 )
-
-# x v y is the least upper bound of x and y in an order given beside the
-# join table, and x <= y there exactly when x v y = y; per pair, the first
-# check failing.  `build_algebra` runs it after the first three join laws.
-# On the order read off a join table those three hold on, it never fails.
-GIVEN_ORDER = (Law(
-    "join-order", 2, "",
-    lambda ix, n, order, jv, **_: (
-        ((x, y), j, "upper bound") if not (order[x][j] and order[y][j]) else
-        ((x, y), j, lower[0], "join is not the least upper bound") if lower else
-        ((x, y), j, y, "order and join table disagree")
-        for x, y in ix for j in [jv[x][y]]
-        for lower in [[u for u in range(n)
-                       if order[x][u] and order[y][u] and not order[j][u]]]
-        if not (order[x][j] and order[y][j]) or lower or order[x][y] != (j == y))),)
 
 # ---------------------------------------------------------------------------
 # sections as pseudocomplemented lattices (`validate_sectioned`)

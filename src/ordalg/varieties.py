@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import (Algebra, BinTable, Report, StructureError,
-                   TernTable, ensure_meet, entry, require_tables)
+from .core import (Algebra, BinTable, Report, StructureError, TernTable,
+                   _check_meet, ensure_meet, entry, require_tables)
 from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
                    evaluate)
 
@@ -59,9 +59,12 @@ def _readback(alg: Algebra, name: str) -> BinTable:
 
 
 def ncis_from_ialgebra(alg: Algebra) -> Algebra:
-    """Partial meet recovered from r (see `_readback`)."""
+    """Partial meet recovered from r (see `_readback`), checked against the
+    glb like every stored meet."""
     require_tables(alg, "imp", "r")
-    return alg.replace(meet=_readback(alg, "r"), r=None)
+    meet = _readback(alg, "r")
+    _check_meet(alg, meet)
+    return alg.replace(meet=meet, r=None)
 
 
 def validate_ialgebra(alg: Algebra) -> Report:

@@ -571,3 +571,14 @@ def test_an_order_cycle_is_a_parse_error(tmp_path, capsys):
     assert main(["check", str(path), "--class", "jsl"]) == 2
     assert capsys.readouterr() == (
         "", "parse error: order not antisymmetric: a and b form a cycle\n")
+
+
+def test_an_order_beside_the_join_is_checked_before_the_top(tmp_path, capsys):
+    # 1 < a makes a the top, which the table does not absorb: the order check
+    # comes first and names the pair
+    path = tmp_path / "order-top.alg"
+    path.write_text("algebra\nelements: a 1\norder:\n  1 < a\nop join:\n  a 1\n  1 1\nend\n",
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: join table does not match the order at (a,1)\n")

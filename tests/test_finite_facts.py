@@ -21,7 +21,9 @@ there, never from all pairs.
 On a join table that is idempotent, commutative and associative, x <= y iff
 x v y = y is a partial order whose least upper bounds are the join, so a
 law that x v y is the least upper bound of the order read off the table
-cannot fail there.
+cannot fail there.  Conversely the least upper bounds of the order of
+every jsl model up to size 7 are its join, so `build_algebra` checks no
+join law on a join table it derives from an order.
 """
 
 import dataclasses
@@ -30,7 +32,7 @@ from itertools import product
 from oracles import oracle_chain_holds, oracle_glb, oracle_lub
 from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_residual_imp,
                     enumerate_models, find_counterexample, validate_ralgebra)
-from ordalg.core import glb_table, order_from_join
+from ordalg.core import glb_table, lub_table, order_from_join
 from ordalg.search import _models
 
 
@@ -93,6 +95,14 @@ def test_the_join_is_the_lub_of_its_order_on_every_semilattice_pair_edit_up_to_s
                    for x, y in product(span, repeat=2)), (alg.name, jv)
         edits += 1
     assert edits == 106
+
+
+def test_the_lubs_of_every_jsl_order_are_its_join_up_to_size_7():
+    models = 0
+    for alg in _upto(ClassTag.JSL, 7):
+        assert lub_table(alg.leq, alg.labels).values == alg.join.values, alg.name
+        models += 1
+    assert models == 299
 
 
 def test_every_rrs_product_is_the_partial_meet_up_to_size_6():

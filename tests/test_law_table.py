@@ -4,6 +4,7 @@ and its term compiler reads law text by the grammar of the `laws` module."""
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -89,13 +90,13 @@ def test_malformed_text_raises_and_names_the_text(text):
 ])
 def test_a_partial_operation_only_at_the_top_of_an_equation(text):
     with pytest.raises(ValueError, match=re.escape(repr(text))):
-        laws._compiled(laws.term_law("bad", "x y z", text).terms)
+        laws._row(laws.term_law("bad", "x y z", text))
 
 
 @pytest.mark.parametrize("variables", ["x x", "v", "xy", "x  y", ""])
 def test_bad_variable_lists_raise(variables):
     with pytest.raises(ValueError, match=re.escape(repr(variables))):
-        laws._compiled(laws.term_law("bad", variables, "x = x").terms)
+        laws._row(laws.term_law("bad", variables, "x = x"))
 
 
 def test_a_failing_check_reports_its_tuple_sides_and_note(fig1_rrs):
@@ -115,13 +116,13 @@ def test_import_compiles_no_law_text_and_a_row_compiles_once():
     script = textwrap.dedent("""
         import ordalg, ordalg.cli
         from ordalg import laws, parse_algebra, validate_ialgebra
-        print(laws._compiled.cache_info().misses)
+        print(laws._row.cache_info().misses)
         alg = parse_algebra(open(0).read())
         validate_ialgebra(alg)
-        first = laws._compiled.cache_info()
+        first = laws._row.cache_info()
         validate_ialgebra(alg)
         validate_ialgebra(alg)
-        again = laws._compiled.cache_info()
+        again = laws._row.cache_info()
         print(first.misses, again.misses, again.hits - first.hits)
     """)
     text = serialize_algebra(next(enumerate_models(SearchSpec(ClassTag.IALG, 3))))
@@ -130,9 +131,10 @@ def test_import_compiles_no_law_text_and_a_row_compiles_once():
     out = subprocess.run([sys.executable, "-c", script], input=text, env=env,
                          capture_output=True, text=True, check=True).stdout.split()
     at_import, first, again, hits = map(int, out)
-    rows = [law for law in JOIN_LAWS + IALG_IDENTITIES if law.terms]
+    rows = JOIN_LAWS + IALG_IDENTITIES
     assert at_import == 0
-    assert first == len({law.terms for law in rows}) == again
+    # parsing plans the join laws, validating the ialg rows; nothing twice
+    assert first == len(set(rows)) == again
     assert hits == 2 * len(rows)
 
 
@@ -141,14 +143,13 @@ def test_evaluate_supplies_every_table_a_row_names(fig1_rrs):
     always: set[str] = set()
     probe = laws.Law("probe", 0, "", lambda ix, **tables: always.update(tables) or iter(()))
     assert laws.evaluate(fig1_rrs, (probe,)).ok
-    known = always | set(laws._DERIVED) | {"order"}
+    known = always | set(laws._DERIVED)
     rows = [law for value in ROW_TUPLES.values() for law in value]
-    assert len(rows) > 70
+    assert len(rows) >= 70  # the table has 70 rows: each is found
     for law in rows:
-        code = (law.scan or laws._compiled(law.terms)).__code__
-        params = code.co_varnames[:code.co_argcount]
-        assert params[0] == "ix", law.label
-        assert set(params[1:]) <= known, (law.label, set(params[1:]) - known)
+        scan, names = laws._row(law)
+        assert next(iter(inspect.signature(scan).parameters)) == "ix", law.label
+        assert set(names) <= known, (law.label, set(names) - known)
 
 
 # the optional table behind each name a row may read, and the phrase the
@@ -159,9 +160,7 @@ _OPTIONAL = {"iv": ("imp", "an imp"), "pv": ("prod", "a prod"), "rv": ("r", "an 
 
 def _missing_table_cases():
     for name, rows in ROW_TUPLES.items():
-        read = {param for law in rows
-                for code in [(law.scan or laws._compiled(law.terms)).__code__]
-                for param in code.co_varnames[1:code.co_argcount]}
+        read = {table for law in rows for table in laws._row(law)[1]}
         for param in sorted(read & _OPTIONAL.keys()):
             yield pytest.param(rows, *_OPTIONAL[param], id=f"{name}-{param}")
 

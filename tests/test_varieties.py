@@ -5,8 +5,8 @@ import pytest
 from conftest import idx
 from oracles import oracle_glb
 from ordalg import (ClassTag, StructureError, TernTable, ialgebra_from_ncis,
-                    ncis_from_ialgebra, ralgebra_from_rrs, rrs_from_ralgebra,
-                    validate_ialgebra, validate_ralgebra)
+                    ncis_from_ialgebra, parse_algebra, ralgebra_from_rrs,
+                    rrs_from_ralgebra, validate_ialgebra, validate_ralgebra)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,15 @@ def test_r_not_well_defined(ia2):
                                                      for plane in rv)))
     with pytest.raises(StructureError, match="r not well-defined"):
         ncis_from_ialgebra(bad)
+
+
+def test_ncis_from_ialgebra_checks_the_meet_it_reads_back():
+    # r is well defined, but r(a,1,a) = 1 is not the glb a of a and 1
+    alg = parse_algebra("algebra\nelements: a 1\nop join:\n  a 1\n  1 1\n"
+                        "op imp:\n  1 1\n  a 1\nop r:\n  a 1\n  1 1\n\n  1 1\n  1 1\nend\n")
+    with pytest.raises(StructureError, match=r"^meet table does not match the "
+                                             r"greatest lower bound at \(a,1\)$"):
+        ncis_from_ialgebra(alg)
 
 
 def test_q_spot_values(ra1, fig1):
