@@ -4,7 +4,7 @@ exhaustive small-model search."""
 
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, ParseError,
                    Report, StructureError, TernTable, UNDEF_TOKEN,
-                   Universe, build_algebra, default_labels, ensure_meet,
+                   Universe, build_algebra, default_labels,
                    first_table_difference, glb_table, lub_table,
                    project_to_class, relabel, validate_join_semilattice)
 from .fileio import parse_algebra, serialize_algebra

@@ -38,14 +38,10 @@ def _read(path: str) -> str:
         raise StructureError(f"cannot read {path}: {exc}") from exc
 
 
-def _load(path: str) -> Algebra:
-    return parse_algebra(_read(path))
-
-
 def _load_capped(path: str) -> Algebra:
-    """Load a file for a verb whose cost grows steeply with its size: the
-    validators are O(n^3)-O(n^4) and |Con| can reach 2^(n-1).  The labels
-    are counted before the file is parsed, since building it is O(n^3)."""
+    """Load a file, refusing one above the size cap: building it is
+    O(n^3), the validators O(n^3)-O(n^4), and |Con| can reach 2^(n-1).
+    The labels are counted before the file is parsed."""
     text = _read(path)
     cap, size = search_mod.size_cap(), element_count(text)
     if size > cap:
@@ -256,7 +252,7 @@ def render_table(alg: Algebra, name: str) -> str:
 
 
 def cmd_tables(args) -> int:
-    alg = _load(args.file)
+    alg = _load_capped(args.file)
     if args.op and getattr(alg, args.op) is None:
         print(f"no {args.op} table in {args.file}", file=sys.stderr)
         return 2

@@ -104,22 +104,13 @@ class Universe:
 
 @dataclass(frozen=True)
 class BinTable:
-    """n x n operation table; ``None`` entries mark undefined (partial) spots."""
+    """n x n operation table; ``None`` entries mark undefined (partial) spots.
+    Like `Algebra`, it trusts its arguments: `build_algebra` checks the
+    shape and entries of every table it is given (`_make_table`), and every
+    other table is derived from checked ones."""
 
     values: tuple[tuple[int | None, ...], ...]
     total: bool
-
-    def __post_init__(self) -> None:
-        n = len(self.values)
-        for row in self.values:
-            if len(row) != n:
-                raise StructureError("binary table is not square")
-            for v in row:
-                if v is None:
-                    if self.total:
-                        raise StructureError("undefined entry in total table")
-                elif not 0 <= v < n:
-                    raise StructureError("table entry out of range")
 
     def __getitem__(self, i: int) -> tuple[int | None, ...]:
         return self.values[i]
@@ -131,21 +122,10 @@ class BinTable:
 
 @dataclass(frozen=True)
 class TernTable:
-    """Total ternary table; ``values[i][j][k]`` is op(e_i, e_j, e_k)."""
+    """Total ternary table; ``values[i][j][k]`` is op(e_i, e_j, e_k).  It
+    trusts its arguments, as `BinTable` does."""
 
     values: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.values)
-        for plane in self.values:
-            if len(plane) != n:
-                raise StructureError("ternary table is not cubic")
-            for row in plane:
-                if len(row) != n:
-                    raise StructureError("ternary table is not cubic")
-                for v in row:
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise StructureError("ternary table entry out of range")
 
     def __getitem__(self, i: int) -> tuple[tuple[int, ...], ...]:
         return self.values[i]
@@ -161,12 +141,13 @@ class Algebra:
 
     ``join`` is always present, and the order ``leq`` is read off it; the
     optional tables carry the partial meet, the implication, the partial
-    product, and the two total ternary operations.  Published constructors
-    (`build_algebra`, the file parser, the derivation maps) validate all
-    structural invariants, and a stored meet is the glb of the order, so
-    the validators read `glb` and never ``meet``; the raw dataclass
-    constructor trusts its arguments, which the test-suite uses to build
-    deliberately broken tables for the validators.
+    product, and the two total ternary operations.  `build_algebra`, which
+    the file parser calls, checks every table it is given once, where it
+    enters, and the derivation maps build only from checked tables.  A
+    stored meet is the glb of the order, so the validators and the maps
+    read `glb` and never ``meet``.  The raw dataclass constructor, like
+    `BinTable` and `TernTable`, trusts its arguments, which the test-suite
+    uses to build deliberately broken tables for the validators.
     """
 
     universe: Universe
@@ -361,12 +342,33 @@ def order_from_join(values: Sequence[Sequence[int]]) -> tuple[tuple[bool, ...], 
     return tuple(tuple(values[i][j] == j for j in range(n)) for i in range(n))
 
 
-def _make_table(name: str, values) -> BinTable | TernTable:
-    """The table of slot ``name`` from nested rows of element indices."""
+def _make_table(name: str, values, n: int) -> BinTable | TernTable:
+    """The table of slot ``name`` from nested rows of element indices, the
+    one check of a table's shape and entries: n rows of n entries (n planes
+    of them for a ternary slot), each an element index or, in a partial
+    slot, ``None``.  The first bad row, in plane and row order, names the
+    fault."""
     arity, total = OPS[name]
-    if arity == 2:
-        return BinTable.from_rows(values, total)
-    return TernTable(tuple(tuple(tuple(row) for row in plane) for plane in values))
+    cells = set(range(n)) if total else {*range(n), None}
+    shape = "binary table is not square" if arity == 2 else "ternary table is not cubic"
+    planes = tuple(values) if arity == 3 else (values,)
+    if len(planes) != n ** (arity - 2):
+        raise StructureError(shape)
+    checked = []
+    for plane in planes:
+        rows = tuple(map(tuple, plane))
+        if len(rows) != n:
+            raise StructureError(shape)
+        for row in rows:
+            if len(row) != n:
+                raise StructureError(shape)
+            if not cells.issuperset(row):
+                bad = next(v for v in row if v not in cells)
+                raise StructureError("ternary table entry out of range" if arity == 3
+                                     else "undefined entry in total table" if bad is None
+                                     else "table entry out of range")
+        checked.append(rows)
+    return BinTable(checked[0], total) if arity == 2 else TernTable(tuple(checked))
 
 
 def entry(values, cell: Sequence[int]) -> int | None:
@@ -398,18 +400,20 @@ def build_algebra(labels: Sequence[str], *,
                   order_pairs: Iterable[tuple[int, int]] | None = None,
                   tables: Mapping[str, Sequence] | None = None,
                   name: str = "") -> Algebra:
-    """Validated constructor.
+    """Validated constructor, the one place a given table is checked.
 
     ``tables`` maps slot names of `OPS` to nested rows of element indices,
     ``None`` for an undefined entry, as `parse_algebra` reads its ``op``
-    blocks.  The order may come from explicit strict pairs or from the join
-    table; the join table is derived from the order when absent.  All
-    structural invariants are checked: the order axioms, unique top, the
+    blocks.  The order may come from explicit strict pairs of element
+    indices or from the join table; the join table is derived from the
+    order when absent.  All structural invariants are checked: the shape
+    and entries of every table, before anything reads it (`_make_table`),
+    the range of the order pairs, the order axioms, unique top, the
     join-semilattice laws of a given join table (a derived one always
     holds them), agreement of an order given beside it with the join's own
     (`_order_mismatch`, which implies top absorption), and agreement of a
-    supplied meet table with the greatest lower bounds (`_check_meet`, the
-    one place a stored meet is checked).  A name, like a label, may not
+    supplied meet table with the greatest lower bounds (`_check_meet`).
+    No validator or map checks these again.  A name, like a label, may not
     contain whitespace or ``#``, so that the file format can carry it.
     """
     if _splits(name):
@@ -422,39 +426,41 @@ def build_algebra(labels: Sequence[str], *,
     for slot in tables:
         if slot not in OPS:
             raise StructureError(f"unknown operation slot {slot!r}")
-    join_values = tables.get("join")
+    made = {slot: _make_table(slot, values, n)
+            for slot, values in tables.items() if values is not None}
+    join = made.pop("join", None)
+    if order_pairs is not None:
+        order_pairs = tuple(order_pairs)
+        span = range(n)
+        if not all(a in span and b in span for a, b in order_pairs):
+            raise StructureError("order pair out of range")
 
-    if order_pairs is None and join_values is not None:
-        order = order_from_join(join_values)
+    if order_pairs is None and join is not None:
+        order = order_from_join(join.values)
     else:
         order = transitive_reflexive_closure(n, order_pairs or ())
     check_partial_order(order, labels)
     universe = Universe(labels, find_top(order))
 
-    if join_values is None:
+    if join is None:
         # the least upper bounds of an order always form a join table
         alg = Algebra(universe, lub_table(order, labels), name=name)
     else:
-        alg = Algebra(universe, BinTable.from_rows(join_values, total=True), name=name)
+        alg = Algebra(universe, join, name=name)
         # a given order must be the table's own, and then the top absorbs
         rep = evaluate(alg, JOIN_LAWS if order_pairs is None else JOIN_LAWS[:3])
         if not rep.ok:
             raise StructureError(f"not a join-semilattice: {rep.axiom} at "
                                  f"({','.join(rep.witness)})")
-        bad = order_pairs is not None and _order_mismatch(order, join_values)
+        bad = order_pairs is not None and _order_mismatch(order, join.values)
         if bad:
             raise StructureError("join table does not match the order at "
                                  f"({','.join(map(alg.label, bad))})")
 
-    extra = {}
-    for slot in OPS:
-        if slot != "join" and tables.get(slot) is not None:
-            extra[slot] = _make_table(slot, tables[slot])
-            if slot == "meet":
-                _check_meet(alg, extra[slot])
-
+    if "meet" in made:
+        _check_meet(alg, made["meet"])
     # the order caches built by the checks above carry over
-    return alg.replace(**extra)
+    return alg.replace(**made)
 
 
 def _order_mismatch(order: Sequence[Sequence[bool]], join) -> tuple[int, int] | None:
@@ -484,25 +490,18 @@ def _check_meet(alg: Algebra, meet: BinTable) -> None:
                     f"({labels[i]},{labels[j]})")
 
 
-def ensure_meet(alg: Algebra) -> Algebra:
-    """Return an equal algebra that carries the derived partial meet table."""
-    if alg.meet is not None:
-        return alg
-    return alg.replace(meet=alg.glb)
-
-
 def project_to_class(alg: Algebra, tag: ClassTag) -> Algebra:
     """Reduct of the algebra to the signature of the given class.
 
-    Missing derivable tables (the meet) are filled in; missing essential
-    tables raise.
+    The meet of sectioned and ncis is the glb, installed whether or not the
+    algebra stores one; a missing essential table raises.
     """
     kept = {ClassTag.NCIS: ("imp",), ClassTag.RRS: ("imp", "prod"),
             ClassTag.SRS: ("imp", "prod"), ClassTag.IALG: ("imp", "r"),
             ClassTag.RALG: ("imp", "q")}.get(tag, ())
     kw: dict = {name: None for name in OPS if name != "join"}
     if tag in (ClassTag.SECTIONED, ClassTag.NCIS):
-        kw["meet"] = ensure_meet(alg).meet
+        kw["meet"] = alg.glb
     require_tables(alg, *kept)
     kw.update((name, getattr(alg, name)) for name in kept)
     return alg.replace(**kw)

@@ -10,15 +10,15 @@ exhaustively over the enumerated model corpus.
 
 from __future__ import annotations
 
-from .core import (Algebra, BinTable, Report, StructureError, ensure_meet,
-                   require_tables)
+from .core import Algebra, BinTable, Report, StructureError, require_tables
 from .laws import NCIS_AXIOMS, NCIS_PROPERTIES, evaluate
 
 
 def derive_implication(alg: Algebra) -> Algebra:
     """The arrow table from sectional pseudocomplements (requires a
-    sectioned input; raises if some pseudocomplement does not exist)."""
-    base = ensure_meet(alg)
+    sectioned input; raises if some pseudocomplement does not exist), with
+    the glb as the meet."""
+    base = alg.replace(meet=alg.glb)
     n = base.n
     rows = []
     for x in range(n):
@@ -35,10 +35,10 @@ def derive_implication(alg: Algebra) -> Algebra:
 
 
 def derive_sections(alg: Algebra) -> Algebra:
-    """Forget the arrow, keeping the partial meet; the sectional
+    """Forget the arrow, keeping the partial meet, the glb; the sectional
     pseudocomplement of y in [x, 1] is recoverable as imp[y][x]."""
     require_tables(alg, "imp")
-    return ensure_meet(alg).replace(imp=None)
+    return alg.replace(meet=alg.glb, imp=None)
 
 
 def validate_ncis(alg: Algebra) -> Report:

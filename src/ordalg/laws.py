@@ -298,8 +298,10 @@ def _compile(terms: tuple) -> Callable[..., Iterator[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# join-semilattices with top (`validate_join_semilattice`, and the first
-# rows of the total presentations)
+# join-semilattices with top: run where a join table enters, by
+# `core.build_algebra` on a given table and by `validate_join_semilattice`,
+# the jsl validator that gates every generated join; no other validator
+# runs them again
 
 JOIN_LAWS = (
     term_law("join-idempotent", "x", "x v x = x"),

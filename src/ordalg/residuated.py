@@ -12,8 +12,7 @@ the implication semilattices of `ordalg.implication`.
 
 from __future__ import annotations
 
-from .core import (Algebra, BinTable, Report, StructureError,
-                   ensure_meet, require_tables)
+from .core import Algebra, BinTable, Report, StructureError, require_tables
 from .laws import (ADJOINTNESS, DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT,
                    PROD_MEET, RRS_BASE, RRS_IDENTITIES, RRS_PROPERTIES, SRS_LAWS,
                    evaluate)
@@ -86,11 +85,11 @@ def validate_srs(alg: Algebra) -> Report:
 
 def rrs_from_ncis(alg: Algebra) -> Algebra:
     """The divisible residuated semilattice of an implication semilattice:
-    the partial meet installed as the product.  The result must be a
+    the glb installed as the product.  The result must be a
     relatively residuated semilattice, divisible, with an idempotent
     product (i) that satisfies the arrow bound (ii); the first failing row
     raises `BridgeError` with its witness."""
-    out = alg.replace(prod=ensure_meet(alg).meet, meet=None)
+    out = alg.replace(prod=alg.glb, meet=None)
     rep = evaluate(out, RRS_BASE + ADJOINTNESS + DIVISIBLE + PROD_IDEMPOTENT
                    + PROD_ARROW_BOUND)
     if not rep.ok:

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Universe,
-                   default_labels, ensure_meet, relabel,
+                   default_labels, relabel,
                    validate_join_semilattice)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
 from .residuated import (check_divisible, check_rrs_properties, validate_rrs,
@@ -307,7 +307,7 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
         keys = sorted(canonical_key(_jsl(_join_rows(downs))) for downs in reps.values())
         built = map(_jsl_from_key, keys)
     elif tag == ClassTag.SECTIONED:
-        built = (ensure_meet(a) for a in _models(ClassTag.JSL, n) if VALIDATORS[tag](a).ok)
+        built = (a.replace(meet=a.glb) for a in _models(ClassTag.JSL, n) if VALIDATORS[tag](a).ok)
     else:
         source, derive = DERIVATIONS[tag]
         built = map(derive, _models(source, n))

@@ -11,28 +11,27 @@ from __future__ import annotations
 from itertools import product
 
 from .core import (Algebra, BinTable, Report, StructureError, TernTable,
-                   _check_meet, ensure_meet, entry, require_tables)
-from .laws import (IALG_IDENTITIES, JOIN_LAWS, RALG_IDENTITIES, RALG_SUBVARIETY,
-                   evaluate)
+                   _check_meet, entry, require_tables)
+from .laws import IALG_IDENTITIES, RALG_IDENTITIES, RALG_SUBVARIETY, evaluate
 
 
 def ialgebra_from_ncis(alg: Algebra) -> Algebra:
-    """Total ternary meet-of-joins table from the partial meet."""
+    """Total ternary meet-of-joins table from the partial meet, the glb."""
     require_tables(alg, "imp")
-    src = ensure_meet(alg)
-    return src.replace(meet=None, r=_lift(src, "meet"))
+    return alg.replace(meet=None, r=_lift(alg, alg.glb))
 
 
-def _lift(alg: Algebra, name: str) -> TernTable:
-    """The total ternary table ``(x v z) op (y v z)`` of the partial binary
-    table ``name``, the inverse of `_readback`: z bounds both arguments, so
-    op must be defined there."""
-    tv, jv, span = getattr(alg, name).values, alg.join.values, range(alg.n)
+def _lift(alg: Algebra, table: BinTable) -> TernTable:
+    """The total ternary table ``(x v z) op (y v z)`` of a partial binary
+    table, the inverse of `_readback`: z bounds both arguments, so op must
+    be defined there.  The glb is; a product read from a file that no
+    validator has passed may not be."""
+    tv, jv, span = table.values, alg.join.values, range(alg.n)
     vals = tuple(tuple(tuple([tv[jx[z]][jy[z]] for z in span]) for jy in jv) for jx in jv)
     if any(None in row for plane in vals for row in plane):
         cell = next(c for c in product(span, repeat=3) if entry(vals, c) is None)
-        raise StructureError(f"{'product' if name == 'prod' else name} undefined on "
-                             f"a bounded pair at ({','.join(map(alg.label, cell))})")
+        raise StructureError("product undefined on a bounded pair at "
+                             f"({','.join(map(alg.label, cell))})")
     return TernTable(vals)
 
 
@@ -69,7 +68,9 @@ def ncis_from_ialgebra(alg: Algebra) -> Algebra:
 
 def validate_ialgebra(alg: Algebra) -> Report:
     """The ten ternary-meet identities; first violated identity in scan
-    order is reported with its tuple.
+    order is reported with its tuple.  The join laws are not run again: a
+    join table is checked when it is built (`core.build_algebra`), and a
+    generated one by the jsl validator before any class is derived from it.
 
     (1')  y <= x->y
     (2')  r(x, x->y, y) = y
@@ -82,14 +83,13 @@ def validate_ialgebra(alg: Algebra) -> Report:
     (9')  z <= r(x,y,z)
     (10') r(u, r(x,y,z), z) = r(r(u,x,z), r(u,y,z), z)
     """
-    return evaluate(alg, JOIN_LAWS + IALG_IDENTITIES,
-                    "ternary-meet identities (1')-(10') hold")
+    return evaluate(alg, IALG_IDENTITIES, "ternary-meet identities (1')-(10') hold")
 
 
 def ralgebra_from_rrs(alg: Algebra) -> Algebra:
     """Total ternary product-of-joins table from the partial product."""
     require_tables(alg, "imp", "prod")
-    return alg.replace(prod=None, q=_lift(alg, "prod"))
+    return alg.replace(prod=None, q=_lift(alg, alg.prod))
 
 
 def rrs_from_ralgebra(alg: Algebra) -> Algebra:
@@ -100,7 +100,8 @@ def rrs_from_ralgebra(alg: Algebra) -> Algebra:
 
 def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:
     """The eleven ternary-product identities (20)-(30); with ``subvariety``
-    also the identity q(x, x->y, y) = y.
+    also the identity q(x, x->y, y) = y.  Like `validate_ialgebra`, it
+    assumes the join laws, which were checked where the join entered.
 
     (20) z <= q(x,y,z)
     (21) q(z v u v x, z v u v y, z) = q(z v u v x, z v u v y, z v u)
@@ -114,5 +115,5 @@ def validate_ralgebra(alg: Algebra, subvariety: bool = False) -> Report:
     (29) q(x,y,z) = q(x v z, y v z, z)
     (30) (x v y)->y = x->y
     """
-    return evaluate(alg, JOIN_LAWS + RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
+    return evaluate(alg, RALG_IDENTITIES + (RALG_SUBVARIETY if subvariety else ()),
                     "ternary-product identities (20)-(30) hold")

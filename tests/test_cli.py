@@ -501,7 +501,8 @@ def test_derive_and_roundtrip_honour_size_cap(chain7_ialg_file, argv, monkeypatc
 
 
 @pytest.mark.parametrize("argv", [["check"], ["derive", "--map", "I"],
-                                  ["roundtrip", "--pair", "sectioned-ncis"], ["con"]])
+                                  ["roundtrip", "--pair", "sectioned-ncis"], ["con"],
+                                  ["tables"]])
 def test_an_oversize_file_is_refused_before_it_is_built(tmp_path, argv, monkeypatch,
                                                        capsys):
     # 1,999 atoms below a top: the O(n^3) checks of the build would take minutes

@@ -252,6 +252,32 @@ def test_build_algebra_takes_its_tables_by_slot(fig1):
         build_algebra(fig1.labels, tables={**tables, "implication": tables["imp"]})
 
 
+# the chain a < 1, which each case below breaks in one table or pair
+_CHAIN = {"join": [[0, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("kw, message", [
+    pytest.param({"tables": {"join": [[0, 1], [1]]}}, "binary table is not square",
+                 id="short-join-row"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, 1, 1], [0, 1]]}},
+                 "binary table is not square", id="long-row"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, 2], [0, 1]]}},
+                 "table entry out of range", id="out-of-range-entry"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, None], [0, 1]]}},
+                 "undefined entry in total table", id="undefined-in-total-table"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, "x"], [0, 1]]}},
+                 "table entry out of range", id="non-integer-entry"),
+    pytest.param({"tables": {**_CHAIN, "r": [[[0, 1], [1, 1]], [[1, 1]]]}},
+                 "ternary table is not cubic", id="short-ternary-plane"),
+    pytest.param({"order_pairs": [(0, 5)]}, "order pair out of range",
+                 id="order-pair-out-of-range"),
+])
+def test_build_algebra_refuses_malformed_input(kw, message):
+    # the one check of a table's shape and entries, before anything reads it
+    with pytest.raises(StructureError, match=fr"^{message}$"):
+        build_algebra(["a", "1"], **kw)
+
+
 def test_universe_rejects_bad_labels():
     from ordalg import StructureError
     with pytest.raises(StructureError):

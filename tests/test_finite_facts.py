@@ -23,15 +23,22 @@ x v y = y is a partial order whose least upper bounds are the join, so a
 law that x v y is the least upper bound of the order read off the table
 cannot fail there.  Conversely the least upper bounds of the order of
 every jsl model up to size 7 are its join, so `build_algebra` checks no
-join law on a join table it derives from an order.
+join law on a join table it derives from an order.  No map between the
+presentations changes the join table: each returns its input's join, so a
+join checked where it entered (by `build_algebra`, or by the jsl validator
+that gates the search) holds in every derived algebra, and the ialg and
+ralg validators do not check the join laws again.
 """
 
 import dataclasses
 from itertools import product
 
 from oracles import oracle_chain_holds, oracle_glb, oracle_lub
-from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_residual_imp,
-                    enumerate_models, find_counterexample, validate_ralgebra)
+from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_implication,
+                    derive_residual_imp, derive_sections, enumerate_models,
+                    find_counterexample, ialgebra_from_ncis, ncis_from_ialgebra,
+                    ncis_from_rrs, project_to_class, ralgebra_from_rrs,
+                    rrs_from_ncis, rrs_from_ralgebra, validate_ralgebra)
 from ordalg.core import glb_table, lub_table, order_from_join
 from ordalg.search import _models
 
@@ -157,3 +164,26 @@ def test_ralg_subvariety_holds_on_the_corpus_and_no_q_edit_passes_20_to_30():
                     assert not validate_ralgebra(alg.replace(q=q)).ok, (alg.name, x, y, z, v)
                     edits += 1
     assert edits == 1076
+
+
+# the class maps, by the class of the models they take
+_MAPS = {
+    ClassTag.SECTIONED: (derive_implication,),
+    ClassTag.NCIS: (derive_sections, ialgebra_from_ncis, rrs_from_ncis),
+    ClassTag.IALG: (ncis_from_ialgebra,),
+    ClassTag.RRS: (ralgebra_from_rrs, ncis_from_rrs),
+    ClassTag.RALG: (rrs_from_ralgebra,),
+}
+
+
+def test_no_class_map_changes_the_join_up_to_size_6():
+    calls = 0
+    for tag, maps in _MAPS.items():
+        for alg in _upto(tag, 6):
+            outs = [(f.__name__, f(alg)) for f in maps]
+            outs += [(f"project_to_class {target.value}", project_to_class(alg, target))
+                     for target in (tag, ClassTag.SECTIONED, ClassTag.JSL)]
+            for what, out in outs:
+                assert out.join is alg.join, (what, alg.name)
+            calls += len(outs)
+    assert calls == 1564  # 68 models of each class, each through 4 to 6 maps
