@@ -345,30 +345,32 @@ def order_from_join(values: Sequence[Sequence[int]]) -> tuple[tuple[bool, ...], 
 def _make_table(name: str, values, n: int) -> BinTable | TernTable:
     """The table of slot ``name`` from nested rows of element indices, the
     one check of a table's shape and entries: n rows of n entries (n planes
-    of them for a ternary slot), each an element index or, in a partial
-    slot, ``None``.  The first bad row, in plane and row order, names the
-    fault."""
+    of them for a ternary slot), each an element index of type `int` (the
+    type is tested first: ``1.0`` and ``True`` equal indices) or, in a
+    partial slot, ``None``.  The first bad row, in plane and row order,
+    names the fault."""
     arity, total = OPS[name]
+    kinds = {int} if total else {int, type(None)}
     cells = set(range(n)) if total else {*range(n), None}
     shape = "binary table is not square" if arity == 2 else "ternary table is not cubic"
-    planes = tuple(values) if arity == 3 else (values,)
+    try:  # a row or plane that is not a sequence fails here
+        planes = [tuple(map(tuple, plane)) for plane in (values if arity == 3 else (values,))]
+    except TypeError:
+        raise StructureError(shape) from None
     if len(planes) != n ** (arity - 2):
         raise StructureError(shape)
-    checked = []
-    for plane in planes:
-        rows = tuple(map(tuple, plane))
+    for rows in planes:
         if len(rows) != n:
             raise StructureError(shape)
         for row in rows:
             if len(row) != n:
                 raise StructureError(shape)
-            if not cells.issuperset(row):
-                bad = next(v for v in row if v not in cells)
+            if not (kinds.issuperset(map(type, row)) and cells.issuperset(row)):
+                bad = next(v for v in row if type(v) not in kinds or v not in cells)
                 raise StructureError("ternary table entry out of range" if arity == 3
                                      else "undefined entry in total table" if bad is None
                                      else "table entry out of range")
-        checked.append(rows)
-    return BinTable(checked[0], total) if arity == 2 else TernTable(tuple(checked))
+    return BinTable(planes[0], total) if arity == 2 else TernTable(tuple(planes))
 
 
 def entry(values, cell: Sequence[int]) -> int | None:
@@ -408,13 +410,14 @@ def build_algebra(labels: Sequence[str], *,
     indices or from the join table; the join table is derived from the
     order when absent.  All structural invariants are checked: the shape
     and entries of every table, before anything reads it (`_make_table`),
-    the range of the order pairs, the order axioms, unique top, the
-    join-semilattice laws of a given join table (a derived one always
-    holds them), agreement of an order given beside it with the join's own
-    (`_order_mismatch`, which implies top absorption), and agreement of a
-    supplied meet table with the greatest lower bounds (`_check_meet`).
-    No validator or map checks these again.  A name, like a label, may not
-    contain whitespace or ``#``, so that the file format can carry it.
+    order pairs of two element indices each, the order axioms, unique
+    top, the join-semilattice laws of a given join table (a derived one
+    always holds them), agreement of an order given beside it with the
+    join's own (`_order_mismatch`, which implies top absorption), and
+    agreement of a supplied meet table with the greatest lower bounds
+    (`_check_meet`).  No validator or map checks these again.  A name,
+    like a label, may not contain whitespace or ``#``, so that the file
+    format can carry it.
     """
     if _splits(name):
         raise StructureError(f"invalid name {name!r}")
@@ -430,9 +433,9 @@ def build_algebra(labels: Sequence[str], *,
             for slot, values in tables.items() if values is not None}
     join = made.pop("join", None)
     if order_pairs is not None:
-        order_pairs = tuple(order_pairs)
-        span = range(n)
-        if not all(a in span and b in span for a, b in order_pairs):
+        order_pairs, span = tuple(order_pairs), set(range(n))
+        if not all(type(p) in (tuple, list) and len(p) == 2 and set(map(type, p)) == {int}
+                   and span.issuperset(p) for p in order_pairs):
             raise StructureError("order pair out of range")
 
     if order_pairs is None and join is not None:

@@ -7,7 +7,8 @@ monoid under the restriction of the product, with sectional adjointness).
 In the finite case a compatible family of section products is the set of
 restrictions of one product, so both read the same tables.  The bridge
 maps `rrs_from_ncis` and `ncis_from_rrs` connect the divisible case with
-the implication semilattices of `ordalg.implication`.
+the implication semilattices of `ordalg.implication`; only the second
+checks its input, as the paper proves the first lands in divisible rrs.
 """
 
 from __future__ import annotations
@@ -85,16 +86,12 @@ def validate_srs(alg: Algebra) -> Report:
 
 def rrs_from_ncis(alg: Algebra) -> Algebra:
     """The divisible residuated semilattice of an implication semilattice:
-    the glb installed as the product.  The result must be a
-    relatively residuated semilattice, divisible, with an idempotent
-    product (i) that satisfies the arrow bound (ii); the first failing row
-    raises `BridgeError` with its witness."""
-    out = alg.replace(prod=alg.glb, meet=None)
-    rep = evaluate(out, RRS_BASE + ADJOINTNESS + DIVISIBLE + PROD_IDEMPOTENT
-                   + PROD_ARROW_BOUND)
-    if not rep.ok:
-        raise BridgeError(rep)
-    return out
+    the glb installed as the product.  The paper proves the result a
+    divisible relatively residuated semilattice with an idempotent product
+    (i) under the arrow bound (ii), so no row runs here; tests/test_search.py
+    checks those rows on every model, to size 8 with ``--check 8``."""
+    require_tables(alg, "imp")
+    return alg.replace(prod=alg.glb, meet=None)
 
 
 def ncis_from_rrs(alg: Algebra) -> Algebra:

@@ -16,9 +16,11 @@ representative per isomorphism class in two stages:
    relabelings that fix the top element.  The model is read off the key, and
    models are sorted by it.
 
-The richer classes are obtained from these by derivation and filtering;
-every emitted model passes its class validator.  Each class is built once
-per size and process, and models come out in canonical order.
+The richer classes are obtained from these by the paper's maps and the
+sectioned filter, the one law check the search runs: each map lands in its
+class, so no derived model is validated again (tests/test_search.py checks
+them all, to size 8 with ``--check 8``).  Each class is built once per size
+and process, and models come out in canonical order.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from itertools import permutations
 from typing import Callable, Iterator
 
 from .congruence import maltsev_report
-from .core import (Algebra, BinTable, ClassTag, OrdalgError, StructureError, Universe,
-                   default_labels, relabel,
-                   validate_join_semilattice)
+from .core import (Algebra, BinTable, ClassTag, OrdalgError, Universe, default_labels,
+                   relabel, validate_join_semilattice)
 from .implication import check_ncis_properties, derive_implication, validate_ncis
-from .residuated import (check_divisible, check_rrs_properties, validate_rrs,
-                         validate_srs)
+from .residuated import (check_divisible, check_rrs_properties, rrs_from_ncis,
+                         validate_rrs, validate_srs)
 from .sectioned import section_shape_report, validate_sectioned
 from .varieties import (ialgebra_from_ncis, ralgebra_from_rrs,
                         validate_ialgebra, validate_ralgebra)
@@ -273,8 +274,8 @@ def _jsl_from_key(key: tuple) -> Algebra:
 # ---------------------------------------------------------------------------
 # per-class model construction
 
-# each class's validator: it gates every model the search emits, and check,
-# derive and roundtrip read it here
+# each class's validator, read here by check, derive and roundtrip; the
+# sectioned one also filters the jsl models in the search
 VALIDATORS = {
     ClassTag.JSL: validate_join_semilattice,
     ClassTag.SECTIONED: validate_sectioned,
@@ -290,7 +291,7 @@ VALIDATORS = {
 # with the meet as product.
 DERIVATIONS = {
     ClassTag.NCIS: (ClassTag.SECTIONED, derive_implication),
-    ClassTag.RRS: (ClassTag.NCIS, lambda a: a.replace(prod=a.meet, meet=None)),
+    ClassTag.RRS: (ClassTag.NCIS, rrs_from_ncis),
     ClassTag.SRS: (ClassTag.RRS, lambda a: a),
     ClassTag.IALG: (ClassTag.NCIS, ialgebra_from_ncis),
     ClassTag.RALG: (ClassTag.RRS, ralgebra_from_rrs),
@@ -299,7 +300,8 @@ DERIVATIONS = {
 
 @lru_cache(maxsize=None)
 def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
-    """Every model of the class at size n, built once per process."""
+    """Every model of the class at size n, built once per process: read off
+    the jsl keys, filtered by `validate_sectioned` or derived."""
     if tag == ClassTag.JSL:
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
         for downs in _natural_jsl_downmasks(n):
@@ -311,13 +313,7 @@ def _models(tag: ClassTag, n: int) -> tuple[Algebra, ...]:
     else:
         source, derive = DERIVATIONS[tag]
         built = map(derive, _models(source, n))
-    out = []
-    for i, alg in enumerate(built):
-        rep = VALIDATORS[tag](alg)
-        if not rep.ok:
-            raise StructureError(f"enumeration produced an invalid model: {rep.fail_line()}")
-        out.append(alg.replace(name=f"{tag.value}_{n}_{i}"))
-    return tuple(out)
+    return tuple(alg.replace(name=f"{tag.value}_{n}_{i}") for i, alg in enumerate(built))
 
 
 def enumerate_models(spec: SearchSpec) -> Iterator[Algebra]:

@@ -271,6 +271,31 @@ _CHAIN = {"join": [[0, 1], [1, 1]]}
                  "ternary table is not cubic", id="short-ternary-plane"),
     pytest.param({"order_pairs": [(0, 5)]}, "order pair out of range",
                  id="order-pair-out-of-range"),
+    # an int-valued cell of another type equals an element index, so the
+    # type is checked too
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, 1.0], [0, 1]]}},
+                 "table entry out of range", id="float-entry"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, True], [0, 1]]}},
+                 "table entry out of range", id="bool-entry"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, [1]], [0, 1]]}},
+                 "table entry out of range", id="list-entry"),
+    pytest.param({"tables": {**_CHAIN, "prod": [[0, 1.0], [None, 1]]}},
+                 "table entry out of range", id="float-entry-in-partial-table"),
+    pytest.param({"tables": {**_CHAIN, "r": [[[0, 1], [1, True]], [[1, 1], [1, 1]]]}},
+                 "ternary table entry out of range", id="bool-ternary-entry"),
+    pytest.param({"tables": {**_CHAIN, "imp": [[1, 1], 0]}},
+                 "binary table is not square", id="int-row"),
+    pytest.param({"tables": {"join": [[0, 1], 1]}},
+                 "binary table is not square", id="int-join-row"),
+    pytest.param({"tables": {**_CHAIN, "r": [[[0, 1], [1, 1]], 1]}},
+                 "ternary table is not cubic", id="int-ternary-plane"),
+    pytest.param({"order_pairs": [(0, 1, 1)]}, "order pair out of range",
+                 id="three-element-order-pair"),
+    pytest.param({"order_pairs": [(0.0, 1)]}, "order pair out of range",
+                 id="float-order-pair"),
+    pytest.param({"order_pairs": [(True, 1)]}, "order pair out of range",
+                 id="bool-order-pair"),
+    pytest.param({"order_pairs": [0]}, "order pair out of range", id="int-order-pair"),
 ])
 def test_build_algebra_refuses_malformed_input(kw, message):
     # the one check of a table's shape and entries, before anything reads it

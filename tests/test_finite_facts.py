@@ -25,9 +25,12 @@ cannot fail there.  Conversely the least upper bounds of the order of
 every jsl model up to size 7 are its join, so `build_algebra` checks no
 join law on a join table it derives from an order.  No map between the
 presentations changes the join table: each returns its input's join, so a
-join checked where it entered (by `build_algebra`, or by the jsl validator
-that gates the search) holds in every derived algebra, and the ialg and
-ralg validators do not check the join laws again.
+join checked where it entered (by `build_algebra` on a given table) holds
+in every derived algebra, and the ialg and ralg validators do not check the
+join laws again.  The search checks no join law either: it builds each join
+as the least upper bounds of its order, and tests/test_search.py checks
+every model it emits against its class validator, up to size 7 here and at
+size 8 with ``--check 8``.
 """
 
 import dataclasses

@@ -1,3 +1,14 @@
+"""Tests of the exhaustive search.
+
+The search validates no model it derives: the paper proves that each map
+lands in its class.  `test_emitted_models_pass_their_validators` checks
+that every emitted model up to size 7 passes its class validator, and
+every rrs model the bridge rows of `rrs_from_ncis`.  Size 8 takes about
+ten seconds more and is checked on its own with ``PYTHONPATH=src python
+tests/test_search.py --check 8``.
+"""
+
+import argparse
 import random
 
 import pytest
@@ -14,6 +25,9 @@ from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
                     validate_ralgebra, validate_rrs, validate_sectioned,
                     validate_srs, validate_join_semilattice)
 from ordalg import core, search
+from ordalg.laws import DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT, evaluate
+
+TIER1_MAX_SIZE = 7
 
 
 def spec(tag, size, **kw):
@@ -56,23 +70,40 @@ def test_sectioned_size5_contains_fig1(fig1):
     assert target in keys
 
 
+# each class's validator, which the search runs on no model it derives
+_CHECKS = {
+    "jsl": validate_join_semilattice,
+    "sectioned": validate_sectioned,
+    "ncis": validate_ncis,
+    "rrs": validate_rrs,
+    "srs": validate_srs,
+    "ialg": validate_ialgebra,
+    "ralg": validate_ralgebra,
+}
+# what rrs_from_ncis asserts of its output beyond validate_rrs
+_BRIDGE_ROWS = DIVISIBLE + PROD_IDEMPOTENT + PROD_ARROW_BOUND
+
+
+def emitted_model_faults(tag: str, n: int) -> list[str]:
+    """How the models the search emits for class ``tag`` at size n break
+    their class: a failing validator or, for rrs, a failing bridge row, a
+    wrong class or a wrong name.  Empty when every model is sound."""
+    faults = []
+    for m in enumerate_models(spec(tag, n)):
+        reps = [_CHECKS[tag](m)] + ([evaluate(m, _BRIDGE_ROWS)] if tag == "rrs" else [])
+        faults += [f"{m.name}: {rep.fail_line()}" for rep in reps if not rep.ok]
+        # an srs model has the tables of an rrs and reads as one
+        if m.class_tag != ClassTag("rrs" if tag == "srs" else tag):
+            faults.append(f"{m.name}: reads as {m.class_tag.value}")
+        if not m.name.startswith(f"{tag}_{n}_"):
+            faults.append(f"{m.name}: not named {tag}_{n}_<i>")
+    return faults
+
+
 def test_emitted_models_pass_their_validators():
-    checks = {
-        "jsl": validate_join_semilattice,
-        "sectioned": validate_sectioned,
-        "ncis": validate_ncis,
-        "rrs": validate_rrs,
-        "srs": validate_srs,
-        "ialg": validate_ialgebra,
-        "ralg": validate_ralgebra,
-    }
-    for tag, check in checks.items():
-        for n in range(1, 5):
-            for m in enumerate_models(spec(tag, n)):
-                assert check(m).ok, (tag, n, m.name)
-                # an srs model has the tables of an rrs and reads as one
-                assert m.class_tag == ClassTag("rrs" if tag == "srs" else tag)
-                assert m.name.startswith(f"{tag}_{n}_")
+    for tag in _CHECKS:
+        for n in range(1, TIER1_MAX_SIZE + 1):
+            assert emitted_model_faults(tag, n) == [], (tag, n)
 
 
 def test_emitted_models_are_canonical_and_distinct():
@@ -258,3 +289,18 @@ def test_derived_classes_reuse_the_order_caches(monkeypatch):
     monkeypatch.setattr(core, "glb_table", lambda *a: calls.append(a) or real(*a))
     assert len(search._models.__wrapped__(ClassTag.NCIS, 7)) == 165
     assert calls == []
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", type=int, nargs="+", metavar="SIZE", required=True,
+                        help="check every model of every class at these sizes")
+    args = parser.parse_args()
+    failed = False
+    for tag in _CHECKS:
+        for n in args.check:
+            faults = emitted_model_faults(tag, n)
+            failed |= bool(faults)
+            print(f"{tag}/{n} {'FAILS' if faults else 'ok'} "
+                  f"count={count_models(spec(tag, n))}", *faults[:5], sep="\n  ")
+    raise SystemExit(1 if failed else 0)
