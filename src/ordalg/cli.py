@@ -15,10 +15,11 @@ from pathlib import Path
 
 from . import search as search_mod
 from .congruence import congruence_lattice, maltsev_report
-from .core import (OPS, Algebra, ClassTag, OrdalgError, ParseError, Report,
-                   StructureError, first_table_difference, project_to_class)
+from .core import (JOIN_LAWS_HOLD, OPS, Algebra, ClassTag, OrdalgError, ParseError,
+                   Report, StructureError, first_table_difference, project_to_class)
 from .fileio import element_count, parse_algebra, serialize_algebra
 from .implication import check_ncis_properties, derive_implication, derive_sections
+from .laws import evaluate
 from .residuated import (BridgeError, check_divisible, check_rrs_properties,
                          ncis_from_rrs, rrs_from_ncis)
 from .search import (VALIDATORS, SearchSpec, count_models, enumerate_models,
@@ -73,14 +74,17 @@ _FLAG_CHECKS = {
 
 def _validator_chain(alg: Algebra, tag: ClassTag, props: bool, subvariety: bool):
     """Reports to run, in order, for `check --class <tag>`, up to the first
-    that fails.  A sectioned semilattice is checked as a jsl first."""
+    that fails.  A sectioned semilattice is checked as a jsl first.  The jsl
+    check passes from the parse: `build_algebra` ran the join laws on a
+    given join table, and a join derived from an order holds them."""
     flags = {"props": props, "subvariety": subvariety}
 
     def reports():
-        if tag == ClassTag.SECTIONED:
-            yield VALIDATORS[ClassTag.JSL](alg), "class=jsl"
-        extra = {"subvariety": subvariety} if tag == ClassTag.RALG else {}
-        yield VALIDATORS[tag](alg, **extra), f"class={tag.value}"
+        if tag in (ClassTag.JSL, ClassTag.SECTIONED):
+            yield evaluate(alg, (), JOIN_LAWS_HOLD), "class=jsl"  # no row left to run
+        if tag != ClassTag.JSL:
+            extra = {"subvariety": subvariety} if tag == ClassTag.RALG else {}
+            yield VALIDATORS[tag](alg, **extra), f"class={tag.value}"
         for flag, check, what in _FLAG_CHECKS.get(tag, ()):
             if flags[flag]:
                 yield check(alg), what

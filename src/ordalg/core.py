@@ -388,11 +388,14 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(letters[:n - 1]) + ("1",)
 
 
+JOIN_LAWS_HOLD = "join-semilattice laws hold"
+
+
 def validate_join_semilattice(alg: Algebra) -> Report:
     """Check idempotence, commutativity, associativity and top absorption
     of the join table.  First violation in scan order wins.
     """
-    return evaluate(alg, JOIN_LAWS, "join-semilattice laws hold")
+    return evaluate(alg, JOIN_LAWS, JOIN_LAWS_HOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Join-semilattices with top are generated as naturally labeled orders (every
 element is added as a maximal point, the top last), pruned as soon as some
-pair acquires two minimal upper bounds.  They are reduced to one
-representative per isomorphism class in two stages:
+pair acquires two minimal upper bounds.  Only labellings whose (down-set
+size, strict down-set mask) pairs never decrease below the top are built:
+every class has one, so far fewer structures reach grouping.  They are
+reduced to one representative per isomorphism class in two stages:
 
 1. Grouping.  Elements fall into cells by their (down-set size, up-set
    size) pair, which every isomorphism preserves.  The least relabeled
@@ -172,19 +174,32 @@ def _natural_jsl_downmasks(n: int) -> Iterator[tuple[int, ...]]:
     lies outside D; a pair can never lose its second minimal upper bound,
     so such a D is pruned.  Otherwise k becomes the join of the pairs in D
     that had none.  The top, above everything, completes every branch.
+
+    Only labellings in which each point below the top has a (down-set size,
+    strict down-set mask) pair at least that of the point before it are
+    built.  Every structure has one: label the points by increasing
+    down-set size, which is a linear extension since x < y implies
+    |down x| < |down y|; within a size every strict down-set lies in the
+    sizes before, so its mask is already fixed, and sorting the size by
+    mask gives such a labelling.  Grouping and keys do not depend on the
+    labelling, so the models are the same.
     """
     if n == 1:
         yield (1,)
         return
 
-    def extend(downs: tuple[int, ...],
-               joins: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
-        # joins[i][j] is the least upper bound of i and j, or -1 if none yet
+    def extend(downs: tuple[int, ...], joins: tuple[tuple[int, ...], ...],
+               last: tuple[int, int]) -> Iterator[tuple[int, ...]]:
+        # joins[i][j] is the least upper bound of i and j, or -1 if none yet;
+        # last is the (down-set size, strict down-set mask) of point k-1
         k = len(downs)
         if k == n - 1:
             yield downs + ((1 << n) - 1,)
             return
         for mask in range(1 << k):
+            rank = (mask.bit_count() + 1, mask)
+            if rank < last:
+                continue
             members = [i for i in range(k) if (mask >> i) & 1]
             if any(downs[i] & ~mask for i in members):
                 continue
@@ -197,9 +212,9 @@ def _natural_jsl_downmasks(n: int) -> Iterator[tuple[int, ...]]:
                       for j, v in enumerate(row)) + ((k if inside[i] else -1),)
                 for i, row in enumerate(joins))
             grown += (tuple(k if inside[j] else -1 for j in range(k)) + (k,),)
-            yield from extend(downs + (mask | (1 << k),), grown)
+            yield from extend(downs + (mask | (1 << k),), grown, rank)
 
-    yield from extend((1,), ((0,),))
+    yield from extend((1,), ((0,),), (1, 0))
 
 
 def _grouping_form(downs: tuple[int, ...]) -> tuple[int, ...]:

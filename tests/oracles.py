@@ -145,6 +145,32 @@ def brute_jsl_matrices(n):
     return out
 
 
+def natural_jsl_downmasks(n):
+    """Down-set masks (bit x of entry y set iff x <= y) of every naturally
+    labelled join-semilattice order with top n-1: each point below the top
+    gets a down-closed set of earlier points as strict down-set, the top
+    gets all of them, and the orders where some pair has no least upper
+    bound are dropped."""
+    out = []
+
+    def grow(stricts):
+        k = len(stricts)
+        if k == n - 1:
+            stricts = stricts + [set(range(k))]
+            leq = [[x == y or x in stricts[y] for y in range(n)] for x in range(n)]
+            if all(oracle_lub(leq, x, y) is not None for x in range(n) for y in range(n)):
+                out.append(tuple(sum(1 << x for x in range(n) if leq[x][y])
+                                 for y in range(n)))
+            return
+        for chosen in product((False, True), repeat=k):
+            below = {x for x in range(k) if chosen[x]}
+            if all(stricts[y] <= below for y in below):
+                grow(stricts + [below])
+
+    grow([])
+    return out
+
+
 def perm_iso_orders(a, b):
     """Order isomorphism by exhaustive permutation search."""
     n = len(a)

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import (FIG1_NCIS_SRC, FIG1_ORDER_SRC, FIG1_RRS_SRC, FIG2_NCIS_SRC,
                       FIG2_ORDER_SRC, ONE_ELEMENT_SRC)
+from ordalg import core
 from ordalg.cli import _MAPS, main, render_table
+from ordalg.laws import JOIN_LAWS
 from ordalg.search import VALIDATORS
 from ordalg import (ClassTag, OrdalgError, SearchSpec, enumerate_models,
                     parse_algebra, serialize_algebra)
@@ -78,6 +80,23 @@ def test_check_fail_line(tmp_path, capsys):
     assert main(["check", str(p), "--class", "ncis"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "FAIL axiom=(2) witness=(b,a) lhs=b rhs=a"
+
+
+def test_check_runs_the_join_laws_once_when_the_file_is_read(tmp_path, monkeypatch, capsys):
+    """A sectioned file with a join table: the parse runs the join laws, and
+    the jsl step of the chain passes from it, with the validator's note."""
+    model = next(enumerate_models(SearchSpec(ClassTag.SECTIONED, 4)))
+    p = tmp_path / "sectioned.alg"
+    p.write_text(serialize_algebra(model), encoding="utf-8")
+    calls = []
+    real = core.evaluate
+    monkeypatch.setattr(core, "evaluate",
+                        lambda alg, rows, *a: calls.append(rows) or real(alg, rows, *a))
+    assert main(["check", str(p), "--class", "sectioned"]) == 0
+    assert [rows for rows in calls if set(rows) & set(JOIN_LAWS)] == [JOIN_LAWS]
+    out, err = capsys.readouterr()
+    assert out == "PASS class=jsl\nPASS class=sectioned\n"
+    assert err.splitlines()[0] == "join-semilattice laws hold"
 
 
 def test_check_inferred_class(fig1_rrs_file, capsys):

@@ -3,9 +3,18 @@
 The search validates no model it derives: the paper proves that each map
 lands in its class.  `test_emitted_models_pass_their_validators` checks
 that every emitted model up to size 7 passes its class validator, and
-every rrs model the bridge rows of `rrs_from_ncis`.  Size 8 takes about
-ten seconds more and is checked on its own with ``PYTHONPATH=src python
-tests/test_search.py --check 8``.
+every rrs model the bridge rows of `rrs_from_ncis`.
+
+The generator keeps only the natural labellings whose (down-set size,
+strict down-set mask) pairs never decrease below the top.  Up to size 5
+its output is checked against the brute-force orders filtered by that
+rule, and its yield is pinned (`LABELLINGS`); the grouping form is checked
+on every natural labelling up to size 6, from an enumerator in
+``oracles.py``.
+
+Size 8 takes about ten seconds more and is checked on its own with
+``PYTHONPATH=src python tests/test_search.py --check 8``: the yield of the
+generator, then every model of every class.
 """
 
 import argparse
@@ -15,8 +24,8 @@ import pytest
 
 from conftest import idx
 from oracles import (brute_jsl_matrices, count_iso_classes, isomorphic,
-                     oracle_arrow_tables, oracle_is_sectioned, oracle_least_tables,
-                     perm_iso_orders)
+                     natural_jsl_downmasks, oracle_arrow_tables, oracle_is_sectioned,
+                     oracle_least_tables, perm_iso_orders)
 from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
                     build_algebra, canonical_form, canonical_key, count_models,
                     default_labels, enumerate_models, find_counterexample,
@@ -253,12 +262,46 @@ def test_canonical_key_matches_brute_force_over_all_relabelings():
         assert canonical_key(alg)[2] == oracle_least_tables(alg)
 
 
+# labelled structures the generator yields at a size; size 8 is checked
+# with --check 8
+LABELLINGS = {7: 758, 8: 5581}
+
+
+def _kept_by_the_rule(leq):
+    """Whether the labelling of the order is natural, top last, and the
+    (down-set size, strict down-set mask) of each point below the top is at
+    least that of the point before it."""
+    n = len(leq)
+    if not all(leq[x][n - 1] for x in range(n)):
+        return False
+    if any(leq[x][y] for y in range(n) for x in range(y + 1, n)):
+        return False
+    ranks = [(sum(leq[x][y] for x in range(n)), sum(1 << x for x in range(y) if leq[x][y]))
+             for y in range(n - 1)]
+    return ranks == sorted(ranks)
+
+
+def test_generator_yields_each_kept_labelling_once():
+    """Against the brute-force orders: the generator yields exactly the
+    natural labellings the rule keeps, each once."""
+    for n, want in zip(range(1, 6), (1, 1, 2, 6, 24)):
+        kept = sorted(_downmasks(m) for m in brute_jsl_matrices(n) if _kept_by_the_rule(m))
+        assert len(kept) == want
+        assert sorted(search._natural_jsl_downmasks(n)) == kept
+
+
+def test_generator_yield_at_size_7():
+    assert sum(1 for _ in search._natural_jsl_downmasks(7)) == LABELLINGS[7]
+
+
 def test_grouping_form_separates_exactly_the_isomorphism_classes():
     """Over every naturally labelled structure up to size 6, two structures
-    share a grouping form iff their canonical keys are equal."""
+    share a grouping form iff their canonical keys are equal.  The
+    structures come from the oracle, since the generator keeps only some
+    labellings of each."""
     for n in range(1, 7):
         form_of_key, key_of_form = {}, {}
-        for downs in search._natural_jsl_downmasks(n):
+        for downs in natural_jsl_downmasks(n):
             alg = build_algebra(default_labels(n), order_pairs=[
                 (x, y) for y in range(n) for x in range(n) if x != y and downs[y] >> x & 1])
             # the join read off the masks is the least upper bound
@@ -294,9 +337,15 @@ def test_derived_classes_reuse_the_order_caches(monkeypatch):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", type=int, nargs="+", metavar="SIZE", required=True,
-                        help="check every model of every class at these sizes")
+                        help="check the generator's yield and every model of every class "
+                             "at these sizes")
     args = parser.parse_args()
     failed = False
+    for n in args.check:
+        if n in LABELLINGS:
+            got = sum(1 for _ in search._natural_jsl_downmasks(n))
+            failed |= got != LABELLINGS[n]
+            print(f"labellings/{n} {'ok' if got == LABELLINGS[n] else 'DIFFERS'} count={got}")
     for tag in _CHECKS:
         for n in args.check:
             faults = emitted_model_faults(tag, n)
