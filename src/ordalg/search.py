@@ -15,8 +15,13 @@ reduced to one representative per isomorphism class in two stages:
    form is kept.
 2. Keying.  Each kept structure gets the documented canonical key once: the
    lexicographically least concatenation of all operation tables over the
-   relabelings that fix the top element.  The model is read off the key, and
-   models are sorted by it.
+   relabelings that fix the top element.  Row 0 of the relabeled join table
+   picks the element at position 0 and the block after it, and is then the
+   same in every candidate; row 1 is built cell by cell, placing each
+   element when its cell is reached and keeping only the partial labellings
+   with the least cell, so only the relabelings with the least rows 0 and 1
+   are flattened.  The model is read off the key, and models are sorted by
+   it.
 
 The richer classes are obtained from these by the paper's maps and the
 sectioned filter, the one law check the search runs: each map lands in its
@@ -112,38 +117,128 @@ def _flat_tables(alg: Algebra, new_of_old: list[int]) -> tuple:
     return tuple(parts)
 
 
-def _candidate_perms(alg: Algebra) -> Iterator[list[int]]:
+def _candidate_perms(alg: Algebra) -> list[list[int]]:
     """The relabelings fixing the top that can give the least flat tables.
 
     Row 0 of the relabeled join table is 0 exactly where the element at
     position 0 absorbs the element there (x v a = a).  So the least tables
     put at 0 an idempotent element a that absorbs the most other non-top
-    elements, and those elements next; every other relabeling loses on the
-    leading zeros of row 0.
+    elements, and those elements next, at positions 1..m; every other
+    relabeling loses on the leading zeros of row 0.
+
+    If a v x is a or the top for every x and every such a, row 0 is the
+    same in every relabeling that starts with a.  That holds in every jsl:
+    a has the largest down-set below the top, so a v x above a is the top.
+    Then only the a whose rows 0 are least are kept, and the candidates are
+    the relabelings with the least row 1 (`_least_row1`): each column's
+    element is placed when its cell is reached, each new join at the next
+    free position of its pool, and after each cell only the partial
+    labellings with the least value stay.  Otherwise (a raw table, or one
+    with no idempotent element) every relabeling with the leading zeros of
+    row 0 is a candidate.
     """
     n, top = alg.n, alg.top
     jv = alg.join.values
     others = [x for x in range(n) if x != top]
     absorbed = {a: [x for x in others if x != a and jv[a][x] == a]
                 for a in others if jv[a][a] == a}
-    if absorbed:
-        most = max(map(len, absorbed.values()))
-        orders = ((a, *lo, *hi) for a, below in absorbed.items() if len(below) == most
-                  for lo in permutations(below)
-                  for hi in permutations([x for x in others
-                                          if x != a and x not in below]))
-    else:  # no element below the top (the 1-element jsl), or none idempotent (a raw table)
-        orders = permutations(others)
-    for order in orders:
-        p = [0] * n
-        p[top] = n - 1
-        for pos, elem in enumerate(order):
-            p[elem] = pos
-        yield p
+    if not absorbed:  # no element below the top (the 1-element jsl), or none idempotent
+        return [_perm((*order, top)) for order in permutations(others)]
+    most = max(map(len, absorbed.values()))
+    pools = {a: (below, [x for x in others if x != a and x not in below])
+             for a, below in absorbed.items() if len(below) == most}
+    if any(v != a and v != top for a in pools for v in jv[a]):
+        return [_perm((a, *lo, *hi, top)) for a, (below, rest) in pools.items()
+                for lo in permutations(below) for hi in permutations(rest)]
+    row0 = {a: tuple(0 if jv[a][x] == a else n - 1 for x in (a, *below, *rest, top))
+            for a, (below, rest) in pools.items()}
+    least = min(row0.values())
+    return _least_row1(jv, top, {a: p for a, p in pools.items() if row0[a] == least})
+
+
+def _perm(order: tuple[int, ...]) -> list[int]:
+    """The relabeling that puts ``order[i]`` at position i."""
+    p = [0] * len(order)
+    for pos, elem in enumerate(order):
+        p[elem] = pos
+    return p
+
+
+def _least_row1(jv: tuple[tuple[int, ...], ...], top: int,
+                pools: dict[int, tuple[list[int], list[int]]]) -> list[list[int]]:
+    """Every relabeling with the least row 1 of the relabeled join table,
+    over those that put some a of ``pools`` at 0, its pool (below, rest) at
+    positions 1..m and m+1..n-2, and the top last.
+
+    Row 1 is built cell by cell.  A column's element is placed when its
+    cell is reached, as any unplaced element of the pool of that position;
+    a join not yet placed goes to the next free position of its pool, since
+    no other position gives the cell a value that small.  Every placement
+    takes the next free position of its pool, so the placed positions of a
+    pool are a prefix of it.  After each cell only the partial labellings
+    with the least value are kept, and after row 1 all are complete.
+
+    A partial labelling is a tuple: the position of each element and the
+    element at each position (-1 where there is none yet), the next free
+    position of each pool, the pool of each element and the two pools.
+    """
+    n = len(jv)
+    states = []
+    for a, (below, rest) in pools.items():
+        pool_of = [-1] * n
+        for x in rest:
+            pool_of[x] = 1
+        for x in below:
+            pool_of[x] = 0
+        new, old = [-1] * n, [-1] * n
+        new[a], old[0], new[top], old[n - 1] = 0, a, n - 1, top
+        states.append((new, old, [1, 1 + len(below)], pool_of, (below, rest)))
+    if n < 3:  # no position between a and the top
+        return [st[0] for st in states]
+    states = [_placed(st, x) for st in states for x in st[4][0] or st[4][1]]
+    m = len(next(iter(pools.values()))[0])
+    for j in range(n):
+        k = 0 if j <= m else 1  # the pool of position j
+        best, kept = n, []
+        for st in states:
+            new, old, free, pool_of, members = st
+            row = jv[old[1]]
+            fresh = old[j] < 0
+            for c in ([x for x in members[k] if new[x] < 0] if fresh else (old[j],)):
+                v = row[c]
+                if v == c:
+                    value = j
+                elif new[v] >= 0:
+                    value = new[v]
+                else:
+                    value = free[pool_of[v]] + (fresh and pool_of[v] == k)
+                if value < best:
+                    best, kept = value, []
+                if value == best:
+                    kept.append((st, c, fresh))
+        states = []
+        for st, c, fresh in kept:
+            if fresh:
+                st = _placed(st, c)
+            v = jv[st[1][1]][c]
+            states.append(st if st[0][v] >= 0 else _placed(st, v))
+    return [st[0] for st in states]
+
+
+def _placed(state: tuple, x: int) -> tuple:
+    """A copy of the partial labelling with x at the next free position of
+    its pool."""
+    new, old, free, pool_of, members = state
+    new, old, free = new.copy(), old.copy(), free.copy()
+    k = pool_of[x]
+    new[x], old[free[k]] = free[k], x
+    free[k] += 1
+    return new, old, free, pool_of, members
 
 
 def _canonical_search(alg: Algebra) -> tuple[tuple, list[int]]:
-    """Least flat-table tuple and the first permutation that gives it."""
+    """Least flat-table tuple and the first candidate permutation that gives
+    it."""
     return min(((_flat_tables(alg, p), p) for p in _candidate_perms(alg)),
                key=lambda found: found[0])
 
@@ -156,7 +251,10 @@ def canonical_key(alg: Algebra) -> tuple:
 
 
 def canonical_form(alg: Algebra) -> Algebra:
-    """Relabel onto the default labels along the key-minimizing permutation."""
+    """Relabel onto the default labels along a key-minimizing permutation.
+
+    Any key-minimizing permutation gives the same algebra: the key holds
+    every table, so two of them relabel every table alike."""
     _, best_perm = _canonical_search(alg)
     return relabel(alg, best_perm, labels=default_labels(alg.n))
 
@@ -265,12 +363,11 @@ def _join_rows(downs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The join table of a naturally labeled structure given by its downset
     masks.  A labelling is natural when x <= y implies index x <= index y,
     so the least upper bound, below every upper bound, is the upper bound of
-    least index."""
+    least index: the lowest set bit of the meet of the two up-set masks."""
     n = len(downs)
-    return tuple(tuple(next(u for u in range(max(x, y), n)
-                            if downs[u] & pair == pair)
-                       for y in range(n) for pair in [1 << x | 1 << y])
-                 for x in range(n))
+    ups = [sum(1 << y for y in range(n) if downs[y] >> x & 1) for x in range(n)]
+    return tuple(tuple(((both := ux & uy) & -both).bit_length() - 1 for uy in ups)
+                 for ux in ups)
 
 
 def _jsl(rows: tuple[tuple[int, ...], ...]) -> Algebra:

@@ -10,11 +10,12 @@ strict down-set mask) pairs never decrease below the top.  Up to size 5
 its output is checked against the brute-force orders filtered by that
 rule, and its yield is pinned (`LABELLINGS`); the grouping form is checked
 on every natural labelling up to size 6, from an enumerator in
-``oracles.py``.
+``oracles.py``.  The key search is checked against every relabeling, and
+the number of relabelings it flattens is pinned (`FLATTENED`).
 
 Size 8 takes about ten seconds more and is checked on its own with
 ``PYTHONPATH=src python tests/test_search.py --check 8``: the yield of the
-generator, then every model of every class.
+generator and the flattened count, then every model of every class.
 """
 
 import argparse
@@ -121,8 +122,9 @@ def test_emitted_models_are_canonical_and_distinct():
         keys = [canonical_key(m) for m in models]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys)
-        for m in models:
-            assert canonical_form(m) == m
+        # ncis and ialg models carry more tables than the join, all relabeled
+        for m in models + [m for tag in ("ncis", "ialg") for m in enumerate_models(spec(tag, n))]:
+            assert canonical_form(m) == m, m.name
 
 
 def test_emitted_models_pairwise_non_isomorphic_by_perm_search():
@@ -253,18 +255,41 @@ def test_canonical_key_matches_brute_force_over_all_relabelings():
         rng.shuffle(p)
         for alg in (m, relabel(m, p)):
             assert canonical_key(alg)[2] == oracle_least_tables(alg)
-    # raw tables the constructors reject, idempotent or not
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
-        alg = Algebra(Universe(default_labels(n), rng.randrange(n)),
-                      BinTable(rows, total=True))
-        assert canonical_key(alg)[2] == oracle_least_tables(alg)
+    # raw tables the constructors reject, most with an idempotent diagonal
+    # and rows heavy in the top, so that row 0 is often the same in every
+    # candidate and several elements can take position 0; in the first,
+    # a = 1 and a = 2 both absorb nothing, and only a = 1 gives the least row 0
+    raw = [(0, ((0, 0, 0), (1, 1, 0), (0, 0, 2)))]
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        top = rng.randrange(n)
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.8:
+            for x in range(n):
+                rows[x][x] = x
+        heavy = rng.random() * 0.9
+        raw.append((top, tuple(tuple(top if rng.random() < heavy else v for v in row)
+                               for row in rows)))
+    for top, rows in raw:
+        n = len(rows)
+        alg = Algebra(Universe(default_labels(n), top), BinTable(rows, total=True))
+        assert canonical_key(alg)[2] == oracle_least_tables(alg), (top, rows)
 
 
-# labelled structures the generator yields at a size; size 8 is checked
-# with --check 8
+# labelled structures the generator yields at a size, and relabelings the
+# key search flattens over the jsl models of a size (every relabeling with
+# the leading zeros of row 0 would be 11,076 and 239,052); size 8 is
+# checked with --check 8
 LABELLINGS = {7: 758, 8: 5581}
+FLATTENED = {7: 3094, 8: 38174}
+
+
+def labellings(n):
+    return sum(1 for _ in search._natural_jsl_downmasks(n))
+
+
+def flattened(n):
+    return sum(len(search._candidate_perms(m)) for m in enumerate_models(spec("jsl", n)))
 
 
 def _kept_by_the_rule(leq):
@@ -291,7 +316,11 @@ def test_generator_yields_each_kept_labelling_once():
 
 
 def test_generator_yield_at_size_7():
-    assert sum(1 for _ in search._natural_jsl_downmasks(7)) == LABELLINGS[7]
+    assert labellings(7) == LABELLINGS[7]
+
+
+def test_key_search_flattens_the_pinned_count_at_size_7():
+    assert flattened(7) == FLATTENED[7]
 
 
 def test_grouping_form_separates_exactly_the_isomorphism_classes():
@@ -342,10 +371,12 @@ if __name__ == "__main__":
     args = parser.parse_args()
     failed = False
     for n in args.check:
-        if n in LABELLINGS:
-            got = sum(1 for _ in search._natural_jsl_downmasks(n))
-            failed |= got != LABELLINGS[n]
-            print(f"labellings/{n} {'ok' if got == LABELLINGS[n] else 'DIFFERS'} count={got}")
+        for what, pinned, count in (("labellings", LABELLINGS, labellings),
+                                    ("flattened", FLATTENED, flattened)):
+            if n in pinned:
+                got = count(n)
+                failed |= got != pinned[n]
+                print(f"{what}/{n} {'ok' if got == pinned[n] else 'DIFFERS'} count={got}")
     for tag in _CHECKS:
         for n in args.check:
             faults = emitted_model_faults(tag, n)
