@@ -19,9 +19,9 @@ the variety whose Con is 3-permutable or distributive all the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import Algebra, Report, require_tables
 from .laws import TERM_Q_DIVISIBLE, TERM_SCHEMES, WEAK_REGULARITY_CHAIN, evaluate
@@ -41,13 +41,14 @@ def _merge(cls: list[int], u: int, v: int) -> bool:
     return True
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Partition:
-    """Equivalence relation: ``classes[i]`` is the bitmask of i's class.
-    Partitions sort by ``class_of``."""
-
+class _PartitionFields(NamedTuple):
     classes: tuple[int, ...]
+
+
+class Partition(_PartitionFields):
+    """Equivalence relation: ``classes[i]`` is the bitmask of i's class.
+    Partitions sort by ``class_of``, with all four comparisons: the tuple's
+    own would compare the bitmasks."""
 
     @staticmethod
     def identity(n: int) -> "Partition":
@@ -72,6 +73,15 @@ class Partition:
 
     def __lt__(self, other: "Partition") -> bool:
         return self.class_of < other.class_of
+
+    def __le__(self, other: "Partition") -> bool:
+        return self.class_of <= other.class_of
+
+    def __gt__(self, other: "Partition") -> bool:
+        return self.class_of > other.class_of
+
+    def __ge__(self, other: "Partition") -> bool:
+        return self.class_of >= other.class_of
 
     @property
     def n(self) -> int:
@@ -146,8 +156,11 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     return _principal(_translations(alg), alg.n, a, b)
 
 
-@dataclass(frozen=True)
-class ConLattice:
+class _ConLatticeFields(NamedTuple):
+    congruences: tuple[Partition, ...]
+
+
+class ConLattice(_ConLatticeFields):
     """All congruences, ordered by refinement.
 
     The tables below index congruences by their position in ``congruences``
@@ -155,8 +168,6 @@ class ConLattice:
     congruence lattice of an algebra, which is closed under intersection and
     under the join of partitions, as ``congruence_lattice`` returns it.
     """
-
-    congruences: tuple[Partition, ...]
 
     @property
     def size(self) -> int:
@@ -230,8 +241,7 @@ def congruence_lattice(alg: Algebra) -> ConLattice:
     return ConLattice(tuple(sorted(found)))
 
 
-@dataclass(frozen=True)
-class MaltsevReport:
+class MaltsevReport(NamedTuple):
     three_permutable: bool
     con_distributive: bool
     weakly_regular: bool

@@ -8,12 +8,10 @@ be shared freely across threads or worker processes without synchronization.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .laws import JOIN_LAWS, Report, evaluate, require_tables
 
@@ -75,18 +73,21 @@ class ClassTag(str, Enum):
     RALG = "ralg"
 
 
-@dataclass(frozen=True)
-class Universe:
+class _UniverseFields(NamedTuple):
+    labels: tuple[str, ...]
+    top: int
+
+
+class Universe(_UniverseFields):
     """Carrier set: n distinct labels plus the top element's index.  A label is
     one token of the file format: nonempty, without whitespace or ``#``, and
     not the undefined-entry token."""
 
-    labels: tuple[str, ...]
-    top: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, labels: tuple[str, ...], top: int) -> Universe:
         seen: set[str] = set()
-        for lab in self.labels:
+        for lab in labels:
             if not lab or _splits(lab):
                 raise StructureError(f"invalid label {lab!r}")
             if lab == UNDEF_TOKEN:
@@ -94,16 +95,22 @@ class Universe:
             if lab in seen:
                 raise StructureError(f"duplicate label '{lab}'")
             seen.add(lab)
-        if not 0 <= self.top < len(self.labels):
+        if not 0 <= top < len(labels):
             raise StructureError("top index out of range")
+        return super().__new__(cls, labels, top)
+
+    @classmethod
+    def _make(cls, iterable) -> Universe:
+        """Through the checks above, so that `_replace` refuses what the
+        constructor refuses."""
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class BinTable:
+class BinTable(NamedTuple):
     """n x n operation table; ``None`` entries mark undefined (partial) spots.
     Like `Algebra`, it trusts its arguments: `build_algebra` checks the
     shape and entries of every table it is given (`_make_table`), and every
@@ -120,8 +127,7 @@ class BinTable:
         return BinTable(tuple(tuple(row) for row in rows), total)
 
 
-@dataclass(frozen=True)
-class TernTable:
+class TernTable(NamedTuple):
     """Total ternary table; ``values[i][j][k]`` is op(e_i, e_j, e_k).  It
     trusts its arguments, as `BinTable` does."""
 
@@ -135,21 +141,7 @@ class TernTable:
 _ORDER_CACHES = ("leq", "downsets", "upsets", "glb", "pc")
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """A finite join-semilattice with top, plus optional extra operations.
-
-    ``join`` is always present, and the order ``leq`` is read off it; the
-    optional tables carry the partial meet, the implication, the partial
-    product, and the two total ternary operations.  `build_algebra`, which
-    the file parser calls, checks every table it is given once, where it
-    enters, and the derivation maps build only from checked tables.  A
-    stored meet is the glb of the order, so the validators and the maps
-    read `glb` and never ``meet``.  The raw dataclass constructor, like
-    `BinTable` and `TernTable`, trusts its arguments, which the test-suite
-    uses to build deliberately broken tables for the validators.
-    """
-
+class _AlgebraFields(NamedTuple):
     universe: Universe
     join: BinTable
     meet: BinTable | None = None
@@ -158,6 +150,23 @@ class Algebra:
     r: TernTable | None = None
     q: TernTable | None = None
     name: str = ""
+
+
+class Algebra(_AlgebraFields):
+    """A finite join-semilattice with top, plus optional extra operations.
+
+    ``join`` is always present, and the order ``leq`` is read off it; the
+    optional tables carry the partial meet, the implication, the partial
+    product, and the two total ternary operations.  `build_algebra`, which
+    the file parser calls, checks every table it is given once, where it
+    enters, and the derivation maps build only from checked tables.  A
+    stored meet is the glb of the order, so the validators and the maps
+    read `glb` and never ``meet``.  The raw constructor, like `BinTable`
+    and `TernTable`, trusts its arguments, which the test-suite uses to
+    build deliberately broken tables for the validators.  Like every record
+    of this package it is an immutable named tuple; the cached properties
+    below live in the instance's own ``__dict__``.
+    """
 
     @property
     def n(self) -> int:
@@ -235,9 +244,9 @@ class Algebra:
         return BinTable.from_rows(rows, total=False)
 
     def replace(self, **changes) -> Algebra:
-        """`dataclasses.replace` that keeps the cached `leq`, `downsets`,
-        `upsets`, `glb` and `pc` when ``join`` is left alone."""
-        out = dataclasses.replace(self, **changes)
+        """A copy with the given fields changed that keeps the cached `leq`,
+        `downsets`, `upsets`, `glb` and `pc` when ``join`` is left alone."""
+        out = self._replace(**changes)
         if out.join is self.join:
             for name in _ORDER_CACHES:
                 if name in self.__dict__:
@@ -530,7 +539,7 @@ def relabel(alg: Algebra, new_of_old: Sequence[int],
             return None if values is None else p[values]
         return tuple(permute(values[inv[i]], arity - 1) for i in range(n))
 
-    moved = {name: dataclasses.replace(t, values=permute(t.values, OPS[name][0]))
+    moved = {name: t._replace(values=permute(t.values, OPS[name][0]))
              for name, t in alg.tables()}
     return Algebra(Universe(new_labels, p[alg.top]), **moved, name=alg.name)
 

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
@@ -72,8 +71,7 @@ if TYPE_CHECKING:
     from .core import Algebra
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Pass/fail verdict of a validator, with a witness for failures.
 
     ``witness`` holds element labels; ``lhs``/``rhs`` are the evaluated

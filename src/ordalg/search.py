@@ -32,13 +32,11 @@ and process, and models come out in canonical order.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .congruence import maltsev_report
 from .core import (Algebra, BinTable, ClassTag, OrdalgError, Universe, default_labels,
@@ -69,8 +67,7 @@ def size_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(NamedTuple):
     class_tag: ClassTag
     size: int
     upto: bool = False
@@ -459,14 +456,13 @@ def _holds_divisible(alg: Algebra) -> bool:
     return check_divisible(alg).ok
 
 
-_ORDERED_CLASSES = frozenset({ClassTag.SECTIONED, ClassTag.NCIS, ClassTag.SRS,
-                              ClassTag.RRS})
+# every class reads its order off the join, so the section shapes apply to all
+_ALL_CLASSES = frozenset(ClassTag)
 _TOTAL_CLASSES = frozenset({ClassTag.IALG, ClassTag.RALG})
 
 PROPERTIES: dict[str, tuple[frozenset[ClassTag], Callable[[Algebra], bool]]] = {
-    "section-modular": (_ORDERED_CLASSES | {ClassTag.JSL}, _holds_section_modular),
-    "section-distributive": (_ORDERED_CLASSES | {ClassTag.JSL},
-                             _holds_section_distributive),
+    "section-modular": (_ALL_CLASSES, _holds_section_modular),
+    "section-distributive": (_ALL_CLASSES, _holds_section_distributive),
     "divisible": (frozenset({ClassTag.RRS, ClassTag.SRS}), _holds_divisible),
     "con-distributive": (_TOTAL_CLASSES,
                          lambda alg: maltsev_report(alg).con_distributive),
@@ -492,7 +488,7 @@ def find_counterexample(spec: SearchSpec) -> Algebra | None:
     if spec.class_tag not in classes:
         raise ValueError(f"property {spec.violate!r} does not apply to class "
                          f"{spec.class_tag.value}")
-    for alg in enumerate_models(dataclasses.replace(spec, limit=None)):
+    for alg in enumerate_models(spec._replace(limit=None)):
         if not holds(alg):
             return alg
     return None

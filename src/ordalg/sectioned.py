@@ -15,15 +15,14 @@ tuple of such a sublattice in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import Algebra, Report
 from .laws import SECTIONED_LAWS, evaluate
 
 
-@dataclass(frozen=True)
-class SectionShape:
+class SectionShape(NamedTuple):
     base: int
     distributive: bool
     modular: bool

@@ -4,7 +4,6 @@ These are the exit criteria for the whole artifact; each test prints
 ``ACCEPTANCE <n> PASS|FAIL: <summary>`` and then asserts.
 """
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -83,7 +82,7 @@ def _all_models(tag: str, max_size: int):
 
 def _tables_equal(a, b) -> bool:
     return a.labels == b.labels and first_table_difference(
-        a, dataclasses.replace(b, name=a.name)) is None
+        a, b.replace(name=a.name)) is None
 
 
 def test_criterion_1_fig1_golden():
@@ -182,7 +181,7 @@ def _arrow_candidates(jsl):
     n = jsl.n
     jv = jsl.join.values
     prod = glb_table(jsl.leq)
-    base = dataclasses.replace(jsl, prod=prod)
+    base = jsl.replace(prod=prod)
     arrow_tables = [BinTable.from_rows([[jsl.top] * n] * n, total=True)]
     derived = derive_residual_imp(base)
     if derived is not None:
@@ -190,7 +189,7 @@ def _arrow_candidates(jsl):
     comparable = [(u, y) for y in range(n) for u in range(n) if jsl.leq[y][u]]
     for arrows in arrow_tables:
         params = {(u, y): arrows.values[u][y] for (u, y) in comparable}
-        yield dataclasses.replace(base, imp=arrows)
+        yield base.replace(imp=arrows)
         for (u, y) in comparable:
             for v in range(n):
                 if v == params[(u, y)]:
@@ -199,8 +198,7 @@ def _arrow_candidates(jsl):
                 mutated[(u, y)] = v
                 rows = [[mutated[(jv[x][y2], y2)] for y2 in range(n)]
                         for x in range(n)]
-                yield dataclasses.replace(base,
-                                          imp=BinTable.from_rows(rows, total=True))
+                yield base.replace(imp=BinTable.from_rows(rows, total=True))
 
 
 def test_criterion_6_identity_equivalence_sweep():

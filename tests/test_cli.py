@@ -349,6 +349,16 @@ def test_search_violate_prints_model(capsys):
     assert "op meet partial:" in out
 
 
+@pytest.mark.parametrize("prop", ["section-distributive", "section-modular"])
+@pytest.mark.parametrize("cls", ["ialg", "ralg"])
+def test_search_violate_section_shape_on_total_classes(cls, prop, capsys):
+    # the order comes from the join, so the total classes have section shapes
+    # too; in the first model that fails, c < b < a < 1 and c < d < 1, the
+    # section [c, 1] is a pentagon
+    assert main(["search", "--class", cls, "--size", "5", "--violate", prop]) == 0
+    assert f"\nname: {cls}_5_8\n" in capsys.readouterr().out
+
+
 def test_search_violate_none(capsys):
     assert main(["search", "--class", "ialg", "--size", "3", "--upto",
                  "--violate", "con-distributive"]) == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -113,7 +112,7 @@ def _edited_models():
         if rng.random() < 0.5:
             rows = [list(row) for row in alg.imp.values]
             rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
-            yield dataclasses.replace(alg, imp=BinTable.from_rows(rows, total=True))
+            yield alg.replace(imp=BinTable.from_rows(rows, total=True))
         else:
             old = (alg.r or alg.q).values[i][j][k]
             yield _edit_ternary(alg, i, j, k, rng.choice([v for v in range(n) if v != old]))
@@ -124,7 +123,7 @@ def _edit_ternary(alg, i, j, k, v):
     name = "r" if alg.r is not None else "q"
     vals = [[list(row) for row in plane] for plane in getattr(alg, name).values]
     vals[i][j][k] = v
-    return dataclasses.replace(alg, **{name: TernTable(
+    return alg.replace(**{name: TernTable(
         tuple(tuple(tuple(row) for row in plane) for plane in vals))})
 
 
@@ -186,7 +185,7 @@ def _with_swapping_q():
     swap = {a: b, b: a, top: top}
     q = TernTable(tuple(tuple(tuple(x if z == top else swap[x] for z in range(3))
                               for _ in range(3)) for x in range(3)))
-    return dataclasses.replace(alg, q=q)
+    return alg.replace(q=q)
 
 
 def test_con_preserves_q_beside_r():
@@ -240,9 +239,8 @@ def test_lattice_tables_match_partition_ops(ia1, ia2):
 
 
 def test_one_element_congruences(one_element):
-    one = dataclasses.replace(
-        one_element, imp=BinTable.from_rows([[0]], total=True),
-        r=__import__("ordalg").TernTable((((0,),),)))
+    one = one_element.replace(imp=BinTable.from_rows([[0]], total=True),
+                              r=__import__("ordalg").TernTable((((0,),),)))
     assert congruence_lattice(one).size == 1
     assert maltsev_report(one).all_true
     assert term_witness_check(one).ok
@@ -264,7 +262,7 @@ def _trivial_r_family():
     for n in range(2, 6):
         for alg in enumerate_models(SearchSpec(ClassTag.JSL, n)):
             r = TernTable(tuple(tuple((x,) * n for _ in range(n)) for x in range(n)))
-            yield dataclasses.replace(alg, imp=alg.join, r=r, meet=None)
+            yield alg.replace(imp=alg.join, r=r, meet=None)
 
 
 def _verdicts_match_oracle(alg):
@@ -374,8 +372,8 @@ def test_term_check_ralgebra_without_divisibility(fig2_rrs):
     # q(b, b->0, 0) = q(b, c, 0) -> corrupt it away from 0
     c = idx(ra, "c")
     qv[b][c][z] = b
-    bad = dataclasses.replace(ra, q=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                    for plane in qv)))
+    bad = ra.replace(q=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                       for plane in qv)))
     rep = term_witness_check(bad)
     assert not rep.ok and rep.axiom == "(a)"
 

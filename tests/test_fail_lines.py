@@ -22,7 +22,6 @@ with ``PYTHONPATH=src python tests/test_fail_lines.py``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -85,8 +84,7 @@ def _mutations(alg, name: str):
                     rows = [list(row) for row in table.values]
                     rows[i][j] = v
                     yield ((lab[i], lab[j]), "-" if v is None else lab[v],
-                           dataclasses.replace(
-                               alg, **{name: BinTable.from_rows(rows, table.total)}))
+                           alg.replace(**{name: BinTable.from_rows(rows, table.total)}))
     else:
         for i in range(n):
             for j in range(n):
@@ -99,7 +97,7 @@ def _mutations(alg, name: str):
                         mutant = TernTable(tuple(tuple(tuple(row) for row in plane)
                                                  for plane in vals))
                         yield ((lab[i], lab[j], lab[k]), lab[v],
-                               dataclasses.replace(alg, **{name: mutant}))
+                               alg.replace(**{name: mutant}))
 
 
 def fail_lines() -> dict[str, list[str]]:

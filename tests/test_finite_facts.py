@@ -33,7 +33,6 @@ every model it emits against its class validator, up to size 7 here and at
 size 8 with ``--check 8``.
 """
 
-import dataclasses
 from itertools import product
 
 from oracles import oracle_chain_holds, oracle_glb, oracle_lub
@@ -129,11 +128,10 @@ def test_rrs_corpus_equals_the_residuals_of_every_jsl_meet_up_to_size_6():
     for n in range(1, 7):
         want = []
         for jsl in _models(ClassTag.JSL, n):
-            cand = dataclasses.replace(jsl, prod=jsl.glb)
+            cand = jsl.replace(prod=jsl.glb)
             imp = derive_residual_imp(cand)
             if imp is not None:
-                want.append(dataclasses.replace(cand, imp=imp,
-                                                name=f"rrs_{n}_{len(want)}"))
+                want.append(cand.replace(imp=imp, name=f"rrs_{n}_{len(want)}"))
         assert _models(ClassTag.RRS, n) == tuple(want)
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import idx
@@ -58,7 +56,7 @@ def test_roundtrip_sectioned_ncis(fig1, fig2):
     for alg in (fig1, fig2):
         sec = derive_sections(alg)
         again = derive_implication(sec)
-        assert again == dataclasses.replace(alg, meet=again.meet) or again == alg
+        assert again == alg.replace(meet=again.meet) or again == alg
         assert again.imp.values == alg.imp.values
         assert again.meet.values == alg.meet.values
 
@@ -72,7 +70,7 @@ def test_roundtrip_from_sectioned_side(fig1_order):
 def test_validate_ncis_passes(fig1, fig2, one_element):
     assert validate_ncis(fig1).ok
     assert validate_ncis(fig2).ok
-    one = dataclasses.replace(one_element, imp=BinTable.from_rows([[0]], total=True))
+    one = one_element.replace(imp=BinTable.from_rows([[0]], total=True))
     assert validate_ncis(one).ok
 
 
@@ -80,7 +78,7 @@ def test_validate_ncis_corrupt_arrow(fig1):
     b, a = idx(fig1, "b", "a")
     iv = [list(row) for row in fig1.imp.values]
     iv[b][a] = fig1.top
-    bad = dataclasses.replace(fig1, imp=BinTable.from_rows(iv, total=True))
+    bad = fig1.replace(imp=BinTable.from_rows(iv, total=True))
     rep = validate_ncis(bad)
     assert not rep.ok
     assert rep.axiom == "(2)"

@@ -30,7 +30,6 @@ with ``PYTHONPATH=src python tests/test_law_lines.py``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -100,7 +99,7 @@ def _join_pairs(alg):
                 rows = [list(row) for row in jv]
                 rows[i][j] = rows[j][i] = v
                 yield ((lab[i], lab[j]), lab[v],
-                       dataclasses.replace(alg, join=BinTable.from_rows(rows, True)))
+                       alg.replace(join=BinTable.from_rows(rows, True)))
 
 
 def _models(tag: ClassTag, top_size: int):
@@ -129,8 +128,8 @@ def law_lines() -> dict[str, list[str]]:
         for t in range(alg.n):
             if t != alg.top:
                 add("jsl/top", alg, "top", (), alg.labels[t],
-                    _outcome(validate_join_semilattice, dataclasses.replace(
-                        alg, universe=Universe(alg.labels, t))))
+                    _outcome(validate_join_semilattice,
+                             alg.replace(universe=Universe(alg.labels, t))))
         for cell, value, text in _order_edits(alg):
             add("jsl/order build", alg, "order", cell, value, _parsed(text))
     for alg in _models(ClassTag.JSL, MAX_SIZE["sectioned"]):

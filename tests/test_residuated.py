@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import idx
@@ -21,7 +19,7 @@ def three_chain_table():
     chain = parse_algebra("algebra\nelements: 0 a 1\norder:\n  0 < a\n  a < 1\nend\n")
     prod = BinTable.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 2]], total=False)
     imp = BinTable.from_rows([[2, 2, 2], [1, 2, 2], [0, 1, 2]], total=True)
-    return dataclasses.replace(chain, prod=prod, imp=imp)
+    return chain.replace(prod=prod, imp=imp)
 
 
 def test_validate_rrs_passes(fig1_rrs, fig2_rrs):
@@ -33,7 +31,7 @@ def test_validate_rrs_corrupt_product(fig1_rrs):
     a, b = idx(fig1_rrs, "a", "b")
     pv = [list(row) for row in fig1_rrs.prod.values]
     pv[a][b] = fig1_rrs.top
-    bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
+    bad = fig1_rrs.replace(prod=BinTable.from_rows(pv, total=False))
     rep = validate_rrs(bad)
     assert not rep.ok
     assert rep.axiom == "(14)/(11)"
@@ -45,7 +43,7 @@ def test_validate_rrs_domain_failure(fig1_rrs):
     a, c = idx(fig1_rrs, "a", "c")
     pv = [list(row) for row in fig1_rrs.prod.values]
     pv[a][c] = a
-    bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
+    bad = fig1_rrs.replace(prod=BinTable.from_rows(pv, total=False))
     rep = validate_rrs(bad)
     assert not rep.ok and rep.axiom == "domain"
 
@@ -74,7 +72,7 @@ def test_check_divisible_failure_witness(fig1_rrs):
     a, b = idx(fig1_rrs, "a", "b")
     pv = [list(row) for row in fig1_rrs.prod.values]
     pv[b][a] = b  # (b v a) . (b -> a) evaluates this cell and must give a
-    bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
+    bad = fig1_rrs.replace(prod=BinTable.from_rows(pv, total=False))
     rep = check_divisible(bad)
     assert not rep.ok and rep.axiom == "divisible"
     assert rep.witness == ("b", "a")
@@ -101,7 +99,7 @@ def test_validate_srs_non_associative_family(fig2_rrs):
     a, b, c = idx(fig2_rrs, "a", "b", "c")
     pv = [list(row) for row in fig2_rrs.prod.values]
     pv[a][b] = pv[b][a] = c  # was 0; breaks associativity in [0,1]
-    bad = dataclasses.replace(fig2_rrs, prod=BinTable.from_rows(pv, total=False))
+    bad = fig2_rrs.replace(prod=BinTable.from_rows(pv, total=False))
     rep = validate_srs(bad)
     assert rep.fail_line() == "FAIL axiom=monoid-associative witness=(0,a,a,b) lhs=c rhs=a"
 
@@ -110,7 +108,7 @@ def test_validate_srs_adjointness_failure(fig2_rrs):
     a, z = idx(fig2_rrs, "a", "0")
     iv = [list(row) for row in fig2_rrs.imp.values]
     iv[a][z] = fig2_rrs.top  # a->0 lifted from b to 1
-    bad = dataclasses.replace(fig2_rrs, imp=BinTable.from_rows(iv, total=True))
+    bad = fig2_rrs.replace(imp=BinTable.from_rows(iv, total=True))
     rep = validate_srs(bad)
     assert not rep.ok
     assert rep.axiom == "(iii)"
@@ -120,7 +118,7 @@ def test_validate_srs_product_outside_sections(fig1_rrs):
     b, c = idx(fig1_rrs, "b", "c")  # b and c have no common lower bound
     pv = [list(row) for row in fig1_rrs.prod.values]
     pv[b][c] = fig1_rrs.top
-    bad = dataclasses.replace(fig1_rrs, prod=BinTable.from_rows(pv, total=False))
+    bad = fig1_rrs.replace(prod=BinTable.from_rows(pv, total=False))
     rep = validate_srs(bad)
     assert rep.fail_line() == "FAIL axiom=domain witness=(b,c) lhs=1 rhs=-"
 
@@ -141,8 +139,7 @@ def test_bridge_roundtrip(fig1, fig2):
 
 
 def test_bridge_one_element(one_element):
-    one = dataclasses.replace(one_element,
-                              imp=BinTable.from_rows([[0]], total=True),
+    one = one_element.replace(imp=BinTable.from_rows([[0]], total=True),
                               meet=BinTable.from_rows([[0]], total=False))
     rrs = rrs_from_ncis(one)
     assert ncis_from_rrs(rrs).meet.values == ((0,),)
@@ -179,5 +176,5 @@ def test_derive_residual_imp_fails_on_m3():
     from ordalg import glb_table
     m3 = build_algebra(["0", "p", "q", "r", "1"],
                        order_pairs=[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    with_prod = dataclasses.replace(m3, prod=glb_table(m3.leq))
+    with_prod = m3.replace(prod=glb_table(m3.leq))
     assert derive_residual_imp(with_prod) is None

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import idx, labs
@@ -83,7 +81,7 @@ def test_shape_of_a_section_with_an_undefined_stored_meet(fig1):
     b, one = idx(fig1, "b", "1")
     rows = [list(row) for row in fig1.meet.values]
     rows[b][one] = None
-    broken = dataclasses.replace(fig1, meet=BinTable.from_rows(rows, total=False))
+    broken = fig1.replace(meet=BinTable.from_rows(rows, total=False))
     for base in range(fig1.n):
         assert section_shape_report(broken, base) == section_shape_report(fig1, base)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import idx
@@ -65,8 +63,8 @@ def test_validate_ialgebra_corrupt_r(ia2):
     a, b, z = idx(ia2, "a", "b", "0")
     rv = [[list(col) for col in plane] for plane in ia2.r.values]
     rv[a][b][z] = ia2.top
-    bad = dataclasses.replace(ia2, r=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                     for plane in rv)))
+    bad = ia2.replace(r=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                        for plane in rv)))
     rep = validate_ialgebra(bad)
     assert not rep.ok
     assert rep.axiom == "(2')"
@@ -90,8 +88,8 @@ def test_r_not_well_defined(ia2):
     top = ia2.top
     rv = [[list(col) for col in plane] for plane in ia2.r.values]
     rv[c][top][z] = z  # disagrees with the value over lower bound a
-    bad = dataclasses.replace(ia2, r=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                     for plane in rv)))
+    bad = ia2.replace(r=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                        for plane in rv)))
     with pytest.raises(StructureError, match="r not well-defined"):
         ncis_from_ialgebra(bad)
 
@@ -133,8 +131,8 @@ def test_validate_ralgebra_corrupt_q(ra2):
     z = idx(ra2, "0")
     qv = [[list(col) for col in plane] for plane in ra2.q.values]
     qv[z][z][z] = ra2.top  # breaks (20)? no: raises value above z... breaks (22)
-    bad = dataclasses.replace(ra2, q=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                     for plane in qv)))
+    bad = ra2.replace(q=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                        for plane in qv)))
     rep = validate_ralgebra(bad)
     assert not rep.ok
 
@@ -143,8 +141,8 @@ def test_validate_ralgebra_breaks_20(ra1):
     a, c = idx(ra1, "a", "c")
     qv = [[list(col) for col in plane] for plane in ra1.q.values]
     qv[a][c][c] = a  # r-value below the third argument c
-    bad = dataclasses.replace(ra1, q=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                     for plane in qv)))
+    bad = ra1.replace(q=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                        for plane in qv)))
     rep = validate_ralgebra(bad)
     assert not rep.ok
     assert rep.axiom == "(20)"
@@ -162,17 +160,15 @@ def test_q_not_well_defined(ra2):
     top = ra2.top
     qv = [[list(col) for col in plane] for plane in ra2.q.values]
     qv[c][top][z] = z
-    bad = dataclasses.replace(ra2, q=TernTable(tuple(tuple(tuple(col) for col in plane)
-                                                     for plane in qv)))
+    bad = ra2.replace(q=TernTable(tuple(tuple(tuple(col) for col in plane)
+                                        for plane in qv)))
     with pytest.raises(StructureError, match="q not well-defined"):
         rrs_from_ralgebra(bad)
 
 
 def test_one_element_ialgebra(one_element):
-    import dataclasses
     from ordalg import BinTable
-    one = dataclasses.replace(one_element,
-                              imp=BinTable.from_rows([[0]], total=True),
+    one = one_element.replace(imp=BinTable.from_rows([[0]], total=True),
                               meet=BinTable.from_rows([[0]], total=False))
     ia = ialgebra_from_ncis(one)
     assert validate_ialgebra(ia).ok
@@ -201,7 +197,7 @@ def test_lift_rejects_an_undefined_bounded_cell(request, source, slot, noun, con
     a, b = idx(alg, "a", "b")
     rows = [list(row) for row in getattr(alg, slot).values]
     rows[a][b] = None
-    broken = dataclasses.replace(alg, **{slot: BinTable.from_rows(rows, total=False)})
+    broken = alg.replace(**{slot: BinTable.from_rows(rows, total=False)})
     with pytest.raises(StructureError,
                        match=fr"^{noun} undefined on a bounded pair at \(a,b,a\)$"):
         convert(broken)
