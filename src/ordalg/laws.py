@@ -2,10 +2,10 @@
 
 A `Law` row holds the label a failure reports, the arity of the tuples it
 ranges over, the note a failure carries, and a scan.  The scan is called
-with an iterator over the row's index tuples (every tuple over the carrier
-of that arity, in lexicographic order, to be read once) and the algebra's
-integer tables as keywords, and returns an iterator over the violations, in
-the order it visits them:
+with ``ix``, an iterator over the row's index tuples (every tuple over the
+carrier of that arity, in lexicographic order, to be read once), and the
+algebra's integer tables as keywords, and returns an iterator over the
+violations, in the order it visits them:
 
     (witness, lhs, rhs)               the row's label and note
     (witness, lhs, rhs, note)         the row's label, another note
@@ -21,7 +21,8 @@ witness contract: the first violated law, and its first tuple, are what
 The tables a scan may name:
 
     n, top   carrier size and the top's index
-    ix       the row's index tuples, an iterator read once
+    ix       the row's index tuples, an iterator read once; only the
+             hand-written rows read it
     le       le[x][y] is x <= y, read off the join table
     dn, up   downsets and upsets of the order
     jv       join values; iv imp; pv prod; rv r; qv q
@@ -51,8 +52,12 @@ each tuple the first failing check yields (witness, lhs, rhs, note), with
 the check's own note, else the row's ``note=``, else `LE` for ``<=`` and
 ``""`` for ``=``.  ``^`` and ``.`` may only be the outermost operation of a
 side of an ``=``, where an undefined value differs from every element and
-prints as ``-``.  A row is compiled on its first `evaluate`, binding each
-repeated subterm once per tuple.  A rule of another shape (an iff, a
+prints as ``-``.  A row is compiled on its first `evaluate` into nested
+loops, one per variable in the row's order, so it visits the tuples in
+lexicographic order without reading ``ix``; each subterm, and each leading
+row or plane of a table lookup, is bound in the outermost loop that fixes
+its variables, and one that repeats in the innermost loop is bound at its
+first use there (`_compile`).  A rule of another shape (an iff, a
 premise, a scan over sections, an undefined value inside a term) is a
 hand-written generator expression that applies the relation inside the
 generator, so that no tuple costs a Python call; ``for v in [expr]`` binds
@@ -258,7 +263,18 @@ def _subterms(term) -> Iterator[tuple]:
 
 
 def _compile(terms: tuple) -> Callable[..., Iterator[tuple]]:
-    """The scan of a `term_law` row; `_row` builds it on first use."""
+    """The scan of a `term_law` row; `_row` builds it on first use.
+
+    The scan is one ``for`` loop per variable, in the row's order, so it
+    visits the tuples lexicographically.  A lookup and each of its leading
+    rows or planes (``qv[a]``, ``qv[a][b]``) is a node, and a ``<=`` check
+    is the lookup ``le[lhs][rhs]``.  A node is bound once in the outermost
+    loop that fixes its variables, where a deeper loop or a second use
+    reads it; in the innermost loop a node used twice is bound with
+    ``:=`` at its first use.  Every lookup is total, since a partial ``^``
+    or ``.`` is only ever a side of an ``=``, so a hoisted node never
+    raises where the tuple-by-tuple scan would not have reached it.
+    """
     variables, checks = terms
     names = tuple(variables.split())
     if len(set(names)) < len(names) or not re.fullmatch(r"[a-psuw-z]( [a-psuw-z])*", variables):
@@ -270,28 +286,59 @@ def _compile(terms: tuple) -> Callable[..., Iterator[tuple]]:
         if any(t[0] in ("gv", "pv") for side in inner for t in _subterms(side)):
             raise ValueError(f"law text {text!r}: '.' and '^' may only be the outermost "
                              "operation of a side of '='")
-    # a compound term that recurs is bound where it is first computed
-    uses = Counter(t for lhs, _, rhs in parsed for t in chain(_subterms(lhs), _subterms(rhs)))
-    bound: dict[tuple, str] = {}
+    # the level of a node is the index of the innermost variable it reads
+    # (-1 for none); uses counts the nodes and checks that read it, and
+    # deepest is the deepest level among them (a check reads at last + 1)
+    last = len(names) - 1
+    level: dict = {name: i for i, name in enumerate(names)} | {"top": -1}
+    uses: Counter = Counter()
+    deepest: dict = {}
+    order: list[tuple] = []  # the nodes, each after the nodes it reads
 
-    def code(term) -> str:
-        if term in bound or not isinstance(term, tuple):
-            return bound.get(term, term)
-        expr = term[0] + "".join(f"[{code(arg)}]" for arg in term[1:])
-        if uses[term] < 2:
+    def read(node) -> int:
+        if node not in level:
+            kids = node[1:] if len(node) == 2 else (node[:-1], node[-1])
+            level[node] = max(map(read, kids))
+            for kid in kids:
+                deepest[kid] = max(deepest.get(kid, -1), level[node])
+            order.append(node)
+        uses[node] += 1
+        return level[node]
+
+    for lhs, rel, rhs in parsed:
+        for root in [("le", lhs, rhs)] if rel == "<=" else [lhs, rhs]:
+            read(root)
+            deepest[root] = last + 1
+    named = {node: f"s{i}" for i, node in enumerate(
+        node for node in order
+        if uses[node] > 1 or level[node] < last and deepest[node] > level[node])}
+    ready: set = set()
+
+    def code(node) -> str:
+        if not isinstance(node, tuple) or node in ready:
+            return named.get(node, node)
+        expr = (code(node[:-1]) if len(node) > 2 else node[0]) + f"[{code(node[-1])}]"
+        if node not in named:
             return expr
-        bound[term] = f"s{len(bound)}"
-        return f"({bound[term]} := {expr})"
+        ready.add(node)
+        return f"({named[node]} := {expr})" if level[node] == last else expr
 
+    def bind(at: int, indent: str) -> str:
+        return "".join(f"{indent}{named[node]} = {code(node)}\n" for node in order
+                       if node in named and level[node] == at < last)
+
+    body = "    span = range(n)\n" + bind(-1, "    ")
+    for depth, name in enumerate(names):
+        indent = "    " * (depth + 2)
+        body += f"{indent[4:]}for {name} in span:\n" + bind(depth, indent)
     witness = f"({', '.join(names)},)"
-    body = f"    for {witness} in ix:\n"
     for i, (lhs, rel, rhs) in enumerate(parsed):
-        left, right = code(lhs), code(rhs)
-        test = f"{left} != {right}" if rel == "=" else f"not le[{left}][{right}]"
-        body += (f"        {'elif' if i else 'if'} {test}:\n"
-                 f"            yield {witness}, {code(lhs)}, {code(rhs)}, notes[{i}]\n")
-    params = ", ".join(sorted(set(re.findall(r"\b(?:[a-z]v|le|top)\b", body))))
-    exec(f"def scan(ix, {params}, **_):\n{body}", namespace := {"notes": [n for _, n in checks]})
+        test = f"not {code(('le', lhs, rhs))}" if rel == "<=" else f"{code(lhs)} != {code(rhs)}"
+        body += (f"{indent}{'elif' if i else 'if'} {test}:\n"
+                 f"{indent}    yield {witness}, {code(lhs)}, {code(rhs)}, notes[{i}]\n")
+    params = ["ix", "n", *sorted({node[0] for node in order} | ({"top"} & uses.keys())), "**_"]
+    exec(f"def scan({', '.join(params)}):\n{body}",
+         namespace := {"notes": [n for _, n in checks]})
     return namespace["scan"]
 
 

@@ -6,7 +6,9 @@ routes.  Slow is fine; these run on universes of at most six elements.
 """
 
 import functools
+import re
 from itertools import permutations, product
+from operator import itemgetter
 
 from ordalg.congruence import Partition
 from ordalg.core import TernTable
@@ -440,3 +442,146 @@ def oracle_chain_holds(alg):
                and t[x][imp[one][y]][y] == y
                and imp[x][x] == one
                for x, y in product(range(alg.n), repeat=2))
+
+
+# --- term-law rows, read and evaluated one tuple at a time -----------------
+
+# the attribute of `Algebra` holding the table each symbol of the term text
+# reads; "<=" reads the order, and "t" reads r, else q (`_holder`)
+_TERM_TABLES = {"->": "imp", "v": "join", "^": "glb", ".": "prod",
+                "r": "r", "q": "q", "<=": "leq"}
+
+
+def _holder(symbol, alg):
+    if symbol == "t":
+        return "r" if alg.r is not None else "q"
+    return _TERM_TABLES[symbol]
+
+
+@functools.lru_cache(maxsize=None)
+def _read_term_text(text, variables):
+    """(lhs, relation, rhs) of a check, each side a tree: ("var", name),
+    ("1",), or (symbol, argument, ...).  Loosest first: "->" to the
+    right, then "v", "^" and "." to the left."""
+    tokens = re.findall(r"->|<=|[A-Za-z0-9]+|\S", text)
+    at = 0
+
+    def take(want=None):
+        nonlocal at
+        tok = tokens[at]
+        assert want is None or tok == want, (text, at, tok)
+        at += 1
+        return tok
+
+    def peek():
+        return tokens[at] if at < len(tokens) else None
+
+    def arrow():
+        left = join()
+        if peek() == "->":
+            take()
+            return ("->", left, arrow())
+        return left
+
+    def left_assoc(symbol, tighter):
+        def parse():
+            left = tighter()
+            while peek() == symbol:
+                take()
+                left = (symbol, left, tighter())
+            return left
+        return parse
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = arrow()
+            take(")")
+            return inner
+        if tok in ("r", "q", "t"):
+            take("(")
+            args = [arrow()]
+            while take() == ",":
+                args.append(arrow())
+            assert len(args) == 3, text
+            return (tok, *args)
+        if tok == "1":
+            return ("1",)
+        assert tok in variables, (text, tok)
+        return ("var", tok)
+
+    prod = left_assoc(".", atom)
+    meet = left_assoc("^", prod)
+    join = left_assoc("v", meet)
+    lhs = arrow()
+    rel = take()
+    assert rel in ("=", "<="), text
+    rhs = arrow()
+    assert peek() is None, text
+    return lhs, rel, rhs
+
+
+def _symbols(law):
+    """The operation symbols of a `term_law` row's checks, "<=" included."""
+    variables, checks = law.terms
+    out = set()
+
+    def walk(tree):
+        if tree[0] not in ("var", "1"):
+            out.add(tree[0])
+            for arg in tree[1:]:
+                walk(arg)
+
+    for text, _ in checks:
+        lhs, rel, rhs = _read_term_text(text, tuple(variables.split()))
+        if rel == "<=":
+            out.add(rel)
+        walk(lhs)
+        walk(rhs)
+    return out
+
+
+def term_law_tables(law, alg):
+    """The attributes of the algebra (``imp``, ``join``, ``glb``, ``prod``,
+    ``r``, ``q``, ``leq``) holding the tables a `term_law` row reads."""
+    return {_holder(symbol, alg) for symbol in _symbols(law)}
+
+
+def interpret_term_law(law, alg):
+    """Every violation of a `term_law` row on the algebra, in order, read
+    from its ``terms`` alone: each tuple of the row's variables in
+    lexicographic order, and on it the first check whose sides differ (for
+    "=") or are not in order (for "<="), as (witness, lhs, rhs, note).  A
+    side is an element index, or None where "^" or "." is undefined."""
+    variables, checks = law.terms
+    names = variables.split()
+
+    def table(symbol):
+        held = getattr(alg, _holder(symbol, alg))
+        return held if symbol == "<=" else held.values
+
+    # a side as a function of the tuple, which evaluates it afresh on every
+    # call: no subterm is shared between sides, checks or tuples
+    def side(tree):
+        if tree[0] == "var":
+            return itemgetter(names.index(tree[1]))
+        if tree[0] == "1":
+            return lambda witness: alg.top
+        values, args = table(tree[0]), [side(arg) for arg in tree[1:]]
+        if len(args) == 2:
+            a, b = args
+            return lambda witness: values[a(witness)][b(witness)]
+        a, b, c = args
+        return lambda witness: values[a(witness)][b(witness)][c(witness)]
+
+    parsed = []
+    for text, note in checks:
+        lhs, rel, rhs = _read_term_text(text, tuple(names))
+        parsed.append((side(lhs), rel == "=", side(rhs), note))
+    leq = alg.leq
+    for witness in product(range(alg.n), repeat=len(names)):
+        for lhs, equation, rhs, note in parsed:
+            left, right = lhs(witness), rhs(witness)
+            if left != right if equation else not leq[left][right]:
+                yield witness, left, right, note
+                break

@@ -33,6 +33,7 @@ every model it emits against its class validator, up to size 7 here and at
 size 8 with ``--check 8``.
 """
 
+from collections import Counter
 from itertools import product
 
 from oracles import oracle_chain_holds, oracle_glb, oracle_lub
@@ -40,8 +41,10 @@ from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_implicat
                     derive_residual_imp, derive_sections, enumerate_models,
                     find_counterexample, ialgebra_from_ncis, ncis_from_ialgebra,
                     ncis_from_rrs, project_to_class, ralgebra_from_rrs,
-                    rrs_from_ncis, rrs_from_ralgebra, validate_ralgebra)
+                    rrs_from_ncis, rrs_from_ralgebra, section_shape_report,
+                    validate_ralgebra)
 from ordalg.core import glb_table, lub_table, order_from_join
+from ordalg.laws import evaluate, term_law
 from ordalg.search import _models
 
 
@@ -188,3 +191,52 @@ def test_no_class_map_changes_the_join_up_to_size_6():
                 assert out.join is alg.join, (what, alg.name)
             calls += len(outs)
     assert calls == 1564  # 68 models of each class, each through 4 to 6 maps
+
+
+# identities of the arrow alone, as rows of no validator: sections need not
+# be distributive, and these say what that costs the implication
+ARROW_EVERYWHERE = (
+    term_law("K", "x y", "x -> (y -> x) = 1"),
+    term_law("exchange", "x y z", "x -> (y -> z) = y -> (x -> z)"),
+)
+ARROW_DISTRIBUTIVE = (
+    term_law("self-distributive", "x y z", "x -> (y -> z) = (x -> y) -> (x -> z)"),
+    term_law("Hilbert", "x y z", "(x -> (y -> z)) -> ((x -> y) -> (x -> z)) = 1"),
+)
+ARROW_BOOLEAN = (
+    term_law("Peirce", "x y", "(x -> y) -> x = x"),
+    term_law("Abbott", "x y", "(x -> y) -> y = (y -> x) -> x"),
+)
+
+
+def _holds(alg, rows) -> list[bool]:
+    return [evaluate(alg, (row,)).ok for row in rows]
+
+
+def test_k_and_exchange_hold_on_every_ialg_model_up_to_size_7():
+    for alg in _upto(ClassTag.IALG, 7):
+        assert _holds(alg, ARROW_EVERYWHERE) == [True, True], alg.name
+
+
+def test_self_distributivity_and_hilbert_hold_exactly_with_distributive_sections():
+    """Up to size 7 the arrow reduct is a Hilbert algebra exactly when every
+    section [b, 1] is distributive."""
+    counts = Counter()
+    for alg in _upto(ClassTag.IALG, 7):
+        distributive = all(section_shape_report(alg, b).distributive for b in range(alg.n))
+        assert _holds(alg, ARROW_DISTRIBUTIVE) == [distributive] * 2, alg.name
+        counts[alg.n] += distributive
+    assert [counts[n] for n in range(1, 8)] == [1, 1, 2, 5, 13, 37, 114]
+
+
+def test_peirce_and_abbott_hold_exactly_with_boolean_sections():
+    """Up to size 7 the arrow reduct is an implication algebra exactly when
+    every section [b, 1] is Boolean: its pseudocomplement is an
+    involution."""
+    counts = Counter()
+    for alg in _upto(ClassTag.IALG, 7):
+        pc = alg.pc.values
+        boolean = all(pc[b][pc[b][y]] == y for b in range(alg.n) for y in alg.upsets[b])
+        assert _holds(alg, ARROW_BOOLEAN) == [boolean] * 2, alg.name
+        counts[alg.n] += boolean
+    assert [counts[n] for n in range(1, 8)] == [1, 1, 1, 2, 2, 3, 5]
