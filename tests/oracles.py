@@ -521,30 +521,25 @@ def _read_term_text(text, variables):
     return lhs, rel, rhs
 
 
-def _symbols(law):
-    """The operation symbols of a `term_law` row's checks, "<=" included."""
+def term_law_tables(law, alg):
+    """The attributes of the algebra (``imp``, ``join``, ``glb``, ``prod``,
+    ``r``, ``q``, ``leq``) holding the tables a `term_law` row reads."""
     variables, checks = law.terms
-    out = set()
+    symbols = set()
 
     def walk(tree):
         if tree[0] not in ("var", "1"):
-            out.add(tree[0])
+            symbols.add(tree[0])
             for arg in tree[1:]:
                 walk(arg)
 
     for text, _ in checks:
         lhs, rel, rhs = _read_term_text(text, tuple(variables.split()))
         if rel == "<=":
-            out.add(rel)
+            symbols.add(rel)
         walk(lhs)
         walk(rhs)
-    return out
-
-
-def term_law_tables(law, alg):
-    """The attributes of the algebra (``imp``, ``join``, ``glb``, ``prod``,
-    ``r``, ``q``, ``leq``) holding the tables a `term_law` row reads."""
-    return {_holder(symbol, alg) for symbol in _symbols(law)}
+    return {_holder(symbol, alg) for symbol in symbols}
 
 
 def interpret_term_law(law, alg):

@@ -70,27 +70,18 @@ def _edits(alg, slot: str):
         row[last] = old
 
 
-def corpus(sizes) -> list:
-    """The models of every class at these sizes, each set of tables once
-    (the srs models are the rrs models)."""
-    seen = {}
-    for n in sizes:
-        for tag in ClassTag:
-            for alg in enumerate_models(SearchSpec(tag, n)):
-                seen.setdefault(alg.tables(), alg)
-    return list(seen.values())
-
-
 def mismatches(sizes) -> tuple[list[str], int, int]:
     """The (row, model) pairs where the compiled scan and the interpreter
     disagree, named; how many pairs were compared; and how many violations
     the interpreter yielded on them."""
     faults, compared, violations, seen = [], 0, 0, set()
-    for alg in corpus(sizes):
+    corpus = (alg for n in sizes for tag in ClassTag
+              for alg in enumerate_models(SearchSpec(tag, n)))
+    for alg in corpus:
         for law in TERM_ROWS:
             slots = sorted(_slots_read(law, alg))
             read = tuple((slot, getattr(alg, slot)) for slot in slots)
-            # a row reads the same tables on many models of the classes
+            # a row reads the same tables on models of several classes
             if any(table is None for _, table in read) or (law, read) in seen:
                 continue
             seen.add((law, read))
