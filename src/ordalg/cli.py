@@ -75,8 +75,10 @@ _FLAG_CHECKS = {
 def _validator_chain(alg: Algebra, tag: ClassTag, props: bool, subvariety: bool):
     """Reports to run, in order, for `check --class <tag>`, up to the first
     that fails.  A sectioned semilattice is checked as a jsl first.  The jsl
-    check passes from the parse: `build_algebra` ran the join laws on a
-    given join table, and a join derived from an order holds them."""
+    check passes from the parse: `build_algebra` accepted a given join
+    table in one pass over its up-set masks, which holds exactly when the
+    join laws do (their rows run only to name a failure), and a join
+    derived from an order holds them."""
     flags = {"props": props, "subvariety": subvariety}
 
     def reports():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .laws import JOIN_LAWS, Report, evaluate, require_tables
@@ -347,8 +348,35 @@ def glb_table(leq: Sequence[Sequence[bool]]) -> BinTable:
 
 
 def order_from_join(values: Sequence[Sequence[int]]) -> tuple[tuple[bool, ...], ...]:
-    n = len(values)
-    return tuple(tuple(values[i][j] == j for j in range(n)) for i in range(n))
+    span = range(len(values))
+    return tuple([tuple(map(eq, row, span)) for row in values])
+
+
+def _lub_top(jv: Sequence[Sequence[int]], leq: Sequence[Sequence[bool]]) -> int | None:
+    """The top of a join table that is the least-upper-bound table of its
+    order ``leq`` (x <= y iff x v y = y), or None when it is not, read in
+    one O(n^2) pass over the up-set masks: ``up[x]`` holds the bits y with
+    x <= y.  The masks must be distinct and up[x v y] must be
+    up[x] & up[y].  Then x v x = x, as up[x v x] = up[x] and the masks
+    are distinct, so the order is reflexive; it is transitive (y in up[x]
+    gives up[y] = up[x] & up[y]) and antisymmetric (distinct masks); and
+    x v y is the least upper bound of x and y, its up-set being their
+    common upper bounds.  Such a table has a top and passes the four
+    `JOIN_LAWS` rows, and on a table that passes them the order is a
+    partial order whose least upper bounds are the join.  So the test
+    passes exactly when `check_partial_order`, `find_top` and the
+    `JOIN_LAWS` rows do, as tests/test_finite_facts.py checks on every
+    table up to size 3."""
+    bits = [1 << y for y in range(len(jv))]
+    up = [sum(itertools.compress(bits, row)) for row in leq]
+    if len(set(up)) < len(up):
+        return None
+    masks = up.__getitem__
+    for ux, row in zip(up, jv):
+        if list(map(masks, row)) != [ux & uy for uy in up]:
+            return None
+    # every other up-set holds the top and more
+    return up.index(min(up))
 
 
 def _make_table(name: str, values, n: int) -> BinTable | TernTable:
@@ -356,8 +384,10 @@ def _make_table(name: str, values, n: int) -> BinTable | TernTable:
     one check of a table's shape and entries: n rows of n entries (n planes
     of them for a ternary slot), each an element index of type `int` (the
     type is tested first: ``1.0`` and ``True`` equal indices) or, in a
-    partial slot, ``None``.  The first bad row, in plane and row order,
-    names the fault."""
+    partial slot, ``None``.  Every row length, entry type and entry is
+    checked in one bulk pass over the whole table; only when that fails
+    are the rows walked one by one, so that the first bad row, in plane
+    and row order, names the fault."""
     arity, total = OPS[name]
     kinds = {int} if total else {int, type(None)}
     cells = set(range(n)) if total else {*range(n), None}
@@ -368,17 +398,21 @@ def _make_table(name: str, values, n: int) -> BinTable | TernTable:
         raise StructureError(shape) from None
     if len(planes) != n ** (arity - 2):
         raise StructureError(shape)
-    for rows in planes:
-        if len(rows) != n:
-            raise StructureError(shape)
-        for row in rows:
-            if len(row) != n:
+    rows = list(itertools.chain.from_iterable(planes))
+    entries = list(itertools.chain.from_iterable(rows))
+    if not (set(map(len, planes)) == set(map(len, rows)) == {n}
+            and kinds.issuperset(map(type, entries)) and cells.issuperset(entries)):
+        for plane in planes:  # name the first bad row
+            if len(plane) != n:
                 raise StructureError(shape)
-            if not (kinds.issuperset(map(type, row)) and cells.issuperset(row)):
-                bad = next(v for v in row if type(v) not in kinds or v not in cells)
-                raise StructureError("ternary table entry out of range" if arity == 3
-                                     else "undefined entry in total table" if bad is None
-                                     else "table entry out of range")
+            for row in plane:
+                if len(row) != n:
+                    raise StructureError(shape)
+                if not (kinds.issuperset(map(type, row)) and cells.issuperset(row)):
+                    bad = next(v for v in row if type(v) not in kinds or v not in cells)
+                    raise StructureError("ternary table entry out of range" if arity == 3
+                                         else "undefined entry in total table" if bad is None
+                                         else "table entry out of range")
     return BinTable(planes[0], total) if arity == 2 else TernTable(tuple(planes))
 
 
@@ -427,9 +461,13 @@ def build_algebra(labels: Sequence[str], *,
     always holds them), agreement of an order given beside it with the
     join's own (`_order_mismatch`, which implies top absorption), and
     agreement of a supplied meet table with the greatest lower bounds
-    (`_check_meet`).  No validator or map checks these again.  A name,
-    like a label, may not contain whitespace or ``#``, so that the file
-    format can carry it.
+    (`_check_meet`).  No validator or map checks these again.  A join
+    table given without an order is accepted in one pass over its up-set
+    masks (`_lub_top`), which holds exactly when the order axioms, the
+    top and the join laws do; the order checks and the `JOIN_LAWS` rows
+    run only when it fails, to name the failure as they always have.  A
+    name, like a label, may not contain whitespace or ``#``, so that the
+    file format can carry it.
     """
     if _splits(name):
         raise StructureError(f"invalid name {name!r}")
@@ -452,16 +490,24 @@ def build_algebra(labels: Sequence[str], *,
 
     if order_pairs is None and join is not None:
         order = order_from_join(join.values)
+        top = _lub_top(join.values, order)
     else:
-        order = transitive_reflexive_closure(n, order_pairs or ())
-    check_partial_order(order, labels)
-    universe = Universe(labels, find_top(order))
+        order, top = transitive_reflexive_closure(n, order_pairs or ()), None
+    accepted = top is not None
+    if not accepted:  # an order was given, or the mask test refused the join
+        check_partial_order(order, labels)
+        top = find_top(order)
+    universe = Universe(labels, top)
 
     if join is None:
         # the least upper bounds of an order always form a join table
         alg = Algebra(universe, lub_table(order, labels), name=name)
     else:
         alg = Algebra(universe, join, name=name)
+    # where the checks pass ``order`` is the join's own: the validators
+    # read it from here, not off the table again
+    alg.__dict__["leq"] = order
+    if join is not None and not accepted:
         # a given order must be the table's own, and then the top absorbs
         rep = evaluate(alg, JOIN_LAWS if order_pairs is None else JOIN_LAWS[:3])
         if not rep.ok:
@@ -493,6 +539,8 @@ def _order_mismatch(order: Sequence[Sequence[bool]], join) -> tuple[int, int] | 
 def _check_meet(alg: Algebra, meet: BinTable) -> None:
     """Raise unless a stored meet table is the greatest lower bound."""
     labels, glb = alg.labels, alg.glb.values
+    if meet.values == glb:
+        return
     for i in range(alg.n):
         for j in range(alg.n):
             got, want = meet.values[i][j], glb[i][j]

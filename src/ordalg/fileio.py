@@ -56,14 +56,15 @@ _SLOT_OF_HEADER = {header: name for name, header in _HEADERS.items()}
 _ONCE = {"name:": "line", "elements:": "line", "order:": "block"}
 
 
-def _values(rows: list[list[int | None]], n: int, arity: int):
+def _values(rows: list[tuple[int | None, ...]], n: int, arity: int):
     """Nested table values from the rows of an ``op`` block: a binary table
     is its rows, a ternary one n blocks of n rows, block k fixing z = e_k,
     the order in which `serialize_algebra` writes them."""
     if arity == 2:
         return rows
-    return tuple(tuple(tuple(rows[k * n + i][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+    planes = [rows[k * n:(k + 1) * n] for k in range(n)]
+    # row i of every plane, then entry j of each of those rows
+    return tuple([tuple(zip(*rows_i)) for rows_i in zip(*planes)])
 
 
 _Line = tuple[int, str, list[str]]  # line number, text before '#', its tokens
@@ -80,7 +81,7 @@ def _lines(text: str) -> Iterator[_Line]:
     `element_count` both read a file through it, so they split lines, strip
     comments and split tokens alike."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.partition("#")[0]
+        content = raw.partition("#")[0] if "#" in raw else raw
         toks = content.split()
         if toks:
             yield no, content, toks
@@ -99,7 +100,7 @@ def parse_algebra(text: str) -> Algebra:
     index: dict[str, int] = {}
     order_pairs: list[tuple[int, int]] = []
     seen: set[str] = set()  # the heads of `_ONCE` read so far
-    blocks: dict[str, list[list[int | None]]] = {}
+    blocks: dict[str, list[tuple[int | None, ...]]] = {}
 
     pos = 1
     while pos < len(lines):
@@ -157,7 +158,7 @@ def parse_algebra(text: str) -> Algebra:
                 if len(row[2]) != n:
                     raise _error(f"row of '{kind}' needs {n} entries, got {len(row[2])}", row)
                 try:
-                    rows.append([cell[tok] for tok in row[2]])
+                    rows.append(tuple(map(cell.__getitem__, row[2])))
                 except KeyError as exc:
                     tok = exc.args[0]
                     message = (f"'{UNDEF_TOKEN}' not allowed in total table '{kind}'"

@@ -343,10 +343,12 @@ def _compile(terms: tuple) -> Callable[..., Iterator[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# join-semilattices with top: run where a join table enters, by
-# `core.build_algebra` on a given table and by `validate_join_semilattice`,
-# the jsl validator that gates every generated join; no other validator
-# runs them again
+# join-semilattices with top.  `core.build_algebra` accepts a join table
+# given without an order in one pass over its up-set masks, which holds
+# exactly when these rows do, and runs them only to name a failure (or,
+# the first three, on a table given with an order).  The jsl validator,
+# `validate_join_semilattice`, runs them on any algebra; no other
+# validator runs them again
 
 JOIN_LAWS = (
     term_law("join-idempotent", "x", "x v x = x"),
@@ -383,7 +385,9 @@ def _arrow_antitone(ix, le, iv, **_):  # x <= y implies y->z <= x->z
 
 NCIS_AXIOMS = (
     term_law("(1)", "x y", "y <= x -> y"),
-    # the meet is defined: y lies below both sides, by (1)
+    # the meet is defined: y lies below both sides, by (1).  (2) in turn
+    # forces y <= x -> y, since the meet it equates to y lies below x -> y,
+    # so (1) follows from (2)
     term_law("(2)", "x y", "(x v y) ^ (x -> y) = y"),
     term_law("(3)", "x y", "(x v y) -> y = x -> y"),
     # y <= (x v z) -> ((x v z) ^ (y v z)), the meet bounded by z

@@ -69,8 +69,10 @@ def ncis_from_ialgebra(alg: Algebra) -> Algebra:
 def validate_ialgebra(alg: Algebra) -> Report:
     """The ten ternary-meet identities; first violated identity in scan
     order is reported with its tuple.  The join laws are not run again: a
-    join table is checked when it is built (`core.build_algebra`), and a
-    generated one by the jsl validator before any class is derived from it.
+    given join table is accepted when it is built (`core.build_algebra`),
+    in one pass over its up-set masks, with the law rows run only to name
+    a failure, and a generated one is the least-upper-bound table of its
+    order.
 
     (1')  y <= x->y
     (2')  r(x, x->y, y) = y

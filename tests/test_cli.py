@@ -82,21 +82,32 @@ def test_check_fail_line(tmp_path, capsys):
     assert out.splitlines()[0] == "FAIL axiom=(2) witness=(b,a) lhs=b rhs=a"
 
 
-def test_check_runs_the_join_laws_once_when_the_file_is_read(tmp_path, monkeypatch, capsys):
-    """A sectioned file with a join table: the parse runs the join laws, and
-    the jsl step of the chain passes from it, with the validator's note."""
+def test_check_runs_the_join_laws_only_to_name_a_broken_join(tmp_path, monkeypatch, capsys):
+    """A sectioned file with a join table: the parse accepts the join by its
+    up-set masks and runs no join law row, and the jsl step of the chain
+    passes from it, with the validator's note.  A broken join is named by
+    the join law row it fails."""
     model = next(enumerate_models(SearchSpec(ClassTag.SECTIONED, 4)))
+    text = serialize_algebra(model)
     p = tmp_path / "sectioned.alg"
-    p.write_text(serialize_algebra(model), encoding="utf-8")
+    p.write_text(text, encoding="utf-8")
     calls = []
     real = core.evaluate
     monkeypatch.setattr(core, "evaluate",
                         lambda alg, rows, *a: calls.append(rows) or real(alg, rows, *a))
     assert main(["check", str(p), "--class", "sectioned"]) == 0
-    assert [rows for rows in calls if set(rows) & set(JOIN_LAWS)] == [JOIN_LAWS]
+    assert [rows for rows in calls if set(rows) & set(JOIN_LAWS)] == []
     out, err = capsys.readouterr()
     assert out == "PASS class=jsl\nPASS class=sectioned\n"
     assert err.splitlines()[0] == "join-semilattice laws hold"
+    # a v b := 1 keeps the order read off the table and breaks commutativity
+    assert "op join:\n  a a a 1\n" in text
+    p.write_text(text.replace("op join:\n  a a", "op join:\n  a 1", 1), encoding="utf-8")
+    assert main(["check", str(p), "--class", "sectioned"]) == 2
+    assert [rows for rows in calls if set(rows) & set(JOIN_LAWS)] == [JOIN_LAWS]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: not a join-semilattice: join-commutative at (a,b)\n"
 
 
 def test_check_inferred_class(fig1_rrs_file, capsys):

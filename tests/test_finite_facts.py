@@ -23,7 +23,13 @@ x v y = y is a partial order whose least upper bounds are the join, so a
 law that x v y is the least upper bound of the order read off the table
 cannot fail there.  Conversely the least upper bounds of the order of
 every jsl model up to size 7 are its join, so `build_algebra` checks no
-join law on a join table it derives from an order.  No map between the
+join law on a join table it derives from an order.  A join table given
+without an order is accepted in one pass over its up-set masks
+(`core._lub_top`), and the order checks and the `JOIN_LAWS` rows run only
+to name a failure: the mask test accepts exactly the tables that pass
+those checks, on every binary table up to size 3 and every single-cell
+edit of a jsl join table up to size 5, and so does an order and
+least-upper-bound oracle built from tests/oracles.py.  No map between the
 presentations changes the join table: each returns its input's join, so a
 join checked where it entered (by `build_algebra` on a given table) holds
 in every derived algebra, and the ialg and ralg validators do not check the
@@ -31,20 +37,35 @@ join laws again.  The search checks no join law either: it builds each join
 as the least upper bounds of its order, and tests/test_search.py checks
 every model it emits against its class validator, up to size 7 here and at
 size 8 with ``--check 8``.
+
+Sections need not be distributive, and the arrow alone shows it: the
+identities of ARROW_EVERYWHERE hold on every ialg model, those of
+ARROW_DISTRIBUTIVE exactly where every section is distributive, and those
+of ARROW_BOOLEAN exactly where every section is Boolean, up to size 7 here
+and at size 8 with ``--check 8``:
+
+    PYTHONPATH=src python tests/test_finite_facts.py --check 8
+
+One model settles a theorem: in ialg_5_8 the subalgebra b < a < 1 has a
+congruence that no congruence of the whole algebra restricts to, so the
+variety of I-algebras lacks the congruence extension property.
 """
 
+import argparse
 from collections import Counter
 from itertools import product
 
-from oracles import oracle_chain_holds, oracle_glb, oracle_lub
-from ordalg import (ClassTag, SearchSpec, TernTable, congruence, derive_implication,
-                    derive_residual_imp, derive_sections, enumerate_models,
-                    find_counterexample, ialgebra_from_ncis, ncis_from_ialgebra,
-                    ncis_from_rrs, project_to_class, ralgebra_from_rrs,
-                    rrs_from_ncis, rrs_from_ralgebra, section_shape_report,
-                    validate_ralgebra)
-from ordalg.core import glb_table, lub_table, order_from_join
-from ordalg.laws import evaluate, term_law
+from oracles import oracle_chain_holds, oracle_congruences, oracle_glb, oracle_lub
+from ordalg import (ClassTag, SearchSpec, StructureError, TernTable, build_algebra,
+                    congruence, derive_implication, derive_residual_imp, derive_sections,
+                    enumerate_models, find_counterexample, ialgebra_from_ncis,
+                    ncis_from_ialgebra, ncis_from_rrs, project_to_class,
+                    ralgebra_from_rrs, rrs_from_ncis, rrs_from_ralgebra,
+                    section_shape_report, validate_ralgebra)
+from ordalg.congruence import Partition
+from ordalg.core import (Algebra, BinTable, Universe, _lub_top, check_partial_order,
+                         default_labels, find_top, glb_table, lub_table, order_from_join)
+from ordalg.laws import JOIN_LAWS, evaluate, term_law
 from ordalg.search import _models
 
 
@@ -115,6 +136,68 @@ def test_the_lubs_of_every_jsl_order_are_its_join_up_to_size_7():
         assert lub_table(alg.leq, alg.labels).values == alg.join.values, alg.name
         models += 1
     assert models == 299
+
+
+def _checked_top(jv):
+    """The top, when the order read off a join table passes
+    `check_partial_order` and `find_top` and the table then passes every
+    `JOIN_LAWS` row, the checks `build_algebra` ran on every table before
+    the mask test; else None."""
+    labels = default_labels(len(jv))
+    le = order_from_join(jv)
+    try:
+        check_partial_order(le, labels)
+        top = find_top(le)
+    except StructureError:
+        return None
+    return top if evaluate(Algebra(Universe(labels, top), BinTable(jv, True)), JOIN_LAWS).ok \
+        else None
+
+
+def _oracle_top(jv):
+    """The top, when x <= y iff x v y = y is a partial order whose least
+    upper bounds (`oracle_lub`) are the table; else None."""
+    span = range(len(jv))
+    le = [[jv[x][y] == y for y in span] for x in span]
+    pairs = list(product(span, repeat=2))
+    if not (all(le[x][x] for x in span)
+            and all(x == y or not (le[x][y] and le[y][x]) for x, y in pairs)
+            and all(le[x][z] for x, y in pairs if le[x][y] for z in span if le[y][z])
+            and all(oracle_lub(le, x, y) == jv[x][y] for x, y in pairs)):
+        return None
+    return next(t for t in span if all(le[x][t] for x in span))
+
+
+def _mask_top(jv):
+    return _lub_top(jv, order_from_join(jv))
+
+
+def test_the_mask_test_accepts_exactly_the_checked_join_tables_up_to_size_3():
+    accepted = Counter()
+    for n in range(1, 4):
+        for flat in product(range(n), repeat=n * n):
+            jv = [flat[i * n:(i + 1) * n] for i in range(n)]
+            top = _mask_top(jv)
+            assert top == _checked_top(jv) == _oracle_top(jv), jv
+            accepted[n] += top is not None
+    # the chains and, at size 3, the two atoms below a top, in every labelling
+    assert [accepted[n] for n in (1, 2, 3)] == [1, 2, 9]
+
+
+def test_the_mask_test_agrees_with_the_checks_on_every_jsl_cell_edit_up_to_size_5():
+    edits = 0
+    for alg in _upto(ClassTag.JSL, 5):
+        jv = alg.join.values
+        assert _mask_top(jv) == _checked_top(jv) == _oracle_top(jv) == alg.top, alg.name
+        for i, j, v in product(range(alg.n), repeat=3):
+            if v != jv[i][j]:
+                edit = [list(row) for row in jv]
+                edit[i][j] = v
+                # an edit breaks idempotence on the diagonal, else commutativity
+                assert _mask_top(edit) is _checked_top(edit) is _oracle_top(edit) is None, \
+                    (alg.name, i, j, v)
+                edits += 1
+    assert edits == 1780
 
 
 def test_every_rrs_product_is_the_partial_meet_up_to_size_6():
@@ -209,8 +292,24 @@ ARROW_BOOLEAN = (
 )
 
 
+# the models with all sections distributive, and with all sections Boolean,
+# by size
+DISTRIBUTIVE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 13, 6: 37, 7: 114, 8: 369}
+BOOLEAN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 5, 8: 8}
+
+
 def _holds(alg, rows) -> list[bool]:
     return [evaluate(alg, (row,)).ok for row in rows]
+
+
+def _all_sections_distributive(alg) -> bool:
+    return all(section_shape_report(alg, b).distributive for b in range(alg.n))
+
+
+def _all_sections_boolean(alg) -> bool:
+    """Every section [b, 1] is Boolean: its pseudocomplement is an involution."""
+    pc = alg.pc.values
+    return all(pc[b][pc[b][y]] == y for b in range(alg.n) for y in alg.upsets[b])
 
 
 def test_k_and_exchange_hold_on_every_ialg_model_up_to_size_7():
@@ -223,20 +322,74 @@ def test_self_distributivity_and_hilbert_hold_exactly_with_distributive_sections
     section [b, 1] is distributive."""
     counts = Counter()
     for alg in _upto(ClassTag.IALG, 7):
-        distributive = all(section_shape_report(alg, b).distributive for b in range(alg.n))
+        distributive = _all_sections_distributive(alg)
         assert _holds(alg, ARROW_DISTRIBUTIVE) == [distributive] * 2, alg.name
         counts[alg.n] += distributive
-    assert [counts[n] for n in range(1, 8)] == [1, 1, 2, 5, 13, 37, 114]
+    assert all(counts[n] == DISTRIBUTIVE_COUNTS[n] for n in range(1, 8))
 
 
 def test_peirce_and_abbott_hold_exactly_with_boolean_sections():
     """Up to size 7 the arrow reduct is an implication algebra exactly when
-    every section [b, 1] is Boolean: its pseudocomplement is an
-    involution."""
+    every section [b, 1] is Boolean."""
     counts = Counter()
     for alg in _upto(ClassTag.IALG, 7):
-        pc = alg.pc.values
-        boolean = all(pc[b][pc[b][y]] == y for b in range(alg.n) for y in alg.upsets[b])
+        boolean = _all_sections_boolean(alg)
         assert _holds(alg, ARROW_BOOLEAN) == [boolean] * 2, alg.name
         counts[alg.n] += boolean
-    assert [counts[n] for n in range(1, 8)] == [1, 1, 1, 2, 2, 3, 5]
+    assert all(counts[n] == BOOLEAN_COUNTS[n] for n in range(1, 8))
+
+
+def arrow_fact_faults(n: int) -> tuple[list[str], int, int]:
+    """The size-n ialg models that break one of the three arrow facts
+    above, and the counts of models whose sections are all distributive and
+    all Boolean."""
+    faults, distributive, boolean = [], 0, 0
+    for alg in enumerate_models(SearchSpec(ClassTag.IALG, n)):
+        d, b = _all_sections_distributive(alg), _all_sections_boolean(alg)
+        want = [True, True] + [d] * len(ARROW_DISTRIBUTIVE) + [b] * len(ARROW_BOOLEAN)
+        if _holds(alg, ARROW_EVERYWHERE + ARROW_DISTRIBUTIVE + ARROW_BOOLEAN) != want:
+            faults.append(alg.name)
+        distributive += d
+        boolean += b
+    return faults, distributive, boolean
+
+
+def test_ialg_5_8_is_a_counterexample_to_the_congruence_extension_property():
+    """The subalgebra b < a < 1 of ialg_5_8, closed under join, arrow and
+    r, has the congruence {a, 1}{b}, and no congruence of the whole algebra
+    restricts to it.  So the variety of I-algebras lacks CEP, and with it
+    equationally definable principal congruences, which imply CEP."""
+    alg = next(m for m in _models(ClassTag.IALG, 5) if m.name == "ialg_5_8")
+    sub = tuple(alg.index[lab] for lab in ("b", "a", "1"))
+    assert [[alg.leq[x][y] for y in sub] for x in sub] == [[True] * 3, [False, True, True],
+                                                          [False, False, True]]
+    jv, iv, rv = alg.join.values, alg.imp.values, alg.r.values
+    assert all(jv[x][y] in sub and iv[x][y] in sub for x, y in product(sub, repeat=2))
+    assert all(rv[x][y][z] in sub for x, y, z in product(sub, repeat=3))
+    at = sub.index
+    small = build_algebra(("b", "a", "1"), tables={
+        "join": [[at(jv[x][y]) for y in sub] for x in sub],
+        "imp": [[at(iv[x][y]) for y in sub] for x in sub],
+        "r": [[[at(rv[x][y][z]) for z in sub] for y in sub] for x in sub]})
+    theta = Partition.from_blocks(3, [(1, 2)])  # {a, 1}{b}
+    assert theta in oracle_congruences(small)
+    restricted = {tuple(con.relates(x, y) for x, y in product(sub, repeat=2))
+                  for con in oracle_congruences(alg)}
+    assert tuple(theta.relates(x, y) for x, y in product(range(3), repeat=2)) \
+        not in restricted
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", type=int, nargs="+", metavar="SIZE", required=True,
+                        help="check the arrow identities on every ialg model of these sizes")
+    args = parser.parse_args()
+    failed = False
+    for n in args.check:
+        faults, distributive, boolean = arrow_fact_faults(n)
+        bad = bool(faults) or (distributive, boolean) != (DISTRIBUTIVE_COUNTS.get(n),
+                                                           BOOLEAN_COUNTS.get(n))
+        failed |= bad
+        print(f"size {n} {'FAILS' if bad else 'ok'} distributive={distributive} "
+              f"boolean={boolean}", *faults[:5], sep="\n  ")
+    raise SystemExit(1 if failed else 0)

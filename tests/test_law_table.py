@@ -117,26 +117,38 @@ def test_import_compiles_no_law_text_and_a_row_compiles_once():
         import ordalg, ordalg.cli
         from ordalg import laws, parse_algebra, validate_ialgebra
         print(laws._row.cache_info().misses)
-        alg = parse_algebra(open(0).read())
+        text = open(0).read()
+        alg = parse_algebra(text)
+        print(laws._row.cache_info().misses)
         validate_ialgebra(alg)
         first = laws._row.cache_info()
         validate_ialgebra(alg)
         validate_ialgebra(alg)
         again = laws._row.cache_info()
         print(first.misses, again.misses, again.hits - first.hits)
+        try:  # a v b := 1 keeps the order and breaks commutativity
+            parse_algebra(text.replace("op join:\\n  a a 1", "op join:\\n  a 1 1", 1))
+        except ordalg.ParseError as exc:
+            print(laws._row.cache_info().misses)
+            print(exc)
     """)
     text = serialize_algebra(next(enumerate_models(SearchSpec(ClassTag.IALG, 3))))
+    assert "op join:\n  a a 1\n  a b 1\n" in text
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     out = subprocess.run([sys.executable, "-c", script], input=text, env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
-    at_import, first, again, hits = map(int, out)
-    rows = JOIN_LAWS + IALG_IDENTITIES
-    assert at_import == 0
-    # parsing plans the join laws, validating the ialg rows; nothing twice,
-    # and the ialg validator runs only its identities
-    assert first == len(set(rows)) == again
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    at_import, parsed = map(int, out[:2])
+    first, again, hits = map(int, out[2].split())
+    broken = int(out[3])
+    assert at_import == parsed == 0
+    # a valid join table is accepted by its up-set masks, so parsing
+    # compiles no row; validating compiles the ialg rows, none twice
+    assert first == len(set(IALG_IDENTITIES)) == again
     assert hits == 2 * len(IALG_IDENTITIES)
+    # a broken join compiles the join rows, to name the row it fails
+    assert broken == first + len(set(JOIN_LAWS))
+    assert out[4] == "not a join-semilattice: join-commutative at (a,b)"
 
 
 def test_evaluate_supplies_every_table_a_row_names(fig1_rrs):
