@@ -129,15 +129,11 @@ def cmd_derive(args) -> int:
         print(rep.fail_line())
         print(f"input is not a valid {source.value} algebra", file=sys.stderr)
         return 1
-    # the output carries the tables of the map's target class only: an input
-    # of another class may bring tables the map does not read
+    # the paper proves that each map lands in its target class, so the output
+    # is not validated (tests/test_search.py checks it on every model, to
+    # size 8 with ``--check 8``).  It carries the tables of the target class
+    # only: an input of another class may bring tables the map does not read
     text = serialize_algebra(project_to_class(mapper(alg), target))
-    reparsed = parse_algebra(text)
-    rep = VALIDATORS[target](reparsed)
-    if not rep.ok:
-        print(rep.fail_line())
-        print("derived output failed target validation", file=sys.stderr)
-        return 1
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")

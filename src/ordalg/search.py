@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Iterator, NamedTuple
 
 from .congruence import maltsev_report
@@ -115,50 +114,32 @@ def _flat_tables(alg: Algebra, new_of_old: list[int]) -> tuple:
 
 
 def _candidate_perms(alg: Algebra) -> list[list[int]]:
-    """The relabelings fixing the top that can give the least flat tables.
+    """The relabelings fixing the top that can give the least flat tables
+    of a join-semilattice.
 
     Row 0 of the relabeled join table is 0 exactly where the element at
-    position 0 absorbs the element there (x v a = a).  So the least tables
-    put at 0 an idempotent element a that absorbs the most other non-top
-    elements, and those elements next, at positions 1..m; every other
-    relabeling loses on the leading zeros of row 0.
-
-    If a v x is a or the top for every x and every such a, row 0 is the
-    same in every relabeling that starts with a.  That holds in every jsl:
-    a has the largest down-set below the top, so a v x above a is the top.
-    Then only the a whose rows 0 are least are kept, and the candidates are
+    position 0 absorbs the element there (x v a = a).  In a jsl every
+    element is idempotent, so the least tables put at 0 an element a that
+    absorbs the most other non-top elements, which is one with the largest
+    down-set below the top, and those elements next, at positions 1..m;
+    every other relabeling loses on the leading zeros of row 0.  Row 0 is
+    then the same for every such a: a v x above a is the top, since no
+    element below the top has a larger down-set.  So the candidates are
     the relabelings with the least row 1 (`_least_row1`): each column's
     element is placed when its cell is reached, each new join at the next
     free position of its pool, and after each cell only the partial
-    labellings with the least value stay.  Otherwise (a raw table, or one
-    with no idempotent element) every relabeling with the leading zeros of
-    row 0 is a candidate.
+    labellings with the least value stay.  tests/test_finite_facts.py
+    checks both facts on every jsl model.
     """
     n, top = alg.n, alg.top
+    if n == 1:
+        return [[0]]
     jv = alg.join.values
     others = [x for x in range(n) if x != top]
-    absorbed = {a: [x for x in others if x != a and jv[a][x] == a]
-                for a in others if jv[a][a] == a}
-    if not absorbed:  # no element below the top (the 1-element jsl), or none idempotent
-        return [_perm((*order, top)) for order in permutations(others)]
+    absorbed = {a: [x for x in others if x != a and jv[a][x] == a] for a in others}
     most = max(map(len, absorbed.values()))
-    pools = {a: (below, [x for x in others if x != a and x not in below])
-             for a, below in absorbed.items() if len(below) == most}
-    if any(v != a and v != top for a in pools for v in jv[a]):
-        return [_perm((a, *lo, *hi, top)) for a, (below, rest) in pools.items()
-                for lo in permutations(below) for hi in permutations(rest)]
-    row0 = {a: tuple(0 if jv[a][x] == a else n - 1 for x in (a, *below, *rest, top))
-            for a, (below, rest) in pools.items()}
-    least = min(row0.values())
-    return _least_row1(jv, top, {a: p for a, p in pools.items() if row0[a] == least})
-
-
-def _perm(order: tuple[int, ...]) -> list[int]:
-    """The relabeling that puts ``order[i]`` at position i."""
-    p = [0] * len(order)
-    for pos, elem in enumerate(order):
-        p[elem] = pos
-    return p
+    return _least_row1(jv, top, {a: (below, [x for x in others if x != a and x not in below])
+                                 for a, below in absorbed.items() if len(below) == most})
 
 
 def _least_row1(jv: tuple[tuple[int, ...], ...], top: int,
@@ -241,7 +222,10 @@ def _canonical_search(alg: Algebra) -> tuple[tuple, list[int]]:
 
 
 def canonical_key(alg: Algebra) -> tuple:
-    """Isomorphism-invariant key: size, table presence, least flat tables."""
+    """Isomorphism-invariant key: size, table presence, least flat tables.
+
+    The algebra's join table must be that of a join-semilattice with top:
+    any table `build_algebra` accepts or a map derives."""
     presence = tuple(name for name, _ in alg.tables())
     best, _ = _canonical_search(alg)
     return (alg.n, presence, best)

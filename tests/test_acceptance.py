@@ -208,7 +208,7 @@ def test_criterion_6_identity_equivalence_sweep():
     for jsl in _all_models("jsl", 5):
         for cand in _arrow_candidates(jsl):
             candidates += 1
-            ident = validate_rrs_identities(cand)  # raises on disagreement
+            ident = validate_rrs_identities(cand)  # the base rows, then (17)-(19)
             if ident.ok != evaluate(cand, ADJOINTNESS).ok:
                 disagreements.append(cand.name)
     elapsed = time.perf_counter() - t0

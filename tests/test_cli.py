@@ -156,7 +156,7 @@ def test_unknown_flag_exits_2(fig1_ncis_file):
     assert exc.value.code == 2
 
 
-def test_derive_output_revalidates(tmp_path, capsys):
+def test_derive_I_prints_the_meet_and_the_arrow_of_an_order(tmp_path, capsys):
     p = tmp_path / "fig2o.alg"
     p.write_text(FIG2_ORDER_SRC, encoding="utf-8")
     assert main(["derive", str(p), "--map", "I"]) == 0

@@ -48,7 +48,16 @@ and at size 8 with ``--check 8``:
 
 One model settles a theorem: in ialg_5_8 the subalgebra b < a < 1 has a
 congruence that no congruence of the whole algebra restricts to, so the
-variety of I-algebras lacks the congruence extension property.
+variety of I-algebras lacks the congruence extension property (CEP).  Up
+to size 6 CEP holds exactly on the models whose sections are all
+distributive.
+
+In every jsl model every element is idempotent, and the row of the join at
+an element with the largest down-set below the top holds only that element
+and the top, so the key search (`search._candidate_perms`) needs no other
+case.  The i-th ialg and ralg models of a size have the same join and
+arrow, and q equals r cell for cell, since the rrs product is the meet.
+Both are checked up to size 7 here and at size 8 with ``--check 8``.
 """
 
 import argparse
@@ -354,35 +363,111 @@ def arrow_fact_faults(n: int) -> tuple[list[str], int, int]:
     return faults, distributive, boolean
 
 
+def _closed(alg, sub) -> bool:
+    """Whether the elements ``sub`` are closed under join, arrow and r."""
+    inside = set(sub)
+    jv, iv, rv = alg.join.values, alg.imp.values, alg.r.values
+    return all(jv[x][y] in inside and iv[x][y] in inside for x, y in product(sub, repeat=2)) \
+        and all(rv[x][y][z] in inside for x, y, z in product(sub, repeat=3))
+
+
+def _subalgebra(alg, sub):
+    """The subalgebra on the elements ``sub``, closed under join, arrow and
+    r, with its own tables; element i of it is sub[i]."""
+    jv, iv, rv, at = alg.join.values, alg.imp.values, alg.r.values, sub.index
+    return build_algebra([alg.label(x) for x in sub], tables={
+        "join": [[at(jv[x][y]) for y in sub] for x in sub],
+        "imp": [[at(iv[x][y]) for y in sub] for x in sub],
+        "r": [[[at(rv[x][y][z]) for z in sub] for y in sub] for x in sub]})
+
+
+def _relation(con, elements) -> tuple[bool, ...]:
+    """The pairs of ``elements`` that the congruence relates."""
+    return tuple(con.relates(x, y) for x, y in product(elements, repeat=2))
+
+
+def _cep_failures(alg):
+    """(subuniverse, congruence of the subalgebra) for each congruence of a
+    subalgebra that no congruence of the whole algebra restricts to, from
+    the definitions: every set of elements closed under the operations
+    (each holds the top, x -> x) and `oracle_congruences`."""
+    cons = oracle_congruences(alg)
+    for mask in range(1, 1 << alg.n):
+        sub = tuple(x for x in range(alg.n) if mask >> x & 1)
+        if not _closed(alg, sub):
+            continue
+        restricted = {_relation(con, sub) for con in cons}
+        for theta in oracle_congruences(_subalgebra(alg, sub)):
+            if _relation(theta, range(len(sub))) not in restricted:
+                yield sub, theta
+
+
 def test_ialg_5_8_is_a_counterexample_to_the_congruence_extension_property():
     """The subalgebra b < a < 1 of ialg_5_8, closed under join, arrow and
     r, has the congruence {a, 1}{b}, and no congruence of the whole algebra
     restricts to it.  So the variety of I-algebras lacks CEP, and with it
     equationally definable principal congruences, which imply CEP."""
     alg = next(m for m in _models(ClassTag.IALG, 5) if m.name == "ialg_5_8")
-    sub = tuple(alg.index[lab] for lab in ("b", "a", "1"))
-    assert [[alg.leq[x][y] for y in sub] for x in sub] == [[True] * 3, [False, True, True],
+    sub = tuple(alg.index[lab] for lab in ("a", "b", "1"))
+    assert sub == tuple(sorted(sub))
+    assert [[alg.leq[x][y] for y in sub] for x in sub] == [[True, False, True], [True] * 3,
                                                           [False, False, True]]
-    jv, iv, rv = alg.join.values, alg.imp.values, alg.r.values
-    assert all(jv[x][y] in sub and iv[x][y] in sub for x, y in product(sub, repeat=2))
-    assert all(rv[x][y][z] in sub for x, y, z in product(sub, repeat=3))
-    at = sub.index
-    small = build_algebra(("b", "a", "1"), tables={
-        "join": [[at(jv[x][y]) for y in sub] for x in sub],
-        "imp": [[at(iv[x][y]) for y in sub] for x in sub],
-        "r": [[[at(rv[x][y][z]) for z in sub] for y in sub] for x in sub]})
-    theta = Partition.from_blocks(3, [(1, 2)])  # {a, 1}{b}
-    assert theta in oracle_congruences(small)
-    restricted = {tuple(con.relates(x, y) for x, y in product(sub, repeat=2))
-                  for con in oracle_congruences(alg)}
-    assert tuple(theta.relates(x, y) for x, y in product(range(3), repeat=2)) \
-        not in restricted
+    assert _closed(alg, sub)
+    theta = Partition.from_blocks(3, [(0, 2)])  # {a, 1}{b}
+    assert theta in oracle_congruences(_subalgebra(alg, sub))
+    assert (sub, theta) in list(_cep_failures(alg))
+
+
+def test_cep_holds_exactly_with_distributive_sections_up_to_size_6():
+    counts = Counter()
+    for alg in _upto(ClassTag.IALG, 6):
+        cep = next(_cep_failures(alg), None) is None
+        assert cep == _all_sections_distributive(alg), alg.name
+        counts[alg.n] += cep
+    assert all(counts[n] == DISTRIBUTIVE_COUNTS[n] for n in range(1, 7))
+
+
+def jsl_join_faults(n: int) -> list[str]:
+    """The size-n jsl models with an element that is not idempotent, or
+    with a value other than a and the top in the row of the join at an
+    element a with the largest down-set below the top."""
+    faults = []
+    for alg in enumerate_models(SearchSpec(ClassTag.JSL, n)):
+        span, jv, top = range(alg.n), alg.join.values, alg.top
+        faults += [f"{alg.name}: {alg.label(x)} v {alg.label(x)}" for x in span if jv[x][x] != x]
+        down = {a: sum(alg.leq[x][a] for x in span) for a in span if a != top}
+        most = max(down.values(), default=0)
+        faults += [f"{alg.name}: row {alg.label(a)}" for a, size in down.items()
+                   if size == most and set(jv[a]) - {a, top}]
+    return faults
+
+
+def q_equals_r_faults(n: int) -> list[str]:
+    """The size-n ialg and ralg models paired by position whose join,
+    arrow, or r and q tables differ, and a count that differs."""
+    ialg = list(enumerate_models(SearchSpec(ClassTag.IALG, n)))
+    ralg = list(enumerate_models(SearchSpec(ClassTag.RALG, n)))
+    faults = [] if len(ialg) == len(ralg) else [f"{len(ialg)} ialg, {len(ralg)} ralg"]
+    return faults + [f"{a.name} {b.name}" for a, b in zip(ialg, ralg)
+                     if (a.join.values, a.imp.values, a.r.values)
+                     != (b.join.values, b.imp.values, b.q.values)]
+
+
+def test_jsl_elements_are_idempotent_and_rows_at_the_largest_down_sets_hold_a_and_the_top():
+    for n in range(1, 8):
+        assert jsl_join_faults(n) == [], n
+
+
+def test_q_equals_r_on_the_paired_ialg_and_ralg_models_up_to_size_7():
+    for n in range(1, 8):
+        assert q_equals_r_faults(n) == [], n
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", type=int, nargs="+", metavar="SIZE", required=True,
-                        help="check the arrow identities on every ialg model of these sizes")
+                        help="check the arrow identities and q = r on every ialg and ralg "
+                             "model, and the join rows of every jsl model, of these sizes")
     args = parser.parse_args()
     failed = False
     for n in args.check:
@@ -392,4 +477,8 @@ if __name__ == "__main__":
         failed |= bad
         print(f"size {n} {'FAILS' if bad else 'ok'} distributive={distributive} "
               f"boolean={boolean}", *faults[:5], sep="\n  ")
+        for what, check in (("q = r", q_equals_r_faults), ("jsl join rows", jsl_join_faults)):
+            faults = check(n)
+            failed |= bool(faults)
+            print(f"size {n} {what} {'FAILS' if faults else 'ok'}", *faults[:5], sep="\n  ")
     raise SystemExit(1 if failed else 0)

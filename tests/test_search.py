@@ -1,21 +1,28 @@
 """Tests of the exhaustive search.
 
-The search validates no model it derives: the paper proves that each map
-lands in its class.  `test_emitted_models_pass_their_validators` checks
-that every emitted model up to size 7 passes its class validator, and
-every rrs model the bridge rows of `rrs_from_ncis`.
+Neither the search nor `ordalg derive` validates a model it derives: the
+paper proves that each map lands in its class.
+`test_emitted_models_pass_their_validators` checks that every emitted model
+up to size 7 passes its class validator, every rrs model the bridge rows of
+`rrs_from_ncis`, and that what `derive` prints for every model of a map's
+source class, read back, passes the map's target validator.  Inputs of
+other classes are fed to `derive` too: every model of every class up to
+size 5, and a relabeling of each, under every map whose source check it
+passes.
 
 The generator keeps only the natural labellings whose (down-set size,
 strict down-set mask) pairs never decrease below the top.  Up to size 5
 its output is checked against the brute-force orders filtered by that
 rule, and its yield is pinned (`LABELLINGS`); the grouping form is checked
 on every natural labelling up to size 6, from an enumerator in
-``oracles.py``.  The key search is checked against every relabeling, and
-the number of relabelings it flattens is pinned (`FLATTENED`).
+``oracles.py``.  The key search is checked against every relabeling, on
+the models of four classes and a relabeling of each, and the number of
+relabelings it flattens is pinned (`FLATTENED`).
 
 Size 8 takes about ten seconds more and is checked on its own with
 ``PYTHONPATH=src python tests/test_search.py --check 8``: the yield of the
-generator and the flattened count, then every model of every class.
+generator and the flattened count, then every model of every class and
+every output of `derive` on it.
 """
 
 import argparse
@@ -27,14 +34,14 @@ from conftest import idx
 from oracles import (brute_jsl_matrices, count_iso_classes, isomorphic,
                      natural_jsl_downmasks, oracle_arrow_tables, oracle_is_sectioned,
                      oracle_least_tables, perm_iso_orders)
-from ordalg import (Algebra, BinTable, ClassTag, SearchSpec, Universe,
+from ordalg import (ClassTag, SearchSpec, StructureError,
                     build_algebra, canonical_form, canonical_key, count_models,
                     default_labels, enumerate_models, find_counterexample,
-                    project_to_class, relabel,
+                    parse_algebra, project_to_class, relabel, serialize_algebra,
                     section_shape_report, validate_ialgebra, validate_ncis,
                     validate_ralgebra, validate_rrs, validate_sectioned,
                     validate_srs, validate_join_semilattice)
-from ordalg import core, search
+from ordalg import cli, core, search
 from ordalg.laws import DIVISIBLE, PROD_ARROW_BOUND, PROD_IDEMPOTENT, evaluate
 
 TIER1_MAX_SIZE = 7
@@ -94,14 +101,28 @@ _CHECKS = {
 _BRIDGE_ROWS = DIVISIBLE + PROD_IDEMPOTENT + PROD_ARROW_BOUND
 
 
+def derive_fault(alg, code: str) -> str | None:
+    """How the output `ordalg derive --map <code>` prints for the algebra,
+    read back, fails the map's target validator, or None.  The input must
+    pass the map's source check, as `derive` demands."""
+    _, target, mapper = cli._MAPS[code]
+    out = parse_algebra(serialize_algebra(project_to_class(mapper(alg), target)))
+    rep = _CHECKS[target.value](out)
+    return None if rep.ok else f"{alg.name} --map {code}: {rep.fail_line()}"
+
+
 def emitted_model_faults(tag: str, n: int) -> list[str]:
     """How the models the search emits for class ``tag`` at size n break
     their class: a failing validator or, for rrs, a failing bridge row, a
-    wrong class or a wrong name.  Empty when every model is sound."""
+    wrong class or a wrong name; and how the output of each map from the
+    class breaks the map's target class.  Empty when every model is
+    sound."""
     faults = []
+    codes = [code for code, (source, _, _) in cli._MAPS.items() if source.value == tag]
     for m in enumerate_models(spec(tag, n)):
         reps = [_CHECKS[tag](m)] + ([evaluate(m, _BRIDGE_ROWS)] if tag == "rrs" else [])
         faults += [f"{m.name}: {rep.fail_line()}" for rep in reps if not rep.ok]
+        faults += filter(None, (derive_fault(m, code) for code in codes))
         # an srs model has the tables of an rrs and reads as one
         if m.class_tag != ClassTag("rrs" if tag == "srs" else tag):
             faults.append(f"{m.name}: reads as {m.class_tag.value}")
@@ -114,6 +135,34 @@ def test_emitted_models_pass_their_validators():
     for tag in _CHECKS:
         for n in range(1, TIER1_MAX_SIZE + 1):
             assert emitted_model_faults(tag, n) == [], (tag, n)
+
+
+# the (input, map) pairs that test feeds: every model of every class up to
+# size 5 and a relabeling of each, under every map whose source check the
+# input passes
+FED = 1058
+
+
+def test_derive_lands_in_the_target_class_from_every_class():
+    """An input of another class that passes a map's source check, say a
+    ralg model under S, also lands in the target class."""
+    rng = random.Random(11)
+    fed = 0
+    for tag in _CHECKS:
+        for n in range(1, 6):
+            for m in enumerate_models(spec(tag, n)):
+                p = list(range(m.n - 1))
+                rng.shuffle(p)
+                for alg in (m, relabel(m, p + [m.top])):
+                    for code, (source, _, _) in cli._MAPS.items():
+                        try:
+                            accepted = _CHECKS[source.value](alg).ok
+                        except StructureError:  # a table the source class reads is missing
+                            accepted = False
+                        if accepted:
+                            assert derive_fault(alg, code) is None
+                            fed += 1
+    assert fed == FED, fed
 
 
 def test_emitted_models_are_canonical_and_distinct():
@@ -255,25 +304,6 @@ def test_canonical_key_matches_brute_force_over_all_relabelings():
         rng.shuffle(p)
         for alg in (m, relabel(m, p)):
             assert canonical_key(alg)[2] == oracle_least_tables(alg)
-    # raw tables the constructors reject, most with an idempotent diagonal
-    # and rows heavy in the top, so that row 0 is often the same in every
-    # candidate and several elements can take position 0; in the first,
-    # a = 1 and a = 2 both absorb nothing, and only a = 1 gives the least row 0
-    raw = [(0, ((0, 0, 0), (1, 1, 0), (0, 0, 2)))]
-    for _ in range(2000):
-        n = rng.randint(1, 5)
-        top = rng.randrange(n)
-        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.8:
-            for x in range(n):
-                rows[x][x] = x
-        heavy = rng.random() * 0.9
-        raw.append((top, tuple(tuple(top if rng.random() < heavy else v for v in row)
-                               for row in rows)))
-    for top, rows in raw:
-        n = len(rows)
-        alg = Algebra(Universe(default_labels(n), top), BinTable(rows, total=True))
-        assert canonical_key(alg)[2] == oracle_least_tables(alg), (top, rows)
 
 
 # labelled structures the generator yields at a size, and relabelings the
