@@ -460,10 +460,11 @@ def _holder(symbol, alg):
 
 @functools.lru_cache(maxsize=None)
 def _read_term_text(text, variables):
-    """(lhs, relation, rhs) of a check, each side a tree: ("var", name),
-    ("1",), or (symbol, argument, ...).  Loosest first: "->" to the
-    right, then "v", "^" and "." to the left."""
-    tokens = re.findall(r"->|<=|[A-Za-z0-9]+|\S", text)
+    """The comparisons of a check, its premises first: each (lhs, relation,
+    rhs) with each side a tree: ("var", name), ("1",), or (symbol,
+    argument, ...).  Loosest first: "->" to the right, then "v", "^" and
+    "." to the left.  Premises are comparisons joined by "," before "=>"."""
+    tokens = re.findall(r"->|<=|=>|[A-Za-z0-9]+|\S", text)
     at = 0
 
     def take(want=None):
@@ -510,15 +511,24 @@ def _read_term_text(text, variables):
         assert tok in variables, (text, tok)
         return ("var", tok)
 
+    def comparison():
+        lhs = arrow()
+        rel = take()
+        assert rel in ("=", "<="), text
+        return lhs, rel, arrow()
+
     prod = left_assoc(".", atom)
     meet = left_assoc("^", prod)
     join = left_assoc("v", meet)
-    lhs = arrow()
-    rel = take()
-    assert rel in ("=", "<="), text
-    rhs = arrow()
-    assert peek() is None, text
-    return lhs, rel, rhs
+    comparisons = [comparison()]
+    while peek() == ",":
+        take()
+        comparisons.append(comparison())
+    if peek() == "=>":
+        take()
+        comparisons.append(comparison())
+    assert peek() is None and (len(comparisons) == 1 or "=>" in tokens), text
+    return tuple(comparisons)
 
 
 def term_law_tables(law, alg):
@@ -534,20 +544,22 @@ def term_law_tables(law, alg):
                 walk(arg)
 
     for text, _ in checks:
-        lhs, rel, rhs = _read_term_text(text, tuple(variables.split()))
-        if rel == "<=":
-            symbols.add(rel)
-        walk(lhs)
-        walk(rhs)
+        for lhs, rel, rhs in _read_term_text(text, tuple(variables.split())):
+            if rel == "<=":
+                symbols.add(rel)
+            walk(lhs)
+            walk(rhs)
     return {_holder(symbol, alg) for symbol in symbols}
 
 
 def interpret_term_law(law, alg):
     """Every violation of a `term_law` row on the algebra, in order, read
     from its ``terms`` alone: each tuple of the row's variables in
-    lexicographic order, and on it the first check whose sides differ (for
-    "=") or are not in order (for "<="), as (witness, lhs, rhs, note).  A
-    side is an element index, or None where "^" or "." is undefined."""
+    lexicographic order, and on it the first check whose premises all hold
+    and whose sides differ (for "=") or are not both defined and in order
+    (for "<="), as (witness, lhs, rhs, note).  A side is an element index,
+    or None where "^" or "." is undefined or a table is read at an
+    undefined argument."""
     variables, checks = law.terms
     names = variables.split()
 
@@ -555,28 +567,42 @@ def interpret_term_law(law, alg):
         held = getattr(alg, _holder(symbol, alg))
         return held if symbol == "<=" else held.values
 
-    # a side as a function of the tuple, which evaluates it afresh on every
-    # call: no subterm is shared between sides, checks or tuples
+    # a side as a function of the tuple, built once per row, which
+    # evaluates it afresh on every call: no subterm is shared between
+    # sides, checks or tuples
     def side(tree):
         if tree[0] == "var":
             return itemgetter(names.index(tree[1]))
         if tree[0] == "1":
             return lambda witness: alg.top
         values, args = table(tree[0]), [side(arg) for arg in tree[1:]]
-        if len(args) == 2:
-            a, b = args
-            return lambda witness: values[a(witness)][b(witness)]
-        a, b, c = args
-        return lambda witness: values[a(witness)][b(witness)][c(witness)]
+
+        def lookup(witness):
+            cell = values
+            for arg in args:
+                at = arg(witness)
+                if at is None:
+                    return None
+                cell = cell[at]
+            return cell
+        return lookup
+
+    leq = alg.leq
+
+    def holds(left, rel, right):
+        if rel == "=":  # equal, or both undefined
+            return left == right
+        return left is not None and right is not None and leq[left][right]
 
     parsed = []
     for text, note in checks:
-        lhs, rel, rhs = _read_term_text(text, tuple(names))
-        parsed.append((side(lhs), rel == "=", side(rhs), note))
-    leq = alg.leq
+        *premises, (lhs, rel, rhs) = [(side(left), rel, side(right)) for left, rel, right
+                                      in _read_term_text(text, tuple(names))]
+        parsed.append((premises, lhs, rel, rhs, note))
     for witness in product(range(alg.n), repeat=len(names)):
-        for lhs, equation, rhs, note in parsed:
-            left, right = lhs(witness), rhs(witness)
-            if left != right if equation else not leq[left][right]:
-                yield witness, left, right, note
-                break
+        for premises, lhs, rel, rhs, note in parsed:
+            if all(holds(p(witness), r, q(witness)) for p, r, q in premises):
+                left, right = lhs(witness), rhs(witness)
+                if not holds(left, rel, right):
+                    yield witness, left, right, note
+                    break

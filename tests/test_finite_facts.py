@@ -66,9 +66,9 @@ from itertools import product
 
 from oracles import oracle_chain_holds, oracle_congruences, oracle_glb, oracle_lub
 from ordalg import (ClassTag, SearchSpec, StructureError, TernTable, build_algebra,
-                    congruence, derive_implication, derive_residual_imp, derive_sections,
-                    enumerate_models, find_counterexample, ialgebra_from_ncis,
-                    ncis_from_ialgebra, ncis_from_rrs, project_to_class,
+                    congruence, congruence_lattice, derive_implication, derive_residual_imp,
+                    derive_sections, enumerate_models, find_counterexample,
+                    ialgebra_from_ncis, ncis_from_ialgebra, ncis_from_rrs, project_to_class,
                     ralgebra_from_rrs, rrs_from_ncis, rrs_from_ralgebra,
                     section_shape_report, validate_ralgebra)
 from ordalg.congruence import Partition
@@ -425,6 +425,36 @@ def test_cep_holds_exactly_with_distributive_sections_up_to_size_6():
         assert cep == _all_sections_distributive(alg), alg.name
         counts[alg.n] += cep
     assert all(counts[n] == DISTRIBUTIVE_COUNTS[n] for n in range(1, 7))
+
+
+def _mp_closed_sets(alg) -> set[int]:
+    """The sets of elements holding the top and closed under modus ponens
+    (x and x -> y in the set put y in it), as bitmasks."""
+    iv, span = alg.imp.values, range(alg.n)
+    return {m for m in range(1 << alg.n) if m >> alg.top & 1
+            and all(m >> y & 1 for x in span if m >> x & 1 for y in span if m >> iv[x][y] & 1)}
+
+
+def _one_classes(alg) -> set[int]:
+    """The classes of the top under the congruences, as bitmasks."""
+    return {con.classes[alg.top] for con in congruence_lattice(alg).congruences}
+
+
+def test_the_1_classes_are_the_mp_closed_sets_exactly_with_distributive_sections():
+    """Every class of the top is closed under modus ponens: x theta 1 and
+    x->y theta 1 give y = 1->y theta x->y theta 1.  Up to size 7 every such
+    set holding the top is a class of the top exactly when every section
+    [b, 1] is distributive.  In ialg_5_8, {a, 1} is closed but no class."""
+    counts = Counter()
+    for alg in _upto(ClassTag.IALG, 7):
+        ones, closed = _one_classes(alg), _mp_closed_sets(alg)
+        assert ones <= closed, alg.name
+        assert (ones == closed) == _all_sections_distributive(alg), alg.name
+        counts[alg.n] += ones == closed
+    assert all(counts[n] == DISTRIBUTIVE_COUNTS[n] for n in range(1, 8))
+    alg = next(m for m in _models(ClassTag.IALG, 5) if m.name == "ialg_5_8")
+    a_and_top = 1 << alg.index["a"] | 1 << alg.top
+    assert a_and_top in _mp_closed_sets(alg) - _one_classes(alg)
 
 
 def jsl_join_faults(n: int) -> list[str]:

@@ -10,20 +10,32 @@ import re
 import subprocess
 import sys
 import textwrap
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import ordalg
-from ordalg import (ClassTag, SearchSpec, StructureError, enumerate_models,
+from oracles import interpret_term_law
+from ordalg import (BinTable, ClassTag, SearchSpec, StructureError, enumerate_models,
                     ialgebra_from_ncis, laws, ralgebra_from_rrs, serialize_algebra)
-from ordalg.laws import IALG_IDENTITIES, JOIN_LAWS
+from ordalg.laws import IALG_IDENTITIES, JOIN_LAWS, RRS_BASE, RRS_IDENTITIES
 
 SRC = Path(ordalg.__file__).parent
 REPORT_CALL = re.compile(r"Report\.(failing|passing)\(")
 # every tuple of rows in the law table, JOIN_LAWS through WEAK_REGULARITY_CHAIN
 ROW_TUPLES = {name: value for name, value in vars(laws).items()
               if isinstance(value, tuple) and value and isinstance(value[0], laws.Law)}
+
+
+def compiled_violations(law, alg) -> list[tuple]:
+    """Every violation the row's compiled scan yields, with the tables
+    `evaluate` would hand it."""
+    scan, names = laws._row(law)
+    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values)
+    tables.update((name, laws._DERIVED[name](alg)) for name in names if name not in tables)
+    return list(scan(product(range(alg.n), repeat=law.arity), **tables))
 
 
 def _evaluate_lines() -> range:
@@ -47,7 +59,7 @@ NAMES = ("x", "y", "z", "u")
 
 
 def _side(text: str):
-    return laws._parse(f"{text} = x", NAMES)[0]
+    return laws._parse(f"{text} = x", NAMES)[-1][0]
 
 
 def test_arrow_is_loosest_and_groups_to_the_right():
@@ -73,10 +85,47 @@ def test_product_binds_tighter_than_meet_and_meet_tighter_than_join():
     "r(x, y) = x",          # a ternary table with two arguments
     "q(x, y, z, u) = x",    # ... or four
     "t x = x",
+    "x <= y =>",            # a premise without a check
+    "=> x = y",             # ... or a check without a premise
+    "x <= y, y <= x",       # premises without "=>"
+    "x <= y => x = y, y = x",  # one check after "=>"
+    "x => y",               # a premise that is not a comparison
 ])
 def test_malformed_text_raises_and_names_the_text(text):
     with pytest.raises(ValueError, match=re.escape(repr(text))):
         laws._parse(text, NAMES)
+
+
+def test_premises_parse_before_the_check():
+    assert laws._parse("x <= y, x = z => x . z <= y", NAMES) == (
+        ("x", "<=", "y"), ("x", "=", "z"), (("pv", "x", "z"), "<=", "y"))
+    # the default note follows the check's own relation
+    assert laws.term_law("row", "x y", "x <= y => x = y").note == ""
+    assert laws.term_law("row", "x y", "x = y => x <= y").note == laws.LE
+
+
+def _product_gaps(alg):
+    """A copy of the algebra for each defined product cell, with that cell
+    made undefined."""
+    rows = [list(row) for row in alg.prod.values]
+    for x, y in product(range(alg.n), repeat=2):
+        if rows[x][y] is not None:
+            old, rows[x][y] = rows[x][y], None
+            yield alg.replace(prod=BinTable.from_rows(rows, False))
+            rows[x][y] = old
+
+
+@lru_cache(maxsize=None)
+def full_models() -> tuple:
+    """Every ncis model up to size 4 with every table a term reads (the
+    arrow, the meet as the product, r and q), each with its product gaps."""
+    models = []
+    for n in range(1, 5):
+        for ncis in enumerate_models(SearchSpec(ClassTag.NCIS, n)):
+            full = ialgebra_from_ncis(ncis).replace(prod=ncis.glb)
+            full = full.replace(q=ralgebra_from_rrs(full).q)
+            models.append((full, tuple(_product_gaps(full))))
+    return tuple(models)
 
 
 @pytest.mark.parametrize("text", [
@@ -88,9 +137,30 @@ def test_malformed_text_raises_and_names_the_text(text):
     "x . y <= x",           # under <=
     "x <= y ^ z",
 ])
-def test_a_partial_operation_only_at_the_top_of_an_equation(text):
-    with pytest.raises(ValueError, match=re.escape(repr(text))):
-        laws._row(laws.term_law("bad", "x y z", text))
+def test_a_partial_operation_nests_at_any_depth_and_agrees_with_the_interpreter(text):
+    law = laws.term_law("row", "x y z", text)
+    for alg, gaps in full_models():
+        for model in (alg, *gaps):
+            assert compiled_violations(law, model) == list(interpret_term_law(law, model)), \
+                alg.name
+
+
+def test_associativity_and_17_alone_report_an_undefined_product(fig1_rrs):
+    """(13) and (17) read products that the rows of RRS_BASE before them
+    make defined; run alone on a table where one is undefined, each
+    reports the undefined side as ``-``."""
+    rows = [list(row) for row in fig1_rrs.prod.values]
+    a, b = fig1_rrs.index["a"], fig1_rrs.index["b"]
+    rows[a][b] = None
+    gap = fig1_rrs.replace(prod=BinTable.from_rows(rows, False))
+    (assoc,) = [law for law in RRS_BASE if law.label == "(13)"]
+    (bound,) = [law for law in RRS_IDENTITIES if law.label == "(17)"]
+    report = laws.evaluate(gap, (assoc,))
+    assert (report.fail_line(), report.note) == (
+        "FAIL axiom=(13) witness=(a,b,a) lhs=- rhs=a", "")
+    report = laws.evaluate(gap, (bound,))
+    assert (report.fail_line(), report.note) == (
+        "FAIL axiom=(17) witness=(a,b,a) lhs=a rhs=-", laws.LE)
 
 
 @pytest.mark.parametrize("variables", ["x x", "v", "xy", "x  y", ""])
@@ -189,9 +259,7 @@ def test_the_missing_table_cases_cover_the_row_tuples():
 def test_a_row_tuple_refuses_a_model_without_a_table_it_reads(rows, slots, phrase):
     """The model has every table but the one named: a missing table is the
     one message of `require_tables`, before any row runs."""
-    ncis = next(enumerate_models(SearchSpec(ClassTag.NCIS, 3)))
-    full = ialgebra_from_ncis(ncis).replace(prod=ncis.glb)
-    full = full.replace(q=ralgebra_from_rrs(full).q)
+    full = next(alg for alg, _ in full_models() if alg.n == 3)
     bare = full.replace(**{slot: None for slot in slots.split(" or ")})
     with pytest.raises(StructureError, match=f"^this operation requires {phrase} table$"):
         laws.evaluate(bare, rows)

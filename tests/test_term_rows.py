@@ -11,6 +11,10 @@ all of them, in the same order, each with its witness, sides and note.
 
 Size 5 is checked on its own with
 ``PYTHONPATH=src python tests/test_term_rows.py --check 5``.
+
+Rows of random text, with premises and partial operations nested at any
+depth, are compared with the interpreter the same way, on models that carry
+every table.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from __future__ import annotations
 import argparse
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from oracles import interpret_term_law, term_law_tables
 from ordalg import BinTable, ClassTag, SearchSpec, TernTable, enumerate_models, laws
-from test_law_table import ROW_TUPLES
+from test_law_table import ROW_TUPLES, compiled_violations, full_models
 
 TIER1_MAX_SIZE = 4
 TERM_ROWS = tuple(dict.fromkeys(law for rows in ROW_TUPLES.values() for law in rows
@@ -28,16 +34,7 @@ TERM_ROWS = tuple(dict.fromkeys(law for rows in ROW_TUPLES.values() for law in r
 # (row, model) pairs compared up to size 4, edits included, and the
 # violations the interpreter yields on them: most edits break a row on
 # several tuples, so the whole sequence is compared, not its first item
-COMPARED, VIOLATIONS = 47430, 67378
-
-
-def compiled_violations(law, alg) -> list[tuple]:
-    """Every violation the row's compiled scan yields, with the tables
-    `evaluate` would hand it."""
-    scan, names = laws._row(law)
-    tables = dict(n=alg.n, top=alg.top, jv=alg.join.values)
-    tables.update((name, laws._DERIVED[name](alg)) for name in names if name not in tables)
-    return list(scan(product(range(alg.n), repeat=law.arity), **tables))
+COMPARED, VIOLATIONS = 55633, 80676
 
 
 def _slots_read(law, alg) -> set[str]:
@@ -100,6 +97,43 @@ def test_every_term_row_yields_the_interpreted_violations_up_to_size_4():
     faults, compared, violations = mismatches(range(1, TIER1_MAX_SIZE + 1))
     assert faults == []
     assert (compared, violations) == (COMPARED, VIOLATIONS)
+
+
+def _terms(depth: int):
+    if depth == 0:
+        return st.sampled_from(["x", "y", "z", "1"])
+    inner = _terms(depth - 1)
+    return st.one_of(
+        inner,
+        st.builds("({} {} {})".format, inner, st.sampled_from(["->", "v", "^", "."]), inner),
+        st.builds("{}({}, {}, {})".format, st.sampled_from("rqt"), inner, inner, inner))
+
+
+@st.composite
+def _rows(draw):
+    """Term text of depth at most 3 over every operation: 1-3 checks, each
+    with 0-2 premises.  The sides are drawn from a small pool of terms and
+    their combinations, so that subterms repeat across sides, premises and
+    checks."""
+    pool = draw(st.lists(_terms(2), min_size=1, max_size=4))
+    side = st.one_of(st.sampled_from(pool), st.builds(
+        "({} {} {})".format, st.sampled_from(pool), st.sampled_from(["->", "v", "^", "."]),
+        st.sampled_from(pool)))
+    comparison = st.builds("{} {} {}".format, side, st.sampled_from(["=", "<="]), side)
+    check = st.builds(lambda premises, last: f"{', '.join(premises)} => {last}"
+                      if premises else last,
+                      st.lists(comparison, max_size=2), comparison)
+    return draw(st.lists(check, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_rows(), st.integers(min_value=0, max_value=15))
+def test_random_term_text_yields_the_interpreted_violations(checks, gap):
+    law = laws.term_law("random", "x y z", *checks)
+    for alg, gaps in full_models():
+        for model in (alg, gaps[gap % len(gaps)]):
+            assert compiled_violations(law, model) == list(interpret_term_law(law, model)), \
+                (checks, model.name)
 
 
 if __name__ == "__main__":
