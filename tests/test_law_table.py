@@ -128,7 +128,7 @@ def full_models() -> tuple:
     return tuple(models)
 
 
-@pytest.mark.parametrize("text", [
+NESTED_PARTIAL_TEXTS = [
     "(x . y) v z = x",      # under another operation
     "x -> (x ^ y) = x",
     "r(x . y, y, z) = z",
@@ -136,7 +136,31 @@ def full_models() -> tuple:
     "x ^ (y . z) = x",
     "x . y <= x",           # under <=
     "x <= y ^ z",
-])
+]
+
+
+@pytest.mark.parametrize("text", NESTED_PARTIAL_TEXTS)
+def test_a_partial_operation_only_at_the_top_of_an_equation(text):
+    """These texts were once refused, when "." and "^" could stand only at
+    the top of an equation.  Each now compiles, and `evaluate` reports the
+    first violation the interpreter finds, an undefined side as ``-``."""
+    law = laws.term_law("row", "x y z", text)
+    for alg, gaps in full_models():
+        for model in (alg, *gaps):
+            report = laws.evaluate(model, (law,))
+            hit = next(iter(interpret_term_law(law, model)), None)
+            if hit is None:
+                assert report.ok, alg.name
+                continue
+            witness, lhs, rhs, note = hit
+            lab = model.labels
+            lhs, rhs = ("-" if v is None else lab[v] for v in (lhs, rhs))
+            assert (report.fail_line(), report.note) == (
+                f"FAIL axiom=row witness=({','.join(lab[i] for i in witness)}) "
+                f"lhs={lhs} rhs={rhs}", note), alg.name
+
+
+@pytest.mark.parametrize("text", NESTED_PARTIAL_TEXTS)
 def test_a_partial_operation_nests_at_any_depth_and_agrees_with_the_interpreter(text):
     law = laws.term_law("row", "x y z", text)
     for alg, gaps in full_models():
